@@ -18,14 +18,6 @@ class NegativeExponent(OrbitPairsError):
     """A Laurent expansion would leave a negative power of q."""
 
 
-class MissingContext(ValueError, OrbitPairsError):
-    """An operation needing a finite row set was called without one."""
-
-
-class NotComparable(ValueError, OrbitPairsError):
-    """Moebius function requested on a non-interval pair of ideals."""
-
-
 class IdealOutOfContext(ValueError, OrbitPairsError):
     """An order ideal has maximal points off the rows of the partition."""
 

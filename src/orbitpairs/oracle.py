@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Iterable, List, Literal
 
 import numpy as np
@@ -39,6 +40,10 @@ def valuation(x: int, k: int, p: int) -> int:
     return e
 
 
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 @dataclass(frozen=True)
 class ExplicitModule:
     """A concrete module: one residue coordinate per cyclic summand."""
@@ -49,6 +54,11 @@ class ExplicitModule:
     @classmethod
     def from_partition(cls, lam: Partition, p: int,
                        budget: int = ELEMENT_BUDGET) -> "ExplicitModule":
+        # Bounding p first keeps the primality check short for any p.
+        if p > budget:
+            raise BudgetExceeded(f"p = {p} exceeds budget {budget}")
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not a prime")
         mod = cls(p, lam.expand())
         if mod.size > budget:
             raise BudgetExceeded(f"|M| = {mod.size} exceeds budget {budget}")
@@ -198,7 +208,6 @@ def _closure_labels(perms: Iterable[np.ndarray], n: int) -> np.ndarray:
 @dataclass
 class OrbitDescriptor:
     size: int
-    representative: tuple
     ideal: OrderIdeal
     second_ideal: OrderIdeal = None  # pairs only
 
@@ -230,14 +239,10 @@ def orbits(module: ExplicitModule, space: Literal["elements", "pairs"] = "elemen
     out = []
     for rep, size in zip(reps.tolist(), counts.tolist()):
         if space == "elements":
-            coords = tuple(elements[rep].tolist())
-            out.append(OrbitDescriptor(size, coords, module.ideal_of(coords)))
+            out.append(OrbitDescriptor(size, module.ideal_of(elements[rep].tolist())))
         else:
-            first = tuple(elements[rep // n].tolist())
-            second = tuple(elements[rep % n].tolist())
-            out.append(OrbitDescriptor(size, (first, second),
-                                       module.ideal_of(first),
-                                       module.ideal_of(second)))
+            out.append(OrbitDescriptor(size, module.ideal_of(elements[rep // n].tolist()),
+                                       module.ideal_of(elements[rep % n].tolist())))
     return out
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, MutableMapping, Optional
 
-from .errors import ContextMismatch, DegreeMismatch, IdealOutOfContext
-from .posets import OrderIdeal, Partition, Point, lattice
+from .errors import ContextMismatch, DegreeMismatch
+from .posets import OrderIdeal, Partition, Point, lattice, require_context
 from .qpoly import ONE, QPolynomial, laurent_product, monomial
 
 
@@ -38,16 +38,11 @@ class CanonicalSplit:
     quotient: Partition
 
 
-def _require_context(lam: Partition, I: OrderIdeal):
-    if not I.in_context(lam):
-        raise IdealOutOfContext(f"ideal [{I}] has maximal points off rows of {lam or 'empty'}")
-
-
 @lru_cache(maxsize=None)
 def orbit_size(lam: Partition, I: OrderIdeal) -> QPolynomial:
     """Cardinality of the orbit labelled by I, as a polynomial in q:
     q**[I] times (1 - q**-m_i) over the maximal rows.  Monic of degree [I]."""
-    _require_context(lam, I)
+    require_context(lam, I)
     return laurent_product(I.weighted_size(lam),
                            [lam.mult(p.k) for p in I.max_points])
 
@@ -60,7 +55,7 @@ def submodule_size(lam: Partition, I: OrderIdeal) -> QPolynomial:
 
 @lru_cache(maxsize=None)
 def canonical_split(lam: Partition, I: OrderIdeal) -> CanonicalSplit:
-    _require_context(lam, I)
+    require_context(lam, I)
     pts = I.max_points
     ks = [p.k for p in pts]
     lam_prime = Partition.from_parts(ks)
@@ -79,23 +74,11 @@ def max_minus(K: OrderIdeal, J: OrderIdeal) -> tuple[Point, ...]:
 
 def sum_orbit_orbit(lam: Partition, I: OrderIdeal, J: OrderIdeal) -> list[OrderIdeal]:
     """Ideals K whose orbits make up orbit(I) + orbit(J).  Valid for residue
-    fields with at least three elements (q >= 3); see sum_orbit_submodule
-    for the unrestricted variant."""
-    _require_context(lam, I)
-    _require_context(lam, J)
+    fields with at least three elements (q >= 3)."""
+    require_context(lam, I)
+    require_context(lam, J)
     IJ = I.union(J)
     req = set(max_minus(I, J)) | set(max_minus(J, I))
-    return [K for K in lattice(lam).ideals
-            if K.is_subset_of(IJ) and req <= set(K.max_points)]
-
-
-def sum_orbit_submodule(lam: Partition, I: OrderIdeal, J: OrderIdeal) -> list[OrderIdeal]:
-    """Ideals K whose orbits make up orbit(I) + submodule(J); valid for
-    every residue field size."""
-    _require_context(lam, I)
-    _require_context(lam, J)
-    IJ = I.union(J)
-    req = set(max_minus(I, J))
     return [K for K in lattice(lam).ideals
             if K.is_subset_of(IJ) and req <= set(K.max_points)]
 
@@ -123,8 +106,11 @@ def alpha(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolyn
     sp = canonical_split(lam, I)
     _check_cell(sp, J, K)
     JK = J.union(K)
-    return _alpha_core(sp.lambda_prime, sp.lambda_dprime, JK,
-                       frozenset(max_minus(K, J)))
+    a = _alpha_core(sp.lambda_prime, sp.lambda_dprime, JK,
+                    frozenset(max_minus(K, J)))
+    if not a.is_monic() or a.degree != JK.weighted_size(lam):
+        raise DegreeMismatch(f"alpha cell ({I};{J};{K}) of {lam}: got {a}")
+    return a
 
 
 def x_count(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolynomial:
@@ -147,10 +133,6 @@ def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial
     for J in lattice(sp.quotient).ideals:
         for K in lattice(sp.lambda_dprime).ideals:
             a = alpha(lam, I, J, K)
-            JK = J.union(K)
-            if not a.is_monic() or a.degree != JK.weighted_size(lam):
-                raise DegreeMismatch(
-                    f"alpha cell ({I};{J};{K}) of {lam}: got {a}")
             groups[a] = groups.get(a, QPolynomial()) + x_count(lam, I, J, K)
     census = {a: total.exact_div(a) for a, total in groups.items()}
     mass = QPolynomial()

@@ -7,14 +7,20 @@ An order ideal is stored context-free as the antichain of its maximal points,
 so the same ideal object can be evaluated against several partitions (the
 counting pipeline mixes three partition contexts per computation).  Boundary
 valuations are derived on demand from the generators.
+
+The ideals on a partition's rows form a finite distributive lattice, so its
+Moebius function has a closed form: mu(A, B) = (-1)^|B - A| when A is B
+minus a set of B's maximal points, and 0 otherwise.  Inversions sum over
+those terms only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from itertools import combinations
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import MissingContext, NotComparable
+from .errors import IdealOutOfContext
 
 
 class Point(NamedTuple):
@@ -64,15 +70,14 @@ class Partition:
         text = text.strip()
         if not text:
             return cls()
-        parts = []
+        counts: dict[int, int] = {}
         for chunk in text.split(","):
-            chunk = chunk.strip()
-            if "^" in chunk:
-                base, _, mult = chunk.partition("^")
-                parts.extend([int(base)] * int(mult))
-            else:
-                parts.append(int(chunk))
-        return cls.from_parts(parts)
+            base, caret, mult = chunk.strip().partition("^")
+            part, m = int(base), int(mult) if caret else 1
+            if m < 1:
+                raise ValueError(f"multiplicity must be at least 1 in {chunk.strip()!r}")
+            counts[part] = counts.get(part, 0) + m
+        return cls(sorted(counts.items(), reverse=True))
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -206,20 +211,6 @@ class OrderIdeal:
     def union(self, other: "OrderIdeal") -> "OrderIdeal":
         return OrderIdeal.from_generators(self.max_points + other.max_points)
 
-    def intersect(self, other: "OrderIdeal", rows: Iterable[int] = None) -> "OrderIdeal":
-        """Intersection, with boundaries evaluated on a finite row context."""
-        if rows is None:
-            raise MissingContext("intersect needs a finite row set")
-        gens = []
-        for k in rows:
-            b1, b2 = self.boundary(k), other.boundary(k)
-            if b1 is None or b2 is None:
-                continue
-            b = max(b1, b2)
-            if b < k:
-                gens.append(Point(b, k))
-        return OrderIdeal.from_generators(gens)
-
     def weighted_size(self, lam: Partition) -> int:
         """Number of points of the ideal on the partition's rows, counted with
         multiplicity: sum of m_i * (lambda_i - boundary)."""
@@ -285,56 +276,36 @@ def enumerate_ideals(lam: Partition) -> list[OrderIdeal]:
     return out
 
 
+def require_context(lam: Partition, I: OrderIdeal):
+    if not I.in_context(lam):
+        raise IdealOutOfContext(f"ideal [{I}] has maximal points off rows of {lam or 'empty'}")
+
+
 class IdealLattice:
-    """The lattice J(P)_lambda with precomputed order and a Moebius memo."""
+    """The lattice J(P)_lambda: every ideal on the rows of lambda."""
 
     def __init__(self, lam: Partition):
         self.partition = lam
         self.ideals = enumerate_ideals(lam)
-        self.index = {I: i for i, I in enumerate(self.ideals)}
-        n = len(self.ideals)
-        self._below = [frozenset(j for j in range(n)
-                                 if self.ideals[j].is_subset_of(self.ideals[i]))
-                       for i in range(n)]
-        self._mobius: dict[tuple[int, int], int] = {}
 
-    def __len__(self):
-        return len(self.ideals)
-
-    def lower_interval(self, B: OrderIdeal) -> list[OrderIdeal]:
-        """All ideals contained in B."""
-        return [self.ideals[j] for j in sorted(self._below[self.index[B]])]
-
-    def interval(self, A: OrderIdeal, B: OrderIdeal) -> list[OrderIdeal]:
-        ia, ib = self.index[A], self.index[B]
-        return [self.ideals[j] for j in sorted(self._below[ib])
-                if ia in self._below[j]]
-
-    def mobius(self, A: OrderIdeal, B: OrderIdeal) -> int:
-        """Moebius function of the interval [A, B]."""
-        ia, ib = self.index[A], self.index[B]
-        if ia not in self._below[ib]:
-            raise NotComparable(f"[{A}] is not contained in [{B}]")
-        return self._mu(ia, ib)
-
-    def _mu(self, ia: int, ib: int) -> int:
-        if ia == ib:
-            return 1
-        key = (ia, ib)
-        if key not in self._mobius:
-            total = 0
-            for ic in self._below[ib]:
-                if ic != ib and ia in self._below[ic]:
-                    total += self._mu(ia, ic)
-            self._mobius[key] = -total
-        return self._mobius[key]
+    def mobius_terms(self, B: OrderIdeal) -> Iterator[tuple[OrderIdeal, int]]:
+        """Every (A, mu(A, B)) with mu nonzero: A is B minus a set S of its
+        maximal points, and mu = (-1)^|S|.  Removing the point (v, k) raises
+        row k's boundary to v + 1."""
+        require_context(self.partition, B)
+        base = {k: B.boundary(k) for k in self.partition.rows}
+        tops = B.max_points
+        for r in range(len(tops) + 1):
+            for removed in combinations(tops, r):
+                bounds = dict(base)
+                for v, k in removed:
+                    bounds[k] = v + 1
+                A = OrderIdeal.from_generators(
+                    Point(b, k) for k, b in bounds.items() if b is not None and b < k)
+                yield A, (-1) ** r
 
 
 @lru_cache(maxsize=None)
 def lattice(lam: Partition) -> IdealLattice:
-    """Shared per-partition lattice (ideals, order, Moebius memo)."""
+    """Shared per-partition lattice of ideals."""
     return IdealLattice(lam)
-
-
-def mobius(lam: Partition, A: OrderIdeal, B: OrderIdeal) -> int:
-    return lattice(lam).mobius(A, B)

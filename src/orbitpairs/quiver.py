@@ -119,21 +119,21 @@ def c_tau(tau: MatrixType) -> QPolynomial:
     return prod * Fraction(1, denom)
 
 
-def n_tau(tau: MatrixType, store=None) -> QPolynomial:
+def n_tau(tau: MatrixType) -> QPolynomial:
     """Orbit count of pairs for a matrix of the given type: product of the
     per-partition counts evaluated at q**d."""
     prod = ONE
     for (lam, d), a in tau.entries:
-        prod = prod * n_lambda(lam, store).compose_power(d) ** a
+        prod = prod * n_lambda(lam).compose_power(d) ** a
     return prod
 
 
-def r_n1(n: int, store=None) -> QPolynomial:
+def r_n1(n: int) -> QPolynomial:
     """Number of isomorphism classes of representations with dimension
     vector (n, 1); must come out with non-negative integer coefficients."""
     total = ZERO
     for tau in enumerate_types(n):
-        total = total + c_tau(tau) * n_tau(tau, store)
+        total = total + c_tau(tau) * n_tau(tau)
     if not total.is_integer_coefficients():
         raise NonIntegerResult(f"R_{n},1 = {total}")
     return total
@@ -160,7 +160,7 @@ def _series_mul(a: list, b: list, n_max: int) -> list:
     return out
 
 
-def genfunc_check(n_max: int, store=None) -> bool:
+def genfunc_check(n_max: int) -> bool:
     """Expand the product formula for the generating function up to x**n_max
     and compare coefficients with the direct type sums."""
     if n_max < 0:
@@ -172,7 +172,7 @@ def genfunc_check(n_max: int, store=None) -> bool:
         for m in range(1, n_max // d + 1):
             coeff = ZERO
             for lam in partitions_of(m):
-                coeff = coeff + n_lambda(lam, store).compose_power(d)
+                coeff = coeff + n_lambda(lam).compose_power(d)
             u[d * m] = coeff
         powered = [ONE] + [ZERO] * n_max
         term = [ONE] + [ZERO] * n_max
@@ -183,6 +183,6 @@ def genfunc_check(n_max: int, store=None) -> bool:
             powered = [p + binom * t for p, t in zip(powered, term)]
         series = _series_mul(series, powered, n_max)
     for n in range(1, n_max + 1):
-        if series[n] != r_n1(n, store):
+        if series[n] != r_n1(n):
             return False
     return series[0] == ONE

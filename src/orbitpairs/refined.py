@@ -5,12 +5,13 @@ program over the exact valuation class of each coordinate: every coordinate
 contributes the solutions of one coset condition (v(x) >= a and
 v(x - y) >= b with v(y) known), whose valuation distribution depends only
 on (k, a, b, v(y)).  Two Moebius inversions (one on the quotient context,
-one on the source lattice) then sharpen "at least" constraints to "exactly".
+one on the source lattice) then sharpen "at least" constraints to "exactly";
+each sums only over the nonzero closed-form Moebius terms of its lattice
+(IdealLattice.mobius_terms), so no count is computed for a term with mu = 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional
 
@@ -20,24 +21,11 @@ from .posets import OrderIdeal, Partition, lattice
 from .qpoly import ONE, QPolynomial, ZERO, monomial
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
-    """Counts of solutions per exact valuation w in 0..k (w = k is zero)."""
-
-    k: int
-    per_valuation: tuple[QPolynomial, ...]
-
-    def total(self) -> QPolynomial:
-        out = ZERO
-        for c in self.per_valuation:
-            out = out + c
-        return out
-
-
 @lru_cache(maxsize=None)
-def coset_count(k: int, a: int, b: int, vy: Optional[int]) -> ValuationProfile:
+def coset_count(k: int, a: int, b: int, vy: Optional[int]) -> tuple[QPolynomial, ...]:
     """Valuation distribution of {x in R/P^k : v(x) >= a, v(x - y) >= b}
-    when v(y) = vy (vy=None encodes y = 0, i.e. valuation infinity)."""
+    when v(y) = vy (vy=None encodes y = 0, i.e. valuation infinity): the
+    number of solutions per exact valuation w in 0..k (w = k is zero)."""
     a = max(0, min(a, k))
     b = max(0, min(b, k))
     counts = [ZERO] * (k + 1)
@@ -50,7 +38,7 @@ def coset_count(k: int, a: int, b: int, vy: Optional[int]) -> ValuationProfile:
         # v(x - y) >= b > vy forces v(x) = vy exactly; solutions form a
         # coset of P^b.
         counts[vy] = monomial(k - b)
-    return ValuationProfile(k, tuple(counts))
+    return tuple(counts)
 
 
 def _clamped(b: Optional[int], row: int) -> int:
@@ -73,7 +61,7 @@ def s_count(split: CanonicalSplit, L: OrderIdeal, J: OrderIdeal) -> QPolynomial:
     v_s, k_s = pts[-1].v, pts[-1].k
     a = _clamped(L.boundary(k_s), k_s)
     b = 0 if v_s == 0 else _clamped(J.boundary(v_s), v_s)
-    state = list(coset_count(k_s, a, b, None).per_valuation)
+    state = list(coset_count(k_s, a, b, None))
     for i in range(s - 2, -1, -1):
         v_i, k_i = pts[i].v, pts[i].k
         v_n, k_n = pts[i + 1].v, pts[i + 1].k
@@ -85,8 +73,7 @@ def s_count(split: CanonicalSplit, L: OrderIdeal, J: OrderIdeal) -> QPolynomial:
             if not c:
                 continue
             vy = None if w_next == k_n else w_next + v_i - v_n
-            prof = coset_count(k_i, a, b, vy)
-            for w, cnt in enumerate(prof.per_valuation):
+            for w, cnt in enumerate(coset_count(k_i, a, b, vy)):
                 if cnt:
                     new_state[w] = new_state[w] + c * cnt
         state = new_state
@@ -100,10 +87,9 @@ def exact_fiber_count(split: CanonicalSplit, L: OrderIdeal, J: OrderIdeal) -> QP
     """Number of elements of the distinguished part lying in the submodule
     of L whose quotient image has invariant exactly J (Moebius inversion of
     s_count over the quotient lattice)."""
-    lat = lattice(split.quotient)
     total = ZERO
-    for Jp in lat.lower_interval(J):
-        total = total + lat.mobius(Jp, J) * s_count(split, L, Jp)
+    for Jp, mu in lattice(split.quotient).mobius_terms(J):
+        total = total + mu * s_count(split, L, Jp)
     return total
 
 
@@ -122,23 +108,21 @@ def refined_census(lam: Partition, I: OrderIdeal,
     """Map cardinality -> number of orbits of pairs with first member in the
     orbit of I and second member in the orbit of L."""
     split = canonical_split(lam, I)
-    lat = lattice(lam)
-    lowers = lat.lower_interval(L)
-    mob = {Lp: lat.mobius(Lp, L) for Lp in lowers}
+    terms = list(lattice(lam).mobius_terms(L))
     fiber: Dict[tuple, QPolynomial] = {}
     groups: Dict[QPolynomial, QPolynomial] = {}
     for J in lattice(split.quotient).ideals:
         for K in lattice(split.lambda_dprime).ideals:
             cell = ZERO
             os_k = orbit_size(split.lambda_dprime, K)
-            for Lp in lowers:
+            for Lp, mu in terms:
                 if not all(Lp.contains(p) for p in K.max_points):
                     continue
                 key = (J, Lp)
                 f = fiber.get(key)
                 if f is None:
                     f = fiber[key] = exact_fiber_count(split, Lp, J)
-                cell = cell + mob[Lp] * f
+                cell = cell + mu * f
             cell = cell * os_k
             if not cell:
                 continue
@@ -165,8 +149,7 @@ def x_in_submodule(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal,
                    L: OrderIdeal) -> QPolynomial:
     """Number of second elements with invariants (J, K) lying exactly in the
     orbit of L (Moebius inversion of y_count over the source lattice)."""
-    lat = lattice(lam)
     total = ZERO
-    for Lp in lat.lower_interval(L):
-        total = total + lat.mobius(Lp, L) * y_count(lam, I, J, K, Lp)
+    for Lp, mu in lattice(lam).mobius_terms(L):
+        total = total + mu * y_count(lam, I, J, K, Lp)
     return total

@@ -48,6 +48,12 @@ class TestNLambda:
         assert code == 1
         assert "error" in err
 
+    def test_multiplicity_below_one_is_exit_1(self, capsys):
+        for text in ("3^0", "3^-1"):
+            code, out, err = run(capsys, "nlambda", text)
+            assert code == 1
+            assert "error:" in err and out == ""
+
     def test_entry_raises_system_exit(self, capsys):
         with pytest.raises(SystemExit):
             cli.entry()
@@ -139,6 +145,21 @@ class TestQuiverVerifyConjecture:
         assert code == 0
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    def test_verify_composite_p_is_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify", "2,1", "4")
+        assert code == 1
+        assert "error:" in err and out == ""
+
+    def test_verify_zero_p_is_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify", "2,1", "0")
+        assert code == 1
+        assert "error:" in err and out == ""
+
+    def test_verify_p_one_is_exit_1(self, capsys):
+        code, out, err = run(capsys, "verify", "2,1", "1")
+        assert code == 1
+        assert "error:" in err and out == ""
 
     def test_verify_json(self, capsys):
         code, out, _ = run(capsys, "verify", "2", "3", "--json")

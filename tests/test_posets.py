@@ -1,11 +1,12 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitpairs.errors import MissingContext, NotComparable
 from orbitpairs.posets import (EMPTY_IDEAL, OrderIdeal, Partition, Point,
-                               enumerate_ideals, lattice, mobius,
-                               partitions_of, point, point_leq)
+                               enumerate_ideals, lattice, partitions_of,
+                               point, point_leq)
 
 
 def all_points(max_row):
@@ -60,6 +61,17 @@ class TestPartition:
         assert Partition.parse("5,4,4,2,1") == Partition.parse("5,4^2,2,1")
         assert Partition.parse("") == Partition()
         assert str(Partition.parse("5,4,4,2,1")) == "5,4^2,2,1"
+        assert Partition.parse("2,2^3").pairs == ((2, 4),)
+
+    def test_parse_rejects_multiplicity_below_one(self):
+        for text in ("3^0", "3^-1", "4,3^0"):
+            with pytest.raises(ValueError):
+                Partition.parse(text)
+
+    def test_parse_huge_multiplicity_builds_pairs_only(self):
+        lam = Partition.parse("1^100000000")
+        assert lam.pairs == ((1, 10 ** 8),)
+        assert lam.weight == 10 ** 8
 
     def test_accessors(self):
         lam = Partition.parse("5,4^2,2,1")
@@ -135,16 +147,6 @@ class TestOrderIdeal:
         # A single generator can absorb another.
         assert OrderIdeal.parse("1:3").is_subset_of(OrderIdeal.parse("0:2"))
 
-    def test_intersect_needs_context(self):
-        A = OrderIdeal.parse("1:3")
-        with pytest.raises(MissingContext):
-            A.intersect(A)
-        B = OrderIdeal.parse("0:2")
-        C = A.intersect(B, rows=(3, 2))
-        # On rows {3, 2} the common points are those below both.
-        for p in [Point(v, k) for k in (2, 3) for v in range(k)]:
-            assert C.contains(p) == (A.contains(p) and B.contains(p))
-
     def test_weighted_size(self):
         lam = Partition.parse("4,1")
         assert OrderIdeal.parse("1:4,0:1").weighted_size(lam) == 4
@@ -181,34 +183,58 @@ class TestEnumeration:
                 assert set(fast) == set(slow), str(lam)
 
 
+def assert_mobius_identity(lat, B):
+    """sum of mu(C, B) over A <= C <= B is 1 for A = B and 0 below B, with
+    the order read off is_subset_of; this determines mu(., B) uniquely."""
+    terms = list(lat.mobius_terms(B))
+    mu = dict(terms)
+    assert len(mu) == len(terms)
+    assert all(A in lat.ideals and A.is_subset_of(B) for A in mu)
+    for A in lat.ideals:
+        if not A.is_subset_of(B):
+            continue
+        total = sum(mu.get(C, 0) for C in lat.ideals
+                    if A.is_subset_of(C) and C.is_subset_of(B))
+        assert total == (1 if A == B else 0), (str(lat.partition), str(A), str(B))
+
+
+SHAPES_UP_TO_9 = [lam for n in range(10) for lam in partitions_of(n)]
+
+
 class TestLattice:
     def test_interval_examples(self):
-        lam = Partition.parse("2,1")
-        lat = lattice(lam)
-        bottom = EMPTY_IDEAL
-        top = OrderIdeal.parse("0:2")
-        assert set(lat.lower_interval(top)) == set(lat.ideals)
-        chain = lat.interval(OrderIdeal.parse("1:2"), top)
-        assert [str(I) for I in chain] == ["1:2", "0:1", "0:2"]
-        assert lat.mobius(bottom, bottom) == 1
-        assert lat.mobius(OrderIdeal.parse("0:1"), top) == -1
-        # The interval from 1:2 to the top is a 3-chain, so mu vanishes.
-        assert lat.mobius(OrderIdeal.parse("1:2"), top) == 0
+        # J(P)_(2,1) is the chain '' < 1:2 < 0:1 < 0:2, so every interval
+        # has nonzero terms only at its top and the element just below.
+        lat = lattice(Partition.parse("2,1"))
+        chain = [OrderIdeal.parse(t) for t in ("", "1:2", "0:1", "0:2")]
+        assert set(lat.ideals) == set(chain)
+        assert all(a.is_subset_of(b) for a, b in zip(chain, chain[1:]))
 
-    def test_not_comparable(self):
-        lam = Partition.parse("2,1")
-        with pytest.raises(NotComparable):
-            mobius(lam, OrderIdeal.parse("0:2"), OrderIdeal.parse("1:2"))
+        def terms(text):
+            return {str(A): mu for A, mu in lat.mobius_terms(OrderIdeal.parse(text))}
+
+        assert terms("") == {"": 1}
+        assert terms("1:2") == {"1:2": 1, "": -1}
+        assert terms("0:1") == {"0:1": 1, "1:2": -1}
+        assert terms("0:2") == {"0:2": 1, "0:1": -1}
+        # Two maximal points: removing both gives mu = +1.
+        lat31 = lattice(Partition.parse("3,1"))
+        assert {str(A): mu for A, mu in lat31.mobius_terms(OrderIdeal.parse("1:3,0:1"))} \
+            == {"1:3,0:1": 1, "0:1": -1, "1:3": -1, "2:3": 1}
 
     def test_mobius_inversion_identity(self):
         for n in range(1, 7):
             for lam in partitions_of(n):
                 lat = lattice(lam)
                 for B in lat.ideals:
-                    for A in lat.lower_interval(B):
-                        total = sum(lat.mobius(C, B)
-                                    for C in lat.interval(A, B))
-                        assert total == (1 if A == B else 0)
+                    assert_mobius_identity(lat, B)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_mobius_identity_random_shapes(self, data):
+        lam = data.draw(st.sampled_from(SHAPES_UP_TO_9))
+        lat = lattice(lam)
+        assert_mobius_identity(lat, data.draw(st.sampled_from(lat.ideals)))
 
     def test_shared_instance(self):
         assert lattice(Partition.parse("3,1")) is lattice(Partition.parse("3,1"))
