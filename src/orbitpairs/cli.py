@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .errors import OrbitPairsError
@@ -25,12 +26,14 @@ REFINED_LIMIT = 8
 
 class ResultStore:
     """File-backed cache of computed orbit-pair counts, keyed by the
-    canonical (capped) partition string.  A corrupt cache file is ignored
-    with a warning, never trusted."""
+    canonical (capped) partition string, read on opening and written once
+    by save().  A corrupt file, or an entry whose value is not monic of
+    degree lambda_1 with integer coefficients, is dropped with a warning."""
 
     def __init__(self, path=None):
         self.path = path
         self.entries: dict[str, list] = {}
+        self._added = False
         if path is None:
             return
         try:
@@ -38,15 +41,20 @@ class ResultStore:
                 data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("cache root must be an object")
-            for key, coeffs in data.items():
-                Partition.parse(key)
-                QPolynomial.from_json({"coeffs": coeffs})
-            self.entries = data
         except FileNotFoundError:
-            pass
+            return
         except (ValueError, OSError) as exc:
             print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
-            self.entries = {}
+            return
+        for key, coeffs in data.items():
+            try:
+                lam = Partition.parse(key)
+                if not (isinstance(coeffs, list) and all(type(c) is int for c in coeffs)
+                        and coeffs[-1:] == [1] and len(coeffs) == lam.largest + 1):
+                    raise ValueError(f"not a monic integer polynomial of degree {lam.largest}")
+                self.entries[str(lam)] = coeffs
+            except ValueError as exc:
+                print(f"warning: dropping cache entry {key!r}: {exc}", file=sys.stderr)
 
     def get(self, lam: Partition):
         entry = self.entries.get(str(lam))
@@ -56,9 +64,21 @@ class ResultStore:
 
     def __setitem__(self, lam: Partition, poly: QPolynomial):
         self.entries[str(lam)] = poly.to_json()["coeffs"]
-        if self.path is not None:
-            with open(self.path, "w") as fh:
+        self._added = True
+
+    def save(self):
+        """Write the entries, if any were added, to a temporary file renamed
+        over the cache, so an interrupted write leaves the old file intact."""
+        if self.path is None or not self._added:
+            return
+        tmp = f"{self.path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
                 json.dump(self.entries, fh, indent=1, sort_keys=True)
+            os.replace(tmp, self.path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _poly_out(p: QPolynomial, args) -> str:
@@ -93,7 +113,10 @@ def _emit_rows(header: list[str], rows: list[list[str]], args) -> str:
 def cmd_nlambda(args) -> int:
     lam = Partition.parse(args.partition)
     store = ResultStore(args.cache)
-    poly = n_lambda(lam, store)
+    try:
+        poly = n_lambda(lam, store)
+    finally:
+        store.save()
     if args.json:
         obj = {"partition": str(lam), **poly.to_json()}
         if args.at is not None:
@@ -109,13 +132,16 @@ def cmd_nlambda(args) -> int:
 def cmd_table(args) -> int:
     store = ResultStore(args.cache)
     rows = []
-    for lam in partitions_of(args.n):
-        poly = n_lambda(lam, store)
-        name = "(" + ", ".join(str(p) for p in lam.expand()) + ")"
-        if args.json:
-            rows.append([str(lam), poly.to_json()["coeffs"]])
-        else:
-            rows.append([name, _poly_out(poly, args)])
+    try:
+        for lam in partitions_of(args.n):
+            poly = n_lambda(lam, store)
+            name = "(" + ", ".join(str(p) for p in lam.expand()) + ")"
+            if args.json:
+                rows.append([str(lam), poly.to_json()["coeffs"]])
+            else:
+                rows.append([name, _poly_out(poly, args)])
+    finally:
+        store.save()
     header = ["partition", "coeffs" if args.json else "orbit count"]
     print(_emit_rows(header, rows, args))
     return 0

@@ -22,10 +22,6 @@ class IdealOutOfContext(ValueError, OrbitPairsError):
     """An order ideal has maximal points off the rows of the partition."""
 
 
-class ContextMismatch(ValueError, OrbitPairsError):
-    """An ideal argument fails its required lattice membership."""
-
-
 class DegreeMismatch(OrbitPairsError):
     """A monicity/degree assertion on a computed polynomial failed."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, MutableMapping, Optional
 
-from .errors import ContextMismatch, DegreeMismatch
+from .errors import DegreeMismatch
 from .posets import OrderIdeal, Partition, Point, lattice, require_context
 from .qpoly import ONE, QPolynomial, laurent_product, monomial
 
@@ -83,13 +83,6 @@ def sum_orbit_orbit(lam: Partition, I: OrderIdeal, J: OrderIdeal) -> list[OrderI
             if K.is_subset_of(IJ) and req <= set(K.max_points)]
 
 
-def _check_cell(sp: CanonicalSplit, J: OrderIdeal, K: OrderIdeal):
-    if not J.in_context(sp.quotient):
-        raise ContextMismatch(f"[{J}] not in the quotient context {sp.quotient or 'empty'}")
-    if not K.in_context(sp.lambda_dprime):
-        raise ContextMismatch(f"[{K}] not in the complement context {sp.lambda_dprime or 'empty'}")
-
-
 @lru_cache(maxsize=None)
 def _alpha_core(lam_prime: Partition, lam_dprime: Partition,
                 JK: OrderIdeal, required: frozenset) -> QPolynomial:
@@ -104,7 +97,8 @@ def alpha(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolyn
     """Cardinality of the stabilizer orbit of any second element with
     invariants (J, K); monic of degree [J union K] over lambda's rows."""
     sp = canonical_split(lam, I)
-    _check_cell(sp, J, K)
+    require_context(sp.quotient, J)
+    require_context(sp.lambda_dprime, K)
     JK = J.union(K)
     a = _alpha_core(sp.lambda_prime, sp.lambda_dprime, JK,
                     frozenset(max_minus(K, J)))
@@ -116,7 +110,6 @@ def alpha(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolyn
 def x_count(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolynomial:
     """Number of second elements with invariants exactly (J, K)."""
     sp = canonical_split(lam, I)
-    _check_cell(sp, J, K)
     if sp.prime_parts:
         fiber = monomial(sp.prime_parts[0].k - sp.prime_parts[0].v)
     else:

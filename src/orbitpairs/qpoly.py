@@ -1,10 +1,10 @@
 """Exact polynomials in the formal variable q.
 
-Coefficients are arbitrary-precision rationals; integers stay plain ints so
-the common (all-integer) case runs on fast machine/bignum arithmetic and a
-Fraction only appears where a computation genuinely needs one.  A polynomial
-is a dense tuple of coefficients in ascending powers with no trailing zero;
-the zero polynomial is the empty tuple.
+A polynomial is a dense tuple of coefficients in ascending powers with no
+trailing zero; the zero polynomial is the empty tuple.  Coefficients are
+stored as given, ints or Fractions, and never converted: an integral Fraction
+equals and hashes like its int, and the observers that tell integers from
+fractions (is_integer_coefficients, to_json, the renderers) read denominator.
 """
 
 from __future__ import annotations
@@ -17,19 +17,13 @@ from .errors import NegativeExponent, NonExactDivision
 Coeff = Union[int, Fraction]
 
 
-def _norm(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class QPolynomial:
     """Immutable exact polynomial in q."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
-        cs = [_norm(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -54,9 +48,6 @@ class QPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __getitem__(self, i: int) -> Coeff:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     @property
     def leading_coefficient(self) -> Coeff:
         return self.coeffs[-1] if self.coeffs else 0
@@ -65,7 +56,7 @@ class QPolynomial:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def is_integer_coefficients(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
+        return all(c.denominator == 1 for c in self.coeffs)
 
     def has_nonnegative_coefficients(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -94,9 +85,6 @@ class QPolynomial:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -143,7 +131,7 @@ class QPolynomial:
             c = rem[i + len(d) - 1]
             if c == 0:
                 continue
-            factor = _norm(Fraction(c, lead)) if lead != 1 else c
+            factor = Fraction(c, lead) if lead != 1 else c
             quot[i] = factor
             for j, dj in enumerate(d):
                 rem[i + j] -= factor * dj
@@ -167,7 +155,7 @@ class QPolynomial:
         acc: Coeff = 0
         for c in reversed(self.coeffs):
             acc = acc * q0 + c
-        return _norm(acc)
+        return acc
 
     # -- rendering / serialization ----------------------------------------
 
@@ -178,7 +166,7 @@ class QPolynomial:
         return f"QPolynomial({list(self.coeffs)!r})"
 
     def to_json(self):
-        return {"coeffs": [c if isinstance(c, int) else f"{c.numerator}/{c.denominator}"
+        return {"coeffs": [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
                            for c in self.coeffs]}
 
     @classmethod
@@ -233,7 +221,7 @@ def _term(coeff: Coeff, power: int, latex: bool) -> str:
         var = f"q^{{{power}}}" if power > 9 else f"q^{power}"
     else:
         var = f"q^{power}"
-    if isinstance(coeff, Fraction):
+    if coeff.denominator != 1:
         c = f"\\frac{{{coeff.numerator}}}{{{coeff.denominator}}}" if latex \
             else f"({coeff.numerator}/{coeff.denominator})"
     elif coeff == 1 and var:

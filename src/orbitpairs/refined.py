@@ -15,7 +15,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Optional
 
-from .errors import ContextMismatch
 from .orbits import CanonicalSplit, alpha, canonical_split, orbit_size
 from .posets import OrderIdeal, Partition, lattice
 from .qpoly import ONE, QPolynomial, ZERO, monomial
@@ -48,11 +47,7 @@ def _clamped(b: Optional[int], row: int) -> int:
 def s_count(split: CanonicalSplit, L: OrderIdeal, J: OrderIdeal) -> QPolynomial:
     """Number of elements of the distinguished part that lie in the
     submodule cut out by L and whose image in the quotient lies in the
-    submodule cut out by J."""
-    if not L.in_context(split.source):
-        raise ContextMismatch(f"[{L}] not in context {split.source}")
-    if not J.in_context(split.quotient):
-        raise ContextMismatch(f"[{J}] not in the quotient context")
+    submodule cut out by J; the callers' mobius_terms check L and J."""
     pts = split.prime_parts
     s = len(pts)
     if s == 0:

@@ -203,3 +203,56 @@ class TestCache:
         assert code == 0
         assert "warning" in err
         assert out.strip() == "q^2 + 2q + 2"
+
+    def test_written_once_atomically(self, capsys, tmp_path, monkeypatch):
+        replaced = []
+        real_replace = cli.os.replace
+
+        def counting_replace(src, dst):
+            replaced.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", counting_replace)
+        cache = tmp_path / "cache.json"
+        _, cold, _ = run(capsys, "table", "5", "--cache", str(cache))
+        assert replaced == [str(cache)]
+        assert [f.name for f in tmp_path.iterdir()] == ["cache.json"]
+        assert len(json.loads(cache.read_text())) == 7
+        _, warm, _ = run(capsys, "table", "5", "--cache", str(cache))
+        assert warm == cold
+        assert replaced == [str(cache)]
+        assert [f.name for f in tmp_path.iterdir()] == ["cache.json"]
+
+    def test_interrupted_write_keeps_old_cache(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({"2": [2, 2, 1]}))
+
+        def dump_then_die(obj, fh, **kw):
+            fh.write("{")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.json, "dump", dump_then_die)
+        with pytest.raises(KeyboardInterrupt):
+            run(capsys, "table", "3", "--cache", str(cache))
+        assert json.loads(cache.read_text()) == {"2": [2, 2, 1]}
+        assert [f.name for f in tmp_path.iterdir()] == ["cache.json"]
+
+    def test_key_is_canonicalised(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({"1,1": [5, 1]}))
+        code, out, err = run(capsys, "nlambda", "1^2", "--cache", str(cache))
+        assert code == 0 and err == ""
+        assert out.strip() == "q + 5"
+
+    def test_bad_entries_dropped_one_by_one(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({"2": [9, 9, 2], "1": [3, 0, 1],
+                                     "3": ["1/2", 0, 0, 1], "1,1": [5, 1]}))
+        code, out, err = run(capsys, "table", "2", "--cache", str(cache))
+        assert code == 0
+        dropped = [line.split("'")[1] for line in err.splitlines()
+                   if line.startswith("warning: dropping cache entry")]
+        assert dropped == ["2", "1", "3"]
+        assert "q^2 + 2q + 2" in out
+        assert "q + 5" in out
+        assert json.loads(cache.read_text()) == {"1^2": [5, 1], "2": [2, 2, 1]}

@@ -1,6 +1,6 @@
 import pytest
 
-from orbitpairs.errors import ContextMismatch, IdealOutOfContext
+from orbitpairs.errors import IdealOutOfContext
 from orbitpairs.orbits import (alpha, canonical_split, max_minus, n_lambda,
                                orbit_census, orbit_size, per_ideal_total,
                                submodule_size, x_count)
@@ -144,9 +144,9 @@ class TestAlphaAndCells:
         sp_lam = Partition.parse("2,1")
         I = OrderIdeal.parse("0:2")
         bad = OrderIdeal.parse("1:3")
-        with pytest.raises(ContextMismatch):
+        with pytest.raises(IdealOutOfContext):
             alpha(sp_lam, I, bad, EMPTY_IDEAL)
-        with pytest.raises(ContextMismatch):
+        with pytest.raises(IdealOutOfContext):
             x_count(sp_lam, I, EMPTY_IDEAL, bad)
 
     def test_maximal_ideal_closed_form(self):

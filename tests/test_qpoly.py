@@ -1,6 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitpairs.errors import NegativeExponent, NonExactDivision
 from orbitpairs.qpoly import (ONE, Q, QPolynomial, ZERO, format_poly, latex_poly,
@@ -29,9 +33,12 @@ class TestArithmetic:
         assert QPolynomial([0, 0]).coeffs == ()
 
     def test_fraction_collapses_to_int(self):
+        # An integral Fraction coefficient is observed exactly like an int.
         p = poly(Fraction(1, 2)) * 2
-        assert p.coeffs == (1,)
-        assert isinstance(p.coeffs[0], int)
+        assert p == ONE and hash(p) == hash(ONE)
+        assert p.is_integer_coefficients()
+        assert p.to_json() == {"coeffs": [1]}
+        assert format_poly(p) == "1"
 
     def test_degree(self):
         assert ZERO.degree is None
@@ -132,3 +139,56 @@ class TestRendering:
             assert QPolynomial.from_json(p.to_json()) == p
         obj = poly(Fraction(1, 2)).to_json()
         assert obj == {"coeffs": ["1/2"]}
+
+
+# Independent arithmetic: sympy polynomials over QQ.
+X = sympy.Symbol("q")
+COEFF = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=7))
+COEFFS = st.lists(COEFF, max_size=6)
+POINT = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=4))
+
+
+def rational(c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def to_sympy(p):
+    return sympy.Poly([rational(c) for c in reversed(p.coeffs)] or [0], X,
+                      domain=sympy.QQ)
+
+
+class TestAgainstSympy:
+    @settings(deadline=None, max_examples=100)
+    @given(COEFFS, COEFFS)
+    def test_ring_operations(self, a, b):
+        p, r = QPolynomial(a), QPolynomial(b)
+        P, R = to_sympy(p), to_sympy(r)
+        assert to_sympy(p + r) == P + R
+        assert to_sympy(p - r) == P - R
+        assert to_sympy(p * r) == P * R
+        assert to_sympy(-p) == -P
+
+    @settings(deadline=None, max_examples=100)
+    @given(COEFFS, POINT)
+    def test_evaluation(self, a, q0):
+        p = QPolynomial(a)
+        assert rational(p(q0)) == to_sympy(p).eval(rational(q0))
+
+    @settings(deadline=None, max_examples=100)
+    @given(COEFFS, COEFFS)
+    def test_exact_div_by_monic(self, a, b):
+        p, r = QPolynomial(a), QPolynomial(b + [1])
+        quot = (p * r).exact_div(r)
+        assert quot == p
+        expected, rem = sympy.div(to_sympy(p * r), to_sympy(r))
+        assert to_sympy(quot) == expected and rem.is_zero
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.integers(-30, 30), max_size=6))
+    def test_integral_fractions_observed_as_ints(self, cs):
+        p, f = QPolynomial(cs), QPolynomial(map(Fraction, cs))
+        assert p == f and hash(p) == hash(f)
+        assert f.is_integer_coefficients() and p.is_integer_coefficients()
+        assert json.dumps(f.to_json()) == json.dumps(p.to_json())
+        assert format_poly(f) == format_poly(p)
+        assert latex_poly(f) == latex_poly(p)

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from orbitpairs.errors import ContextMismatch, IdealOutOfContext
+from orbitpairs.errors import IdealOutOfContext
 from orbitpairs.orbits import (canonical_split, n_lambda, per_ideal_total,
                                x_count)
 from orbitpairs.posets import OrderIdeal, Partition, lattice, partitions_of
@@ -112,12 +112,15 @@ class TestSCount:
                             (p, str(lam), str(I), str(L), str(J))
 
     def test_context_mismatch(self):
+        # s_count trusts its callers; the ideals are checked where they enter.
         lam = Partition.parse("2,1")
-        split = canonical_split(lam, OrderIdeal.parse("0:2"))
-        with pytest.raises(ContextMismatch):
-            s_count(split, OrderIdeal.parse("1:3"), OrderIdeal())
-        with pytest.raises(ContextMismatch):
-            s_count(split, OrderIdeal(), OrderIdeal.parse("1:3"))
+        I = OrderIdeal.parse("0:2")
+        split = canonical_split(lam, I)
+        off_row = OrderIdeal.parse("1:3")
+        with pytest.raises(IdealOutOfContext):
+            exact_fiber_count(split, OrderIdeal(), off_row)
+        with pytest.raises(IdealOutOfContext):
+            x_in_submodule(lam, I, OrderIdeal(), OrderIdeal(), off_row)
 
 
 class TestFiberAndYCount:
