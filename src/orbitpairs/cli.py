@@ -18,7 +18,7 @@ from .oracle import verify
 from .orbits import n_lambda, orbit_census, per_ideal_total
 from .posets import OrderIdeal, Partition, lattice, partitions_of
 from .qpoly import QPolynomial, format_poly, latex_poly
-from .quiver import c_tau, enumerate_types, genfunc_check, n_tau, r_n1
+from .quiver import c_tau, enumerate_types, n_tau, r_n1
 from .refined import refined_matrix
 
 REFINED_LIMIT = 8
@@ -215,6 +215,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    if args.n_max < 1:
+        raise ValueError("n_max must be positive")
     bad = []
     for n in range(1, args.n_max + 1):
         for lam in partitions_of(n):
@@ -293,7 +295,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OrbitPairsError as exc:

@@ -52,16 +52,15 @@ class ExplicitModule:
     exponents: tuple[int, ...]
 
     @classmethod
-    def from_partition(cls, lam: Partition, p: int,
-                       budget: int = ELEMENT_BUDGET) -> "ExplicitModule":
+    def from_partition(cls, lam: Partition, p: int) -> "ExplicitModule":
         # Bounding p first keeps the primality check short for any p.
-        if p > budget:
-            raise BudgetExceeded(f"p = {p} exceeds budget {budget}")
+        if p > ELEMENT_BUDGET:
+            raise BudgetExceeded(f"p = {p} exceeds budget {ELEMENT_BUDGET}")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not a prime")
         mod = cls(p, lam.expand())
-        if mod.size > budget:
-            raise BudgetExceeded(f"|M| = {mod.size} exceeds budget {budget}")
+        if mod.size > ELEMENT_BUDGET:
+            raise BudgetExceeded(f"|M| = {mod.size} exceeds budget {ELEMENT_BUDGET}")
         return mod
 
     @property
@@ -83,12 +82,6 @@ class ExplicitModule:
             out[:, i] = idx % sizes[i]
             idx //= sizes[i]
         return out
-
-    def index_of(self, coords: Iterable[int]) -> int:
-        idx = 0
-        for c, s in zip(coords, self.coordinate_sizes):
-            idx = idx * s + c
-        return idx
 
     def ideal_of(self, coords: Iterable[int]) -> OrderIdeal:
         """Invariant ideal of an element: generated by one point

@@ -30,8 +30,6 @@ class CanonicalSplit:
     distinguished part modulo the canonical representative.
     """
 
-    source: Partition
-    ideal: OrderIdeal
     prime_parts: tuple[Point, ...]
     lambda_prime: Partition
     lambda_dprime: Partition
@@ -64,7 +62,7 @@ def canonical_split(lam: Partition, I: OrderIdeal) -> CanonicalSplit:
     if pts:
         qparts.append(pts[-1].v)
     quotient = Partition.from_parts(p for p in qparts if p > 0)
-    return CanonicalSplit(lam, I, pts, lam_prime, lam_dprime, quotient)
+    return CanonicalSplit(pts, lam_prime, lam_dprime, quotient)
 
 
 def max_minus(K: OrderIdeal, J: OrderIdeal) -> tuple[Point, ...]:

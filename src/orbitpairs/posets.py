@@ -6,7 +6,9 @@ Points of the fundamental poset are pairs (v, k) with 0 <= v < k, ordered by
 An order ideal is stored context-free as the antichain of its maximal points,
 so the same ideal object can be evaluated against several partitions (the
 counting pipeline mixes three partition contexts per computation).  Boundary
-valuations are derived on demand from the generators.
+valuations are derived on demand from the generators: boundary(k) is the
+least v with (v, k) in the ideal, and k itself when row k misses the ideal
+(row k holds valuations 0..k-1, so k acts as infinity).
 
 The ideals on a partition's rows form a finite distributive lattice, so its
 Moebius function has a closed form: mu(A, B) = (-1)^|B - A| when A is B
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import IdealOutOfContext
 
@@ -166,44 +168,54 @@ class OrderIdeal:
         pts = sorted({Point(v, k) for v, k in max_points}, key=lambda p: -p.k)
         for a in pts:
             point(a.v, a.k)
-            for b in pts:
-                if a is not b and point_leq(a, b):
-                    raise ValueError(f"{a} <= {b}: not an antichain")
+        # Sorted by row, an antichain has strictly falling v and k - v; by
+        # transitivity, checking neighbours covers every pair.
+        for a, b in zip(pts, pts[1:]):
+            if not (a.v > b.v and a.k - a.v > b.k - b.v):
+                lo, hi = (a, b) if point_leq(a, b) else (b, a)
+                raise ValueError(f"{lo} <= {hi}: not an antichain")
         self.max_points = tuple(pts)
 
     @classmethod
     def from_generators(cls, gens: Iterable[Point]) -> "OrderIdeal":
-        """Ideal generated by arbitrary points; keeps only the maximal ones."""
-        gens = {Point(v, k) for v, k in gens}
-        maximal = [g for g in gens
-                   if not any(h != g and point_leq(g, h) for h in gens)]
+        """Ideal generated by arbitrary points; keeps only the maximal ones.
+        In order of rising v (ties: larger k - v first), a point is maximal
+        iff its k - v exceeds that of every earlier point."""
+        maximal: list[Point] = []
+        top = 0
+        for v, k in sorted(gens, key=lambda p: (p[0], p[0] - p[1])):
+            if not maximal or k - v > top:
+                top = k - v
+                maximal.append(Point(v, k))
         return cls(maximal)
 
     @classmethod
     def parse(cls, text: str) -> "OrderIdeal":
-        """Parse a comma list of maximal points 'v:k', e.g. '1:4,0:1'."""
+        """Parse a comma list of maximal points 'v:k', e.g. '1:4,0:1'; the
+        points must form an antichain (repeats are merged)."""
         text = text.strip()
         if not text:
             return cls()
         pts = []
         for chunk in text.split(","):
             v, _, k = chunk.strip().partition(":")
-            pts.append(point(int(v), int(k)))
-        return cls.from_generators(pts)
+            pts.append((int(v), int(k)))
+        return cls(pts)
 
-    def boundary(self, k: int) -> Optional[int]:
-        """Least valuation of a point of the ideal in row k; None if the row
-        misses the ideal (the EMPTY marker, acting as infinity)."""
-        best: Optional[int] = None
-        for g in self.max_points:
-            v = max(g.v, k - g.k + g.v)
-            if v < k and (best is None or v < best):
+    def boundary(self, k: int) -> int:
+        """Least valuation of a point of the ideal in row k; k if the row
+        misses the ideal (row k holds valuations 0..k-1, so k acts as
+        infinity)."""
+        best = k
+        for v, gk in self.max_points:
+            if k > gk:
+                v += k - gk
+            if v < best:
                 best = v
         return best
 
     def contains(self, p: Point) -> bool:
-        b = self.boundary(p.k)
-        return b is not None and b <= p.v
+        return self.boundary(p.k) <= p.v
 
     def is_subset_of(self, other: "OrderIdeal") -> bool:
         return all(other.contains(p) for p in self.max_points)
@@ -214,12 +226,7 @@ class OrderIdeal:
     def weighted_size(self, lam: Partition) -> int:
         """Number of points of the ideal on the partition's rows, counted with
         multiplicity: sum of m_i * (lambda_i - boundary)."""
-        total = 0
-        for p, m in lam.pairs:
-            b = self.boundary(p)
-            if b is not None:
-                total += m * (p - b)
-        return total
+        return sum(m * (p - self.boundary(p)) for p, m in lam.pairs)
 
     def in_context(self, lam: Partition) -> bool:
         """Membership in J(P)_lambda: all maximal points on rows of lambda."""
@@ -248,31 +255,27 @@ EMPTY_IDEAL = OrderIdeal()
 def enumerate_ideals(lam: Partition) -> list[OrderIdeal]:
     """All ideals of J(P)_lambda, via boundary profiles row by row.
 
-    A profile assigns to the first t rows (largest first) boundary values
-    that weakly decrease while the co-boundaries row - value also weakly
-    decrease, with all later rows empty (which forces the last assigned
-    value to dominate the next row length).
+    A profile assigns to every row k (largest first) a boundary in 0..k,
+    with k marking an empty row; boundaries and co-boundaries k - boundary
+    both weakly decrease down the rows.  Each row tries the empty boundary
+    first, so the empty ideal comes first.
     """
     rows = lam.rows
-    out = [EMPTY_IDEAL]
+    bounds = [0] * len(rows)
+    out = []
 
-    def rec(i: int, prev_v: int, prev_c: int, acc: list[Point]):
-        # acc covers rows[0..i-1]; either stop (remaining rows empty) or
-        # assign a boundary to rows[i].
-        if i == len(rows) or prev_v >= rows[i]:
-            out.append(OrderIdeal.from_generators(acc))
-            if i == len(rows):
-                return
+    def rec(i: int, prev_v: int, prev_c: int):
+        if i == len(rows):
+            out.append(OrderIdeal.from_generators(
+                Point(v, k) for v, k in zip(bounds, rows) if v < k))
+            return
         k = rows[i]
-        for v in range(min(prev_v, k - 1), -1, -1):
-            if k - v > prev_c:
-                break
-            acc.append(Point(v, k))
-            rec(i + 1, v, k - v, acc)
-            acc.pop()
+        for v in range(min(prev_v, k), max(k - prev_c, 0) - 1, -1):
+            bounds[i] = v
+            rec(i + 1, v, k - v)
 
-    for v0 in range(rows[0] - 1, -1, -1) if rows else ():
-        rec(1, v0, rows[0] - v0, [Point(v0, rows[0])])
+    top = lam.largest
+    rec(0, top, top)
     return out
 
 
@@ -301,7 +304,7 @@ class IdealLattice:
                 for v, k in removed:
                     bounds[k] = v + 1
                 A = OrderIdeal.from_generators(
-                    Point(b, k) for k, b in bounds.items() if b is not None and b < k)
+                    Point(b, k) for k, b in bounds.items() if b < k)
                 yield A, (-1) ** r
 
 

@@ -48,10 +48,6 @@ class QPolynomial:
     def __hash__(self):
         return hash(self.coeffs)
 
-    @property
-    def leading_coefficient(self) -> Coeff:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 

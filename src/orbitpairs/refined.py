@@ -40,10 +40,6 @@ def coset_count(k: int, a: int, b: int, vy: Optional[int]) -> tuple[QPolynomial,
     return tuple(counts)
 
 
-def _clamped(b: Optional[int], row: int) -> int:
-    return row if b is None else b
-
-
 def s_count(split: CanonicalSplit, L: OrderIdeal, J: OrderIdeal) -> QPolynomial:
     """Number of elements of the distinguished part that lie in the
     submodule cut out by L and whose image in the quotient lies in the
@@ -54,15 +50,13 @@ def s_count(split: CanonicalSplit, L: OrderIdeal, J: OrderIdeal) -> QPolynomial:
         return ONE
     # Bottom coordinate: both constraints are plain valuation bounds.
     v_s, k_s = pts[-1].v, pts[-1].k
-    a = _clamped(L.boundary(k_s), k_s)
-    b = 0 if v_s == 0 else _clamped(J.boundary(v_s), v_s)
-    state = list(coset_count(k_s, a, b, None))
+    state = list(coset_count(k_s, L.boundary(k_s), J.boundary(v_s), None))
     for i in range(s - 2, -1, -1):
         v_i, k_i = pts[i].v, pts[i].k
         v_n, k_n = pts[i + 1].v, pts[i + 1].k
         mu = v_i + k_n - v_n
-        a = _clamped(L.boundary(k_i), k_i)
-        b = _clamped(J.boundary(mu), mu)
+        a = L.boundary(k_i)
+        b = J.boundary(mu)
         new_state = [ZERO] * (k_i + 1)
         for w_next, c in enumerate(state):
             if not c:
@@ -93,7 +87,7 @@ def y_count(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal,
     """Number of second elements with invariants (J, K) lying in the
     submodule cut out by L."""
     split = canonical_split(lam, I)
-    if not all(L.contains(p) for p in K.max_points):
+    if not K.is_subset_of(L):
         return ZERO
     return exact_fiber_count(split, L, J) * orbit_size(split.lambda_dprime, K)
 
@@ -111,7 +105,7 @@ def refined_census(lam: Partition, I: OrderIdeal,
             cell = ZERO
             os_k = orbit_size(split.lambda_dprime, K)
             for Lp, mu in terms:
-                if not all(Lp.contains(p) for p in K.max_points):
+                if not K.is_subset_of(Lp):
                     continue
                 key = (J, Lp)
                 f = fiber.get(key)

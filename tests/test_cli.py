@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import orbitpairs
 from orbitpairs import cli
 from orbitpairs.orbits import n_lambda
 from orbitpairs.posets import Partition
@@ -101,6 +105,17 @@ class TestCensus:
         assert code == 1
         assert "error" in err
 
+    def test_comparable_max_points_is_exit_1(self, capsys):
+        code, out, err = run(capsys, "census", "2,1", "--max", "1:2,0:2")
+        assert code == 1
+        assert out == ""
+        assert "error: 1:2 <= 0:2: not an antichain" in err
+
+    def test_repeated_max_point_is_merged(self, capsys):
+        code, repeated, _ = run(capsys, "census", "2,1", "--max", "0:1,0:1")
+        assert code == 0
+        assert (0, repeated) == run(capsys, "census", "2,1", "--max", "0:1")[:2]
+
 
 class TestRefined:
     def test_single_box(self, capsys):
@@ -171,6 +186,12 @@ class TestQuiverVerifyConjecture:
         code, out, _ = run(capsys, "conjecture", "6")
         assert code == 0
         assert "no negative coefficients" in out
+
+    def test_conjecture_below_one_is_exit_1(self, capsys):
+        for n_max in ("0", "-3"):
+            code, out, err = run(capsys, "conjecture", n_max)
+            assert code == 1
+            assert "error:" in err and out == ""
 
 
 class TestCache:
@@ -256,3 +277,14 @@ class TestCache:
         assert "q^2 + 2q + 2" in out
         assert "q + 5" in out
         assert json.loads(cache.read_text()) == {"1^2": [5, 1], "2": [2, 2, 1]}
+
+    def test_unwritable_cache_is_exit_1(self, tmp_path):
+        # A subprocess, so that an escaping exception shows as a traceback.
+        src = os.path.dirname(os.path.dirname(orbitpairs.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitpairs.cli", "nlambda", "2",
+             "--cache", str(tmp_path / "missing" / "x.json")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -24,8 +24,8 @@ class TestPrimitives:
         assert m.coordinate_sizes == (4, 2)
         els = m.elements()
         assert els.shape == (8, 2)
-        for i, row in enumerate(els):
-            assert m.index_of(row.tolist()) == i
+        identity = np.eye(len(m.exponents), dtype=np.int64)
+        assert np.array_equal(endo_permutation(m, identity), np.arange(m.size))
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

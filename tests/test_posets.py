@@ -129,7 +129,23 @@ class TestOrderIdeal:
         assert I.boundary(5) == 2
         assert I.boundary(3) == 1
         assert I.boundary(2) == 1
-        assert EMPTY_IDEAL.boundary(3) is None
+        assert EMPTY_IDEAL.boundary(3) == 3
+        assert OrderIdeal.parse("1:4").boundary(1) == 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(1, 8).flatmap(
+        lambda k: st.integers(0, k - 1).map(lambda v: Point(v, k))), max_size=8))
+    def test_linear_passes_match_all_pairs(self, pts):
+        distinct = set(pts)
+        maximal = {g for g in distinct
+                   if not any(h != g and point_leq(g, h) for h in distinct)}
+        assert set(OrderIdeal.from_generators(pts).max_points) == maximal
+        comparable = any(point_leq(a, b) for a in distinct for b in distinct if a != b)
+        if comparable:
+            with pytest.raises(ValueError, match="not an antichain"):
+                OrderIdeal(pts)
+        else:
+            assert set(OrderIdeal(pts).max_points) == distinct
 
     def test_boundary_matches_point_membership(self):
         for I in ideals_by_antichains(Partition.parse("5,3,2")):

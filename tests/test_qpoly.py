@@ -115,7 +115,7 @@ class TestLaurentProduct:
         for e, ms in [(5, [1, 2]), (7, [3, 2, 1]), (2, [2])]:
             p = laurent_product(e, ms)
             assert p.degree == e
-            assert p.leading_coefficient == 1
+            assert p.is_monic()
 
     def test_negative_power_raises(self):
         with pytest.raises(NegativeExponent):

@@ -32,10 +32,6 @@ def brute_coset_profile(k, a, b, y, p):
     return counts
 
 
-def clamped(boundary, row):
-    return row if boundary is None else boundary
-
-
 def brute_s_count(split, L, J, p):
     """Count elements of the distinguished part satisfying both submodule
     constraints by direct enumeration of coordinate vectors."""
@@ -46,7 +42,7 @@ def brute_s_count(split, L, J, p):
     ranges = [range(p ** pt.k) for pt in pts]
     total = 0
     for coords in product(*ranges):
-        ok = all(val(coords[i], pts[i].k, p) >= clamped(L.boundary(pts[i].k), pts[i].k)
+        ok = all(val(coords[i], pts[i].k, p) >= L.boundary(pts[i].k)
                  for i in range(s))
         if not ok:
             continue
@@ -59,7 +55,7 @@ def brute_s_count(split, L, J, p):
                 c = coords[i]
             if mu == 0:
                 continue
-            if val(c % p ** mu, mu, p) < clamped(J.boundary(mu), mu):
+            if val(c % p ** mu, mu, p) < J.boundary(mu):
                 ok = False
                 break
         if ok:
