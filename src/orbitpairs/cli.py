@@ -15,7 +15,7 @@ import sys
 
 from .errors import OrbitPairsError
 from .oracle import verify
-from .orbits import n_lambda, orbit_census, per_ideal_total
+from .orbits import n_lambda, orbit_census
 from .posets import OrderIdeal, Partition, lattice, partitions_of
 from .qpoly import QPolynomial, format_poly, latex_poly
 from .quiver import c_tau, enumerate_types, n_tau, r_n1
@@ -76,6 +76,8 @@ class ResultStore:
             with open(tmp, "w") as fh:
                 json.dump(self.entries, fh, indent=1, sort_keys=True)
             os.replace(tmp, self.path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, self.path) from exc
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -108,6 +110,15 @@ def _emit_rows(header: list[str], rows: list[list[str]], args) -> str:
     for row in rows:
         out.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(out)
+
+
+def _emit_with_total(header: list[str], rows: list[list[str]], label: str,
+                     total: QPolynomial, args) -> str:
+    """The rows and a 'label: total' line; with --json, one object of both."""
+    if args.json:
+        return json.dumps({"rows": [dict(zip(header, row)) for row in rows],
+                           label: format_poly(total)}, indent=1)
+    return f"{_emit_rows(header, rows, args)}\n{label}: {_poly_out(total, args)}"
 
 
 def cmd_nlambda(args) -> int:
@@ -153,9 +164,8 @@ def cmd_census(args) -> int:
     census = orbit_census(lam, I)
     rows = [[format_poly(a), format_poly(n)]
             for a, n in sorted(census.items(), key=lambda e: (e[0].degree, e[0].coeffs))]
-    print(_emit_rows(["cardinality", "number of orbits"], rows, args))
-    total = per_ideal_total(lam, I)
-    print(f"total: {_poly_out(total, args)}")
+    total = sum(census.values(), QPolynomial())
+    print(_emit_with_total(["cardinality", "number of orbits"], rows, "total", total, args))
     return 0
 
 
@@ -180,8 +190,7 @@ def cmd_refined(args) -> int:
         row.append(format_poly(row_sum))
         rows.append(row)
     header = ["first \\ second"] + [f"[{L}]" for L in ideals] + ["row sum"]
-    print(_emit_rows(header, rows, args))
-    print(f"grand total: {_poly_out(grand, args)}")
+    print(_emit_with_total(header, rows, "grand total", grand, args))
     return 0
 
 

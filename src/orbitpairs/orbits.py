@@ -7,6 +7,10 @@ maximal point of I) and the rest; stabilizer orbits of a second element are
 then classified by a pair of ideals (J, K) over the derived contexts.  The
 census groups the cell sizes by the common orbit cardinality and divides
 exactly, giving the number of orbits per cardinality as a polynomial in q.
+
+Each cardinality alpha is one product: q**[J union K] times (1 - q**-m''_k)
+over the maximal points (v, k) of K outside J, which stay maximal in J union K
+and are reached iff a row-k coordinate of lambda'' has valuation exactly v.
 """
 
 from __future__ import annotations
@@ -25,13 +29,12 @@ class CanonicalSplit:
     """Decomposition data attached to a partition and an ideal.
 
     prime_parts are the maximal points (v_j, k_j) sorted by descending k;
-    lambda_prime collects the rows k_j, lambda_dprime is the source shape
-    with one copy of each k_j removed, and quotient is the shape of the
-    distinguished part modulo the canonical representative.
+    lambda_dprime is the source shape with one copy of each k_j removed, and
+    quotient is the shape of the distinguished part modulo the canonical
+    representative.
     """
 
     prime_parts: tuple[Point, ...]
-    lambda_prime: Partition
     lambda_dprime: Partition
     quotient: Partition
 
@@ -45,24 +48,16 @@ def orbit_size(lam: Partition, I: OrderIdeal) -> QPolynomial:
                            [lam.mult(p.k) for p in I.max_points])
 
 
-def submodule_size(lam: Partition, I: OrderIdeal) -> QPolynomial:
-    """Cardinality q**[I] of the invariant submodule cut out by I's
-    boundaries; I may come from another context."""
-    return monomial(I.weighted_size(lam))
-
-
 @lru_cache(maxsize=None)
 def canonical_split(lam: Partition, I: OrderIdeal) -> CanonicalSplit:
     require_context(lam, I)
     pts = I.max_points
-    ks = [p.k for p in pts]
-    lam_prime = Partition.from_parts(ks)
-    lam_dprime = lam.remove_one_of_each(ks)
+    lam_dprime = lam.remove_one_of_each(p.k for p in pts)
     qparts = [pts[j].v + pts[j + 1].k - pts[j + 1].v for j in range(len(pts) - 1)]
     if pts:
         qparts.append(pts[-1].v)
     quotient = Partition.from_parts(p for p in qparts if p > 0)
-    return CanonicalSplit(pts, lam_prime, lam_dprime, quotient)
+    return CanonicalSplit(pts, lam_dprime, quotient)
 
 
 def max_minus(K: OrderIdeal, J: OrderIdeal) -> tuple[Point, ...]:
@@ -82,27 +77,22 @@ def sum_orbit_orbit(lam: Partition, I: OrderIdeal, J: OrderIdeal) -> list[OrderI
 
 
 @lru_cache(maxsize=None)
-def _alpha_core(lam_prime: Partition, lam_dprime: Partition,
-                JK: OrderIdeal, required: frozenset) -> QPolynomial:
-    total = QPolynomial()
-    for K2 in lattice(lam_dprime).ideals:
-        if K2.is_subset_of(JK) and required <= set(K2.max_points):
-            total = total + orbit_size(lam_dprime, K2)
-    return submodule_size(lam_prime, JK) * total
+def _alpha_core(exponent: int, factors: tuple[int, ...]) -> QPolynomial:
+    """alpha's closed form, shared by all cells of equal cardinality."""
+    return laurent_product(exponent, factors)
 
 
 def alpha(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolynomial:
     """Cardinality of the stabilizer orbit of any second element with
-    invariants (J, K); monic of degree [J union K] over lambda's rows."""
+    invariants (J, K): q**[J union K] over lambda's rows times (1 - q**-m''_k)
+    for each maximal point (v, k) of K outside J, as such a point stays
+    maximal in J union K and is reached iff a row-k coordinate of lambda''
+    has valuation exactly v."""
     sp = canonical_split(lam, I)
     require_context(sp.quotient, J)
     require_context(sp.lambda_dprime, K)
-    JK = J.union(K)
-    a = _alpha_core(sp.lambda_prime, sp.lambda_dprime, JK,
-                    frozenset(max_minus(K, J)))
-    if not a.is_monic() or a.degree != JK.weighted_size(lam):
-        raise DegreeMismatch(f"alpha cell ({I};{J};{K}) of {lam}: got {a}")
-    return a
+    return _alpha_core(J.union(K).weighted_size(lam),
+                       tuple(sp.lambda_dprime.mult(p.k) for p in max_minus(K, J)))
 
 
 def x_count(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolynomial:
@@ -136,10 +126,7 @@ def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial
 
 def per_ideal_total(lam: Partition, I: OrderIdeal) -> QPolynomial:
     """Number of orbits of pairs whose first member has invariant I."""
-    total = QPolynomial()
-    for n in orbit_census(lam, I).values():
-        total = total + n
-    return total
+    return sum(orbit_census(lam, I).values(), QPolynomial())
 
 
 _N_LAMBDA: Dict[Partition, QPolynomial] = {}

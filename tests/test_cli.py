@@ -116,6 +116,14 @@ class TestCensus:
         assert code == 0
         assert (0, repeated) == run(capsys, "census", "2,1", "--max", "0:1")[:2]
 
+    def test_json_is_one_document(self, capsys):
+        code, out, _ = run(capsys, "census", "2,1", "--max", "0:2", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "rows": [{"cardinality": "1", "number of orbits": "q^2"},
+                     {"cardinality": "q^2 - q", "number of orbits": "q"}],
+            "total": "q^2 + q"}
+
 
 class TestRefined:
     def test_single_box(self, capsys):
@@ -141,6 +149,14 @@ class TestRefined:
         code, out, _ = run(capsys, "refined", "3,2,2,1,1", "--force")
         assert code == 0
         assert "grand total:" in out
+
+    def test_json_is_one_document(self, capsys):
+        code, out, _ = run(capsys, "refined", "2,1", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["grand total"] == "q^2 + 5q + 5"
+        assert len(doc["rows"]) == 4
+        assert doc["rows"][0]["first \\ second"] == "[]"
 
 
 class TestQuiverVerifyConjecture:
@@ -281,10 +297,12 @@ class TestCache:
     def test_unwritable_cache_is_exit_1(self, tmp_path):
         # A subprocess, so that an escaping exception shows as a traceback.
         src = os.path.dirname(os.path.dirname(orbitpairs.__file__))
+        cache = str(tmp_path / "missing" / "x.json")
         proc = subprocess.run(
-            [sys.executable, "-m", "orbitpairs.cli", "nlambda", "2",
-             "--cache", str(tmp_path / "missing" / "x.json")],
+            [sys.executable, "-m", "orbitpairs.cli", "nlambda", "2", "--cache", cache],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 1
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert repr(cache) in proc.stderr
+        assert ".tmp" not in proc.stderr

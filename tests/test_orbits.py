@@ -3,7 +3,7 @@ import pytest
 from orbitpairs.errors import IdealOutOfContext
 from orbitpairs.orbits import (alpha, canonical_split, max_minus, n_lambda,
                                orbit_census, orbit_size, per_ideal_total,
-                               submodule_size, x_count)
+                               x_count)
 from orbitpairs.posets import (EMPTY_IDEAL, OrderIdeal, Partition, Point,
                                lattice, partitions_of)
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, monomial
@@ -63,6 +63,25 @@ PUBLISHED_CENSUS = [
 ]
 
 
+def lambda_prime(sp) -> Partition:
+    """The rows of the split's maximal points, one copy each."""
+    return Partition.from_parts(p.k for p in sp.prime_parts)
+
+
+def brute_alpha(lam, I, J, K) -> QPolynomial:
+    """alpha by scanning the lattice of lambda'': q^[J union K] over lambda'
+    times the orbit sizes of the ideals K2 inside J union K whose maximal
+    points include every maximal point of K outside J."""
+    sp = canonical_split(lam, I)
+    JK = J.union(K)
+    required = set(max_minus(K, J))
+    total = ZERO
+    for K2 in lattice(sp.lambda_dprime).ideals:
+        if K2.is_subset_of(JK) and required <= set(K2.max_points):
+            total = total + orbit_size(sp.lambda_dprime, K2)
+    return monomial(JK.weighted_size(lambda_prime(sp))) * total
+
+
 class TestOrbitSize:
     def test_small_examples(self):
         lam = Partition.parse("2,1")
@@ -87,11 +106,6 @@ class TestOrbitSize:
             assert p.is_monic() if I else p == ONE
             assert (p.degree or 0) == I.weighted_size(lam)
 
-    def test_submodule_size(self):
-        lam = Partition.parse("4,1")
-        assert submodule_size(lam, OrderIdeal.parse("1:4,0:1")) == Q ** 4
-        assert submodule_size(lam, EMPTY_IDEAL) == ONE
-
     def test_out_of_context(self):
         with pytest.raises(IdealOutOfContext):
             orbit_size(Partition.parse("4,1"), OrderIdeal.parse("1:3"))
@@ -101,21 +115,21 @@ class TestCanonicalSplit:
     def test_running_example(self):
         sp = canonical_split(RUNNING_SHAPE, RUNNING_IDEAL)
         assert sp.prime_parts == (Point(1, 4), Point(0, 1))
-        assert sp.lambda_prime == Partition.parse("4,1")
+        assert lambda_prime(sp) == Partition.parse("4,1")
         assert sp.lambda_dprime == Partition.parse("5,4,2")
         assert sp.quotient == Partition.parse("2")
 
     def test_maximal_ideal(self):
         lam = Partition.parse("3,2^2,1")
         sp = canonical_split(lam, OrderIdeal.parse("0:3"))
-        assert sp.lambda_prime == Partition.parse("3")
+        assert lambda_prime(sp) == Partition.parse("3")
         assert sp.lambda_dprime == Partition.parse("2^2,1")
         assert sp.quotient == Partition()
 
     def test_empty_ideal(self):
         sp = canonical_split(Partition.parse("2,1"), EMPTY_IDEAL)
         assert sp.prime_parts == ()
-        assert sp.lambda_prime == Partition()
+        assert lambda_prime(sp) == Partition()
         assert sp.lambda_dprime == Partition.parse("2,1")
         assert sp.quotient == Partition()
 
@@ -129,7 +143,7 @@ class TestCanonicalSplit:
                     if not I:
                         continue
                     top = sp.prime_parts[0]
-                    assert sp.quotient.weight == sp.lambda_prime.weight - (top.k - top.v)
+                    assert sp.quotient.weight == lambda_prime(sp).weight - (top.k - top.v)
 
 
 class TestAlphaAndCells:
@@ -159,22 +173,26 @@ class TestAlphaAndCells:
             sp = canonical_split(lam, I)
             assert sp.quotient == Partition()
             for K in lattice(sp.lambda_dprime).ideals:
-                expect_alpha = submodule_size(sp.lambda_prime, K) * \
+                expect_alpha = monomial(K.weighted_size(lambda_prime(sp))) * \
                     orbit_size(sp.lambda_dprime, K)
                 assert alpha(lam, I, EMPTY_IDEAL, K) == expect_alpha
                 expect_x = monomial(lam.largest) * orbit_size(sp.lambda_dprime, K)
                 assert x_count(lam, I, EMPTY_IDEAL, K) == expect_x
 
     def test_alpha_monic_of_cell_degree(self):
-        for n in range(1, 7):
-            for lam in partitions_of(n):
-                for I in lattice(lam).ideals:
-                    sp = canonical_split(lam, I)
-                    for J in lattice(sp.quotient).ideals:
-                        for K in lattice(sp.lambda_dprime).ideals:
-                            a = alpha(lam, I, J, K)
-                            assert a.is_monic()
-                            assert a.degree == J.union(K).weighted_size(lam)
+        # The closed form agrees with the lattice scan on every cell, including
+        # uncapped shapes where lambda'' keeps a multiplicity above one.
+        shapes = [lam for n in range(1, 7) for lam in partitions_of(n)]
+        shapes += [Partition.parse("2^3,1^2"), Partition.parse("3^3")]
+        for lam in shapes:
+            for I in lattice(lam).ideals:
+                sp = canonical_split(lam, I)
+                for J in lattice(sp.quotient).ideals:
+                    for K in lattice(sp.lambda_dprime).ideals:
+                        a = alpha(lam, I, J, K)
+                        assert a.is_monic()
+                        assert a.degree == J.union(K).weighted_size(lam)
+                        assert a == brute_alpha(lam, I, J, K), f"{lam}; {I}; {J}; {K}"
 
 
 class TestCensus:
