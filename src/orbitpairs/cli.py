@@ -89,9 +89,13 @@ def _poly_out(p: QPolynomial, args) -> str:
     return format_poly(p)
 
 
+def _json_rows(header: list[str], rows: list[list[str]]) -> list[dict]:
+    return [dict(zip(header, row)) for row in rows]
+
+
 def _emit_rows(header: list[str], rows: list[list[str]], args) -> str:
     if args.json:
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=1)
+        return json.dumps(_json_rows(header, rows), indent=1)
     if args.csv:
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -116,7 +120,7 @@ def _emit_with_total(header: list[str], rows: list[list[str]], label: str,
                      total: QPolynomial, args) -> str:
     """The rows and a 'label: total' line; with --json, one object of both."""
     if args.json:
-        return json.dumps({"rows": [dict(zip(header, row)) for row in rows],
+        return json.dumps({"rows": _json_rows(header, rows),
                            label: format_poly(total)}, indent=1)
     return f"{_emit_rows(header, rows, args)}\n{label}: {_poly_out(total, args)}"
 
@@ -196,14 +200,16 @@ def cmd_refined(args) -> int:
 
 def cmd_quiver(args) -> int:
     poly = r_n1(args.n)
+    obj = {"n": args.n, **poly.to_json()}
     if args.breakdown:
+        header = ["type", "classes", "orbit count"]
         rows = [[str(tau), format_poly(c_tau(tau)), format_poly(n_tau(tau))]
                 for tau in enumerate_types(args.n)]
-        print(_emit_rows(["type", "classes", "orbit count"], rows, args))
-    if args.json:
-        print(json.dumps({"n": args.n, **poly.to_json()}))
-    else:
-        print(_poly_out(poly, args))
+        if args.json:
+            print(json.dumps({"rows": _json_rows(header, rows), **obj}, indent=1))
+            return 0
+        print(_emit_rows(header, rows, args))
+    print(json.dumps(obj) if args.json else _poly_out(poly, args))
     return 0
 
 

@@ -11,6 +11,9 @@ exactly, giving the number of orbits per cardinality as a polynomial in q.
 Each cardinality alpha is one product: q**[J union K] times (1 - q**-m''_k)
 over the maximal points (v, k) of K outside J, which stay maximal in J union K
 and are reached iff a row-k coordinate of lambda'' has valuation exactly v.
+Each cell count x_count is the fiber q**(k_0 - v_0) times the orbit sizes of
+J and K.  So the census works on integer keys (e, sorted m's) standing for
+q**e * prod(1 - q**-m), and builds one polynomial per distinct key.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Dict, MutableMapping, Optional
 
 from .errors import DegreeMismatch
 from .posets import OrderIdeal, Partition, Point, lattice, require_context
-from .qpoly import ONE, QPolynomial, laurent_product, monomial
+from .qpoly import QPolynomial, laurent_product, monomial
 
 
 @dataclass(frozen=True)
@@ -29,14 +32,15 @@ class CanonicalSplit:
     """Decomposition data attached to a partition and an ideal.
 
     prime_parts are the maximal points (v_j, k_j) sorted by descending k;
-    lambda_dprime is the source shape with one copy of each k_j removed, and
+    lambda_dprime is the source shape with one copy of each k_j removed,
     quotient is the shape of the distinguished part modulo the canonical
-    representative.
+    representative, and fiber is k_0 - v_0 (0 for the empty ideal).
     """
 
     prime_parts: tuple[Point, ...]
     lambda_dprime: Partition
     quotient: Partition
+    fiber: int
 
 
 @lru_cache(maxsize=None)
@@ -57,7 +61,7 @@ def canonical_split(lam: Partition, I: OrderIdeal) -> CanonicalSplit:
     if pts:
         qparts.append(pts[-1].v)
     quotient = Partition.from_parts(p for p in qparts if p > 0)
-    return CanonicalSplit(pts, lam_dprime, quotient)
+    return CanonicalSplit(pts, lam_dprime, quotient, pts[0].k - pts[0].v if pts else 0)
 
 
 def max_minus(K: OrderIdeal, J: OrderIdeal) -> tuple[Point, ...]:
@@ -65,29 +69,16 @@ def max_minus(K: OrderIdeal, J: OrderIdeal) -> tuple[Point, ...]:
     return tuple(p for p in K.max_points if not J.contains(p))
 
 
-def sum_orbit_orbit(lam: Partition, I: OrderIdeal, J: OrderIdeal) -> list[OrderIdeal]:
-    """Ideals K whose orbits make up orbit(I) + orbit(J).  Valid for residue
-    fields with at least three elements (q >= 3)."""
-    require_context(lam, I)
-    require_context(lam, J)
-    IJ = I.union(J)
-    req = set(max_minus(I, J)) | set(max_minus(J, I))
-    return [K for K in lattice(lam).ideals
-            if K.is_subset_of(IJ) and req <= set(K.max_points)]
-
-
 @lru_cache(maxsize=None)
 def _alpha_core(exponent: int, factors: tuple[int, ...]) -> QPolynomial:
-    """alpha's closed form, shared by all cells of equal cardinality."""
+    """q**exponent * prod(1 - q**-m for m in factors): alpha's closed form,
+    and the census's expansion of each distinct key."""
     return laurent_product(exponent, factors)
 
 
 def alpha(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolynomial:
     """Cardinality of the stabilizer orbit of any second element with
-    invariants (J, K): q**[J union K] over lambda's rows times (1 - q**-m''_k)
-    for each maximal point (v, k) of K outside J, as such a point stays
-    maximal in J union K and is reached iff a row-k coordinate of lambda''
-    has valuation exactly v."""
+    invariants (J, K), in the closed form of the module docstring."""
     sp = canonical_split(lam, I)
     require_context(sp.quotient, J)
     require_context(sp.lambda_dprime, K)
@@ -98,28 +89,49 @@ def alpha(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolyn
 def x_count(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolynomial:
     """Number of second elements with invariants exactly (J, K)."""
     sp = canonical_split(lam, I)
-    if sp.prime_parts:
-        fiber = monomial(sp.prime_parts[0].k - sp.prime_parts[0].v)
-    else:
-        fiber = ONE
-    return fiber * orbit_size(sp.quotient, J) * orbit_size(sp.lambda_dprime, K)
+    return monomial(sp.fiber) * orbit_size(sp.quotient, J) * orbit_size(sp.lambda_dprime, K)
 
 
 def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
     """Map from orbit cardinality to number of stabilizer orbits of that
     cardinality.  The total mass sum(alpha * N_alpha) is asserted to be
-    q**|lambda| exactly."""
+    q**|lambda| exactly.
+
+    A cell (J, K) has the alpha key ([J union K]_lambda, the m''_k of
+    max_minus(K, J)) and the x_count key (k_0 - v_0 + [J] + [K], the orbit-size
+    factors of J and K).  Grouping by alpha key is grouping by alpha, as
+    q**(e - sum m) * prod(q**m - 1) factors uniquely into cyclotomics."""
     sp = canonical_split(lam, I)
-    groups: Dict[QPolynomial, QPolynomial] = {}
-    for J in lattice(sp.quotient).ideals:
-        for K in lattice(sp.lambda_dprime).ideals:
-            a = alpha(lam, I, J, K)
-            groups[a] = groups.get(a, QPolynomial()) + x_count(lam, I, J, K)
-    census = {a: total.exact_div(a) for a, total in groups.items()}
-    mass = QPolynomial()
-    for a, n in census.items():
-        mass = mass + a * n
-    if mass != monomial(lam.weight):
+    dprime, weight, mult = sp.lambda_dprime, lam.weight, dict(lam.pairs)
+    row = {k: i for i, k in enumerate(lam.rows)}
+
+    # Boundaries and K's valuations are scaled by lambda's multiplicities:
+    # [J union K]_lambda = |lambda| - sum(map(min, bJ, bK)), and a maximal
+    # point (v, k) of K lies outside J iff bJ[row k] > m_k * v.  K's points are
+    # sorted by m''_k, so the factors of max_minus(K, J) come out sorted.
+    def keys(X, mu):
+        return (tuple(m * X.boundary(k) for k, m in lam.pairs), X.weighted_size(mu),
+                tuple(sorted(mu.mult(k) for _, k in X.max_points)))
+
+    js = [keys(J, sp.quotient) for J in lattice(sp.quotient).ideals]
+    ks = [keys(K, dprime) + (sorted((dprime.mult(k), row[k], mult[k] * v)
+                                    for v, k in K.max_points),)
+          for K in lattice(dprime).ideals]
+    cells: Dict[tuple, int] = {}
+    for bJ, wJ, fJ in js:
+        for bK, wK, fK, pK in ks:
+            key = (weight - sum(map(min, bJ, bK)), tuple([m for m, i, v in pK if bJ[i] > v]),
+                   sp.fiber + wJ + wK, tuple(sorted(fJ + fK)))
+            cells[key] = cells.get(key, 0) + 1
+    groups: Dict[tuple, list] = {}
+    for (ea, fa, ex, fx), c in cells.items():
+        acc = groups.setdefault((ea, fa), [0] * (weight + 1))
+        for i, coeff in enumerate(_alpha_core(ex, fx).coeffs):
+            acc[i] += c * coeff
+    totals = {_alpha_core(*key): QPolynomial(acc) for key, acc in groups.items()}
+    census = {a: total.exact_div(a) for a, total in totals.items()}
+    mass = sum((a * n for a, n in census.items()), QPolynomial())
+    if mass != monomial(weight):
         raise DegreeMismatch(f"census mass for ({lam}; {I}) is {mass}")
     return census
 

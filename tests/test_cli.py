@@ -171,6 +171,16 @@ class TestQuiverVerifyConjecture:
         assert "((1),2)" in out
         assert "q^4 + 2q^3 + 4q^2 + 2q" in out
 
+    def test_breakdown_json_is_one_document(self, capsys):
+        code, out, _ = run(capsys, "quiver", "2", "--breakdown", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n"] == 2 and doc["coeffs"] == [0, 2, 4, 2, 1]
+        assert [row["type"] for row in doc["rows"]] == \
+            ["((1),1)^2", "((1),2)", "((1^2),1)", "((2),1)"]
+        assert doc["rows"][0] == {"type": "((1),1)^2", "classes": "(1/2)q^2 - (1/2)q",
+                                  "orbit count": "q^2 + 4q + 4"}
+
     def test_verify(self, capsys):
         code, out, _ = run(capsys, "verify", "2,1", "2")
         assert code == 0

@@ -5,8 +5,20 @@ from orbitpairs.errors import BudgetExceeded
 from orbitpairs.oracle import (ExplicitModule, aut_generators,
                                endo_permutation, invertible_endomorphisms,
                                orbits, valuation, verify)
-from orbitpairs.orbits import orbit_size, sum_orbit_orbit
-from orbitpairs.posets import OrderIdeal, Partition, lattice, partitions_of
+from orbitpairs.orbits import max_minus, orbit_size
+from orbitpairs.posets import (OrderIdeal, Partition, lattice, partitions_of,
+                               require_context)
+
+
+def sum_orbit_orbit(lam: Partition, I: OrderIdeal, J: OrderIdeal) -> list[OrderIdeal]:
+    """Ideals K whose orbits make up orbit(I) + orbit(J).  Valid for residue
+    fields with at least three elements (q >= 3)."""
+    require_context(lam, I)
+    require_context(lam, J)
+    IJ = I.union(J)
+    req = set(max_minus(I, J)) | set(max_minus(J, I))
+    return [K for K in lattice(lam).ideals
+            if K.is_subset_of(IJ) and req <= set(K.max_points)]
 
 
 class TestPrimitives:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitpairs.errors import IdealOutOfContext
 from orbitpairs.orbits import (alpha, canonical_split, max_minus, n_lambda,
@@ -80,6 +82,24 @@ def brute_alpha(lam, I, J, K) -> QPolynomial:
         if K2.is_subset_of(JK) and required <= set(K2.max_points):
             total = total + orbit_size(sp.lambda_dprime, K2)
     return monomial(JK.weighted_size(lambda_prime(sp))) * total
+
+
+def census_by_cells(lam, I) -> dict[QPolynomial, QPolynomial]:
+    """The census cell by cell: x_count summed per alpha, in order of first
+    appearance, then divided exactly by alpha."""
+    sp = canonical_split(lam, I)
+    groups: dict[QPolynomial, QPolynomial] = {}
+    for J in lattice(sp.quotient).ideals:
+        for K in lattice(sp.lambda_dprime).ideals:
+            a = alpha(lam, I, J, K)
+            groups[a] = groups.get(a, ZERO) + x_count(lam, I, J, K)
+    return {a: total.exact_div(a) for a, total in groups.items()}
+
+
+def assert_census_matches_cells(lam):
+    for I in lattice(lam).ideals:
+        assert list(orbit_census(lam, I).items()) == \
+            list(census_by_cells(lam, I).items()), f"{lam}; {I}"
 
 
 class TestOrbitSize:
@@ -215,6 +235,20 @@ class TestCensus:
                 for I in lattice(lam).ideals:
                     for a, cnt in orbit_census(lam, I).items():
                         assert cnt.is_integer_coefficients(), f"{lam}; {I}; {a}"
+
+    def test_key_space_matches_cells(self):
+        # The keyed census has the same rows, in the same order, as grouping
+        # the cells by their alpha polynomial; the uncapped shapes keep
+        # multiplicities above two in lambda''.
+        shapes = {lam.cap(2) for n in range(1, 10) for lam in partitions_of(n)}
+        shapes |= {Partition.parse(text) for text in ("2^3,1^2", "3^3", "4,2^3,1")}
+        for lam in shapes:
+            assert_census_matches_cells(lam)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.dictionaries(st.integers(1, 6), st.integers(1, 3), min_size=1, max_size=4))
+    def test_key_space_matches_cells_random_shapes(self, mults):
+        assert_census_matches_cells(Partition(sorted(mults.items(), reverse=True)))
 
     def test_published_running_example(self):
         census = orbit_census(RUNNING_SHAPE, RUNNING_IDEAL)
