@@ -12,8 +12,9 @@ Each cardinality alpha is one product: q**[J union K] times (1 - q**-m''_k)
 over the maximal points (v, k) of K outside J, which stay maximal in J union K
 and are reached iff a row-k coordinate of lambda'' has valuation exactly v.
 Each cell count x_count is the fiber q**(k_0 - v_0) times the orbit sizes of
-J and K.  So the census works on integer keys (e, sorted m's) standing for
-q**e * prod(1 - q**-m), and builds one polynomial per distinct key.
+J and K.  So both censuses, orbit_census and refined.refined_census, work on
+integer keys (e, sorted m's) standing for q**e * prod(1 - q**-m), read from
+the shared census_tables, and build one polynomial per distinct key.
 """
 
 from __future__ import annotations
@@ -64,26 +65,11 @@ def canonical_split(lam: Partition, I: OrderIdeal) -> CanonicalSplit:
     return CanonicalSplit(pts, lam_dprime, quotient, pts[0].k - pts[0].v if pts else 0)
 
 
-def max_minus(K: OrderIdeal, J: OrderIdeal) -> tuple[Point, ...]:
-    """Maximal points of K that are not absorbed anywhere inside J."""
-    return tuple(p for p in K.max_points if not J.contains(p))
-
-
 @lru_cache(maxsize=None)
 def _alpha_core(exponent: int, factors: tuple[int, ...]) -> QPolynomial:
-    """q**exponent * prod(1 - q**-m for m in factors): alpha's closed form,
-    and the census's expansion of each distinct key."""
+    """q**exponent * prod(1 - q**-m for m in factors): the expansion of each
+    distinct integer key, alpha or cell count or orbit size, in both censuses."""
     return laurent_product(exponent, factors)
-
-
-def alpha(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolynomial:
-    """Cardinality of the stabilizer orbit of any second element with
-    invariants (J, K), in the closed form of the module docstring."""
-    sp = canonical_split(lam, I)
-    require_context(sp.quotient, J)
-    require_context(sp.lambda_dprime, K)
-    return _alpha_core(J.union(K).weighted_size(lam),
-                       tuple(sp.lambda_dprime.mult(p.k) for p in max_minus(K, J)))
 
 
 def x_count(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolynomial:
@@ -92,23 +78,14 @@ def x_count(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPol
     return monomial(sp.fiber) * orbit_size(sp.quotient, J) * orbit_size(sp.lambda_dprime, K)
 
 
-def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
-    """Map from orbit cardinality to number of stabilizer orbits of that
-    cardinality.  The total mass sum(alpha * N_alpha) is asserted to be
-    q**|lambda| exactly.
-
-    A cell (J, K) has the alpha key ([J union K]_lambda, the m''_k of
-    max_minus(K, J)) and the x_count key (k_0 - v_0 + [J] + [K], the orbit-size
-    factors of J and K).  Grouping by alpha key is grouping by alpha, as
-    q**(e - sum m) * prod(q**m - 1) factors uniquely into cyclotomics."""
-    sp = canonical_split(lam, I)
-    dprime, weight, mult = sp.lambda_dprime, lam.weight, dict(lam.pairs)
+def census_tables(lam: Partition, sp: CanonicalSplit) -> tuple[list, list]:
+    """Per J of lattice(quotient) and per K of lattice(lambda''), in lattice
+    order: its boundaries on lambda's rows scaled by lambda's multiplicities
+    and its orbit-size key (weighted size, sorted factors); for K also its
+    maximal points as sorted (m''_k, row index, m_k * v)."""
+    dprime, mult = sp.lambda_dprime, dict(lam.pairs)
     row = {k: i for i, k in enumerate(lam.rows)}
 
-    # Boundaries and K's valuations are scaled by lambda's multiplicities:
-    # [J union K]_lambda = |lambda| - sum(map(min, bJ, bK)), and a maximal
-    # point (v, k) of K lies outside J iff bJ[row k] > m_k * v.  K's points are
-    # sorted by m''_k, so the factors of max_minus(K, J) come out sorted.
     def keys(X, mu):
         return (tuple(m * X.boundary(k) for k, m in lam.pairs), X.weighted_size(mu),
                 tuple(sorted(mu.mult(k) for _, k in X.max_points)))
@@ -117,20 +94,45 @@ def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial
     ks = [keys(K, dprime) + (sorted((dprime.mult(k), row[k], mult[k] * v)
                                     for v, k in K.max_points),)
           for K in lattice(dprime).ideals]
+    return js, ks
+
+
+def alpha_keys(weight: int, bJ: tuple, ks: list) -> list:
+    """Alpha key of each cell (J, K) in J's row: [J union K]_lambda is
+    |lambda| - sum(map(min, bJ, bK)), and K's point (v, k) lies outside J
+    iff bJ[row k] > m_k * v; the sorted points give sorted factors."""
+    return [(weight - sum(map(min, bJ, bK)), tuple([m for m, i, v in pK if bJ[i] > v]))
+            for bK, _, _, pK in ks]
+
+
+def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
+    """Map from orbit cardinality to number of stabilizer orbits of that
+    cardinality.  The total mass sum(alpha * N_alpha) is asserted to be
+    q**|lambda| exactly.
+
+    A cell (J, K) has its alpha key and the x_count key (k_0 - v_0 + [J] + [K],
+    the orbit-size factors of J and K).  Grouping by alpha key is grouping by
+    alpha, as q**(e - sum m) * prod(q**m - 1) factors uniquely into
+    cyclotomics."""
+    sp = canonical_split(lam, I)
+    weight = lam.weight
+    js, ks = census_tables(lam, sp)
     cells: Dict[tuple, int] = {}
     for bJ, wJ, fJ in js:
-        for bK, wK, fK, pK in ks:
-            key = (weight - sum(map(min, bJ, bK)), tuple([m for m, i, v in pK if bJ[i] > v]),
-                   sp.fiber + wJ + wK, tuple(sorted(fJ + fK)))
+        for akey, (_, wK, fK, _) in zip(alpha_keys(weight, bJ, ks), ks):
+            key = (akey, sp.fiber + wJ + wK, tuple(sorted(fJ + fK)))
             cells[key] = cells.get(key, 0) + 1
     groups: Dict[tuple, list] = {}
-    for (ea, fa, ex, fx), c in cells.items():
-        acc = groups.setdefault((ea, fa), [0] * (weight + 1))
+    for (akey, ex, fx), c in cells.items():
+        acc = groups.setdefault(akey, [0] * (weight + 1))
         for i, coeff in enumerate(_alpha_core(ex, fx).coeffs):
             acc[i] += c * coeff
-    totals = {_alpha_core(*key): QPolynomial(acc) for key, acc in groups.items()}
-    census = {a: total.exact_div(a) for a, total in totals.items()}
-    mass = sum((a * n for a, n in census.items()), QPolynomial())
+    census = {}
+    for key, acc in groups.items():
+        a = _alpha_core(*key)
+        census[a] = QPolynomial(acc).exact_div(a)
+    # The divisions are exact, so the mass sum(alpha * N_alpha) is the totals' sum.
+    mass = QPolynomial(map(sum, zip(*groups.values())))
     if mass != monomial(weight):
         raise DegreeMismatch(f"census mass for ({lam}; {I}) is {mass}")
     return census

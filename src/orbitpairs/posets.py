@@ -220,9 +220,6 @@ class OrderIdeal:
     def is_subset_of(self, other: "OrderIdeal") -> bool:
         return all(other.contains(p) for p in self.max_points)
 
-    def union(self, other: "OrderIdeal") -> "OrderIdeal":
-        return OrderIdeal.from_generators(self.max_points + other.max_points)
-
     def weighted_size(self, lam: Partition) -> int:
         """Number of points of the ideal on the partition's rows, counted with
         multiplicity: sum of m_i * (lambda_i - boundary)."""
@@ -247,9 +244,6 @@ class OrderIdeal:
 
     def __repr__(self):
         return f"OrderIdeal.parse({str(self)!r})"
-
-
-EMPTY_IDEAL = OrderIdeal()
 
 
 def enumerate_ideals(lam: Partition) -> list[OrderIdeal]:

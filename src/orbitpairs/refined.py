@@ -8,6 +8,9 @@ on (k, a, b, v(y)).  Two Moebius inversions (one on the quotient context,
 one on the source lattice) then sharpen "at least" constraints to "exactly";
 each sums only over the nonzero closed-form Moebius terms of its lattice
 (IdealLattice.mobius_terms), so no count is computed for a term with mu = 0.
+
+refined_census walks the census grid on its tables, with fibers computed once
+per J and nonzero cells grouped by alpha key.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Optional
 
-from .orbits import CanonicalSplit, alpha, canonical_split, orbit_size
+from .orbits import (CanonicalSplit, _alpha_core, alpha_keys, canonical_split,
+                     census_tables, orbit_size)
 from .posets import OrderIdeal, Partition, lattice
 from .qpoly import ONE, QPolynomial, ZERO, monomial
 
@@ -82,42 +86,29 @@ def exact_fiber_count(split: CanonicalSplit, L: OrderIdeal, J: OrderIdeal) -> QP
     return total
 
 
-def y_count(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal,
-            L: OrderIdeal) -> QPolynomial:
-    """Number of second elements with invariants (J, K) lying in the
-    submodule cut out by L."""
-    split = canonical_split(lam, I)
-    if not K.is_subset_of(L):
-        return ZERO
-    return exact_fiber_count(split, L, J) * orbit_size(split.lambda_dprime, K)
-
-
 def refined_census(lam: Partition, I: OrderIdeal,
                    L: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
     """Map cardinality -> number of orbits of pairs with first member in the
-    orbit of I and second member in the orbit of L."""
+    orbit of I and second member in the orbit of L.  Per J, the fibers over
+    L's Moebius terms are computed once; cell (J, K) sums those whose L'
+    contains K, times K's orbit size, into its alpha key's group."""
     split = canonical_split(lam, I)
     terms = list(lattice(lam).mobius_terms(L))
-    fiber: Dict[tuple, QPolynomial] = {}
-    groups: Dict[QPolynomial, QPolynomial] = {}
-    for J in lattice(split.quotient).ideals:
-        for K in lattice(split.lambda_dprime).ideals:
-            cell = ZERO
-            os_k = orbit_size(split.lambda_dprime, K)
-            for Lp, mu in terms:
-                if not K.is_subset_of(Lp):
-                    continue
-                key = (J, Lp)
-                f = fiber.get(key)
-                if f is None:
-                    f = fiber[key] = exact_fiber_count(split, Lp, J)
-                cell = cell + mu * f
-            cell = cell * os_k
-            if not cell:
-                continue
-            a = alpha(lam, I, J, K)
-            groups[a] = groups.get(a, ZERO) + cell
-    return {a: total.exact_div(a) for a, total in groups.items()}
+    js, ks = census_tables(lam, split)
+    inside = [[t for t, (Lp, _) in enumerate(terms) if K.is_subset_of(Lp)]
+              for K in lattice(split.lambda_dprime).ideals]
+    groups: Dict[tuple, QPolynomial] = {}
+    for J, (bJ, _, _) in zip(lattice(split.quotient).ideals, js):
+        fibers = [mu * exact_fiber_count(split, Lp, J) for Lp, mu in terms]
+        for akey, (_, wK, fK, _), ts in zip(alpha_keys(lam.weight, bJ, ks), ks, inside):
+            cell = sum((fibers[t] for t in ts), ZERO)
+            if cell:
+                groups[akey] = groups.get(akey, ZERO) + cell * _alpha_core(wK, fK)
+    census = {}
+    for key, total in groups.items():
+        a = _alpha_core(*key)
+        census[a] = total.exact_div(a)
+    return census
 
 
 def refined_total(lam: Partition, I: OrderIdeal, L: OrderIdeal) -> QPolynomial:
@@ -137,8 +128,11 @@ def refined_matrix(lam: Partition) -> Dict[tuple[OrderIdeal, OrderIdeal], QPolyn
 def x_in_submodule(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal,
                    L: OrderIdeal) -> QPolynomial:
     """Number of second elements with invariants (J, K) lying exactly in the
-    orbit of L (Moebius inversion of y_count over the source lattice)."""
+    orbit of L: the fibers over the submodules L' containing K, Moebius
+    inverted over the source lattice, times K's orbit size."""
+    split = canonical_split(lam, I)
     total = ZERO
     for Lp, mu in lattice(lam).mobius_terms(L):
-        total = total + mu * y_count(lam, I, J, K, Lp)
-    return total
+        if K.is_subset_of(Lp):
+            total = total + mu * exact_fiber_count(split, Lp, J)
+    return total * orbit_size(split.lambda_dprime, K)

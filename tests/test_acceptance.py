@@ -9,7 +9,7 @@ from test_orbits import (PUBLISHED_CENSUS, PUBLISHED_N_LAMBDA, RUNNING_IDEAL,
 from test_quiver import brute_triple_orbits
 
 from orbitpairs.oracle import ExplicitModule, orbits, verify
-from orbitpairs.orbits import (alpha, canonical_split, n_lambda, orbit_census,
+from orbitpairs.orbits import (canonical_split, n_lambda, orbit_census,
                                orbit_size, per_ideal_total, x_count)
 from orbitpairs.posets import OrderIdeal, Partition, lattice, partitions_of
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, monomial

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from test_orbits import max_minus, union
 
 from orbitpairs.errors import BudgetExceeded
 from orbitpairs.oracle import (ExplicitModule, aut_generators,
                                endo_permutation, invertible_endomorphisms,
                                orbits, valuation, verify)
-from orbitpairs.orbits import max_minus, orbit_size
+from orbitpairs.orbits import orbit_size
 from orbitpairs.posets import (OrderIdeal, Partition, lattice, partitions_of,
                                require_context)
 
@@ -15,7 +16,7 @@ def sum_orbit_orbit(lam: Partition, I: OrderIdeal, J: OrderIdeal) -> list[OrderI
     fields with at least three elements (q >= 3)."""
     require_context(lam, I)
     require_context(lam, J)
-    IJ = I.union(J)
+    IJ = union(I, J)
     req = set(max_minus(I, J)) | set(max_minus(J, I))
     return [K for K in lattice(lam).ideals
             if K.is_subset_of(IJ) and req <= set(K.max_points)]

@@ -3,12 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitpairs.errors import IdealOutOfContext
-from orbitpairs.orbits import (alpha, canonical_split, max_minus, n_lambda,
-                               orbit_census, orbit_size, per_ideal_total,
-                               x_count)
-from orbitpairs.posets import (EMPTY_IDEAL, OrderIdeal, Partition, Point,
-                               lattice, partitions_of)
-from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, monomial
+from orbitpairs.orbits import (canonical_split, n_lambda, orbit_census,
+                               orbit_size, per_ideal_total, x_count)
+from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
+from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, laurent_product, monomial
 
 # Published reference values for the number of orbits of pairs, one row per
 # partition of n = 1..5.
@@ -70,12 +68,31 @@ def lambda_prime(sp) -> Partition:
     return Partition.from_parts(p.k for p in sp.prime_parts)
 
 
+def union(A: OrderIdeal, B: OrderIdeal) -> OrderIdeal:
+    """The ideal generated by the maximal points of A and B."""
+    return OrderIdeal.from_generators(A.max_points + B.max_points)
+
+
+def max_minus(K: OrderIdeal, J: OrderIdeal) -> tuple[Point, ...]:
+    """Maximal points of K that are not absorbed anywhere inside J."""
+    return tuple(p for p in K.max_points if not J.contains(p))
+
+
+def alpha(lam, I, J, K) -> QPolynomial:
+    """Reference cardinality of the stabilizer orbit of a second element with
+    invariants (J, K), from ideals: q**[J union K] times (1 - q**-m''_k) over
+    the maximal points (v, k) of K outside J."""
+    dprime = canonical_split(lam, I).lambda_dprime
+    return laurent_product(union(J, K).weighted_size(lam),
+                           [dprime.mult(p.k) for p in max_minus(K, J)])
+
+
 def brute_alpha(lam, I, J, K) -> QPolynomial:
     """alpha by scanning the lattice of lambda'': q^[J union K] over lambda'
     times the orbit sizes of the ideals K2 inside J union K whose maximal
     points include every maximal point of K outside J."""
     sp = canonical_split(lam, I)
-    JK = J.union(K)
+    JK = union(J, K)
     required = set(max_minus(K, J))
     total = ZERO
     for K2 in lattice(sp.lambda_dprime).ideals:
@@ -96,6 +113,12 @@ def census_by_cells(lam, I) -> dict[QPolynomial, QPolynomial]:
     return {a: total.exact_div(a) for a, total in groups.items()}
 
 
+# Random shapes: up to four distinct parts of size at most 5, each with
+# multiplicity at most 4.
+SHAPES = st.dictionaries(st.integers(1, 5), st.integers(1, 4), min_size=1, max_size=4).map(
+    lambda mults: Partition(sorted(mults.items(), reverse=True)))
+
+
 def assert_census_matches_cells(lam):
     for I in lattice(lam).ideals:
         assert list(orbit_census(lam, I).items()) == \
@@ -105,7 +128,7 @@ def assert_census_matches_cells(lam):
 class TestOrbitSize:
     def test_small_examples(self):
         lam = Partition.parse("2,1")
-        assert orbit_size(lam, EMPTY_IDEAL) == ONE
+        assert orbit_size(lam, OrderIdeal()) == ONE
         assert orbit_size(lam, OrderIdeal.parse("1:2")) == Q - 1
         assert orbit_size(lam, OrderIdeal.parse("0:1")) == Q ** 2 - Q
         assert orbit_size(lam, OrderIdeal.parse("0:2")) == Q ** 3 - Q ** 2
@@ -147,7 +170,7 @@ class TestCanonicalSplit:
         assert sp.quotient == Partition()
 
     def test_empty_ideal(self):
-        sp = canonical_split(Partition.parse("2,1"), EMPTY_IDEAL)
+        sp = canonical_split(Partition.parse("2,1"), OrderIdeal())
         assert sp.prime_parts == ()
         assert lambda_prime(sp) == Partition()
         assert sp.lambda_dprime == Partition.parse("2,1")
@@ -172,16 +195,14 @@ class TestAlphaAndCells:
         J = OrderIdeal.parse("0:1")
         assert max_minus(K, J) == (Point(1, 4),)
         assert max_minus(K, K) == ()
-        assert max_minus(K, EMPTY_IDEAL) == K.max_points
+        assert max_minus(K, OrderIdeal()) == K.max_points
 
     def test_context_mismatch(self):
         sp_lam = Partition.parse("2,1")
         I = OrderIdeal.parse("0:2")
         bad = OrderIdeal.parse("1:3")
         with pytest.raises(IdealOutOfContext):
-            alpha(sp_lam, I, bad, EMPTY_IDEAL)
-        with pytest.raises(IdealOutOfContext):
-            x_count(sp_lam, I, EMPTY_IDEAL, bad)
+            x_count(sp_lam, I, OrderIdeal(), bad)
 
     def test_maximal_ideal_closed_form(self):
         # When I is the maximal ideal the quotient is empty, J must be empty,
@@ -195,9 +216,9 @@ class TestAlphaAndCells:
             for K in lattice(sp.lambda_dprime).ideals:
                 expect_alpha = monomial(K.weighted_size(lambda_prime(sp))) * \
                     orbit_size(sp.lambda_dprime, K)
-                assert alpha(lam, I, EMPTY_IDEAL, K) == expect_alpha
+                assert alpha(lam, I, OrderIdeal(), K) == expect_alpha
                 expect_x = monomial(lam.largest) * orbit_size(sp.lambda_dprime, K)
-                assert x_count(lam, I, EMPTY_IDEAL, K) == expect_x
+                assert x_count(lam, I, OrderIdeal(), K) == expect_x
 
     def test_alpha_monic_of_cell_degree(self):
         # The closed form agrees with the lattice scan on every cell, including
@@ -211,7 +232,7 @@ class TestAlphaAndCells:
                     for K in lattice(sp.lambda_dprime).ideals:
                         a = alpha(lam, I, J, K)
                         assert a.is_monic()
-                        assert a.degree == J.union(K).weighted_size(lam)
+                        assert a.degree == union(J, K).weighted_size(lam)
                         assert a == brute_alpha(lam, I, J, K), f"{lam}; {I}; {J}; {K}"
 
 
@@ -249,6 +270,17 @@ class TestCensus:
     @given(st.dictionaries(st.integers(1, 6), st.integers(1, 3), min_size=1, max_size=4))
     def test_key_space_matches_cells_random_shapes(self, mults):
         assert_census_matches_cells(Partition(sorted(mults.items(), reverse=True)))
+
+    @settings(deadline=None, max_examples=25)
+    @given(SHAPES)
+    def test_mass_random_shapes(self, lam):
+        # Sum alpha * N_alpha as products here, independently of the group
+        # totals that orbit_census checks.
+        for I in lattice(lam).ideals:
+            mass = ZERO
+            for a, n in orbit_census(lam, I).items():
+                mass = mass + a * n
+            assert mass == monomial(lam.weight), f"{lam}; {I}"
 
     def test_published_running_example(self):
         census = orbit_census(RUNNING_SHAPE, RUNNING_IDEAL)
@@ -305,6 +337,11 @@ class TestNLambda:
                 assert n_lambda(lam, cap=False) == n_lambda(capped, cap=False), str(lam)
                 checked += 1
         assert checked > 10
+
+    @settings(deadline=None, max_examples=25)
+    @given(SHAPES)
+    def test_capping_invariance_random_shapes(self, lam):
+        assert n_lambda(lam, cap=False) == n_lambda(lam.cap(2), cap=False), str(lam)
 
     def test_store_protocol(self):
         store: dict[Partition, QPolynomial] = {}

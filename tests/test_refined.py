@@ -1,15 +1,40 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_orbits import alpha
 
 from orbitpairs.errors import IdealOutOfContext
-from orbitpairs.orbits import (canonical_split, n_lambda, per_ideal_total,
-                               x_count)
+from orbitpairs.orbits import (canonical_split, n_lambda, orbit_size,
+                               per_ideal_total, x_count)
 from orbitpairs.posets import OrderIdeal, Partition, lattice, partitions_of
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO
 from orbitpairs.refined import (coset_count, exact_fiber_count, refined_census,
                                 refined_matrix, refined_total, s_count,
-                                x_in_submodule, y_count)
+                                x_in_submodule)
+
+
+def refined_by_cells(lam, I, L):
+    """The refined census cell by cell: x_in_submodule summed per alpha over
+    the nonzero cells, J outer and K inner, then divided exactly by alpha."""
+    sp = canonical_split(lam, I)
+    groups = {}
+    for J in lattice(sp.quotient).ideals:
+        for K in lattice(sp.lambda_dprime).ideals:
+            cell = x_in_submodule(lam, I, J, K, L)
+            if cell:
+                a = alpha(lam, I, J, K)
+                groups[a] = groups.get(a, ZERO) + cell
+    return {a: total.exact_div(a) for a, total in groups.items()}
+
+
+def assert_refined_matches_cells(lam):
+    lat = lattice(lam)
+    for I in lat.ideals:
+        for L in lat.ideals:
+            assert list(refined_census(lam, I, L).items()) == \
+                list(refined_by_cells(lam, I, L).items()), f"{lam}; {I}; {L}"
 
 
 def val(x, k, p):
@@ -142,8 +167,11 @@ class TestFiberAndYCount:
                 for I in lattice(lam).ideals:
                     split = canonical_split(lam, I)
                     for J in lattice(split.quotient).ideals:
+                        # The elements in the full module with invariants
+                        # (J, K): the exact fiber times K's orbit size.
+                        fiber = exact_fiber_count(split, top, J)
                         for K in lattice(split.lambda_dprime).ideals:
-                            assert y_count(lam, I, J, K, top) == \
+                            assert fiber * orbit_size(split.lambda_dprime, K) == \
                                 x_count(lam, I, J, K)
 
     def test_x_in_submodule_partitions_x_count(self):
@@ -172,6 +200,20 @@ class TestRefinedCensus:
                     assert row == per_ideal_total(lam, I), (str(lam), str(I))
                     grand = grand + row
                 assert grand == n_lambda(lam)
+
+    def test_matches_cells(self):
+        # Same rows, in the same order, as grouping x_in_submodule's cells by
+        # their alpha polynomial; the uncapped shapes keep multiplicities above
+        # one in lambda''.
+        shapes = {lam.cap(2) for n in range(1, 7) for lam in partitions_of(n)}
+        shapes |= {Partition.parse("2^3,1"), Partition.parse("3^3")}
+        for lam in shapes:
+            assert_refined_matches_cells(lam)
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.dictionaries(st.integers(1, 4), st.integers(1, 3), min_size=1, max_size=3))
+    def test_matches_cells_random_shapes(self, mults):
+        assert_refined_matches_cells(Partition(sorted(mults.items(), reverse=True)))
 
     def test_census_counts_are_integer_polynomials(self):
         lam = Partition.parse("3,1")
