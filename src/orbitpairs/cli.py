@@ -17,7 +17,7 @@ from .errors import OrbitPairsError
 from .oracle import verify
 from .orbits import n_lambda, orbit_census
 from .posets import OrderIdeal, Partition, lattice, partitions_of
-from .qpoly import QPolynomial, format_poly, latex_poly
+from .qpoly import QPolynomial, ZERO, format_poly, latex_poly
 from .quiver import c_tau, enumerate_types, n_tau, r_n1
 from .refined import refined_matrix
 
@@ -203,8 +203,10 @@ def cmd_quiver(args) -> int:
     obj = {"n": args.n, **poly.to_json()}
     if args.breakdown:
         header = ["type", "classes", "orbit count"]
-        rows = [[str(tau), format_poly(c_tau(tau)), format_poly(n_tau(tau))]
-                for tau in enumerate_types(args.n)]
+        types = [(str(tau), c_tau(tau), n_tau(tau)) for tau in enumerate_types(args.n)]
+        if sum((c * m for _, c, m in types), ZERO) != poly:
+            raise OrbitPairsError(f"R_{args.n},1: the type sum differs from {poly}")
+        rows = [[tau, format_poly(c), format_poly(m)] for tau, c, m in types]
         if args.json:
             print(json.dumps({"rows": _json_rows(header, rows), **obj}, indent=1))
             return 0

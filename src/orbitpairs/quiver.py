@@ -1,9 +1,9 @@
 """Isomorphism classes of quiver representations with dimension vector (n, 1).
 
-A similarity-class type is a multiset of (partition, degree) pairs; summing
-the per-type class counts times the per-class orbit counts over all types of
-weight n yields the representation count R_{n,1}(q).  A truncated product
-expansion of the generating function provides an internal cross-check.
+R_{n,1}(q) is read off Hua's product sum_n R_{n,1} x^n = prod_d (sum_lambda
+n_lambda(q^d) x^{d|lambda|})^{phi_d(q)}, expanded in integer arithmetic.  The
+sum over similarity-class types (multisets of (partition, degree) pairs) of
+class counts times orbit counts is its independent check.
 """
 
 from __future__ import annotations
@@ -93,17 +93,18 @@ def _moebius_int(n: int) -> int:
     return result
 
 
+def _d_phi(d: int) -> QPolynomial:
+    """d * phi_d(q) = sum over e | d of mu(d/e) q^e, with integer coefficients."""
+    return sum((_moebius_int(d // e) * Q ** e for e in range(1, d + 1) if d % e == 0), ZERO)
+
+
 @lru_cache(maxsize=None)
 def phi_d(d: int) -> QPolynomial:
     """Number of monic irreducible degree-d polynomials over a field of
     size q (necklace polynomial, rational coefficients)."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    total = ZERO
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total = total + _moebius_int(d // e) * Q ** e
-    return total * Fraction(1, d)
+    return _d_phi(d) * Fraction(1, d)
 
 
 def c_tau(tau: MatrixType) -> QPolynomial:
@@ -128,25 +129,6 @@ def n_tau(tau: MatrixType) -> QPolynomial:
     return prod
 
 
-def r_n1(n: int) -> QPolynomial:
-    """Number of isomorphism classes of representations with dimension
-    vector (n, 1); must come out with non-negative integer coefficients."""
-    total = ZERO
-    for tau in enumerate_types(n):
-        total = total + c_tau(tau) * n_tau(tau)
-    if not total.is_integer_coefficients():
-        raise NonIntegerResult(f"R_{n},1 = {total}")
-    return total
-
-
-def _binom_poly(phi: QPolynomial, j: int) -> QPolynomial:
-    """Generalized binomial coefficient with a polynomial top argument."""
-    prod = ONE
-    for t in range(j):
-        prod = prod * (phi - t)
-    return prod * Fraction(1, factorial(j))
-
-
 def _series_mul(a: list, b: list, n_max: int) -> list:
     out = [ZERO] * (n_max + 1)
     for i, ai in enumerate(a):
@@ -160,29 +142,54 @@ def _series_mul(a: list, b: list, n_max: int) -> list:
     return out
 
 
+def _series(n_max: int) -> list[QPolynomial]:
+    """R_{0,1}, ..., R_{n_max,1}.  The factor of degree d, sum over j <= J = n_max // d
+    of binom(phi_d, j) u_d^j with u_d = sum of n_lambda(q^d) x^{d|lambda|}, is scaled by
+    D_d = d^J J! to prod_{t<j} (d phi_d - d t) * d^(J-j) * J!/j!; the product is
+    divided once by prod_d D_d, with NonIntegerResult on a nonzero remainder."""
+    sums = {m: sum((n_lambda(lam) for lam in partitions_of(m)), ZERO)
+            for m in range(1, n_max + 1)}
+    series = [ONE] + [ZERO] * n_max
+    scale = 1
+    for d in range(1, n_max + 1):
+        J = n_max // d
+        u = [sums[i // d].compose_power(d) if i and i % d == 0 else ZERO
+             for i in range(n_max + 1)]
+        d_phi = _d_phi(d)
+        factor = [ZERO] * (n_max + 1)
+        term = [ONE] + [ZERO] * n_max
+        falling = ONE
+        for j in range(J + 1):
+            if j:
+                term = _series_mul(term, u, n_max)
+                falling = falling * (d_phi - d * (j - 1))
+            binom = falling * (d ** (J - j) * (factorial(J) // factorial(j)))
+            factor = [f + binom * t for f, t in zip(factor, term)]
+        series = _series_mul(series, factor, n_max)
+        scale *= d ** J * factorial(J)
+    out = []
+    for n, poly in enumerate(series):
+        quot = [divmod(c, scale) for c in poly.coeffs]
+        if any(r for _, r in quot):
+            raise NonIntegerResult(f"R_{n},1 = ({poly}) / {scale}")
+        out.append(QPolynomial(c for c, _ in quot))
+    return out
+
+
+def r_n1(n: int) -> QPolynomial:
+    """Number of isomorphism classes of representations with dimension
+    vector (n, 1): entry n of the series, which genfunc_check checks."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _series(n)[n]
+
+
 def genfunc_check(n_max: int) -> bool:
-    """Expand the product formula for the generating function up to x**n_max
-    and compare coefficients with the direct type sums."""
+    """Compare the series R_{0..n_max} with the type sums over all types of
+    weight n, sum c_tau * n_tau, for every n <= n_max."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    series = [ONE] + [ZERO] * n_max
-    for d in range(1, n_max + 1):
-        # base_d(x) - 1 = sum over nonempty partitions, substituted at q**d.
-        u = [ZERO] * (n_max + 1)
-        for m in range(1, n_max // d + 1):
-            coeff = ZERO
-            for lam in partitions_of(m):
-                coeff = coeff + n_lambda(lam).compose_power(d)
-            u[d * m] = coeff
-        powered = [ONE] + [ZERO] * n_max
-        term = [ONE] + [ZERO] * n_max
-        phi = phi_d(d)
-        for j in range(1, n_max // d + 1):
-            term = _series_mul(term, u, n_max)
-            binom = _binom_poly(phi, j)
-            powered = [p + binom * t for p, t in zip(powered, term)]
-        series = _series_mul(series, powered, n_max)
-    for n in range(1, n_max + 1):
-        if series[n] != r_n1(n):
-            return False
-    return series[0] == ONE
+    series = _series(n_max)
+    return series[0] == ONE and all(
+        series[n] == sum((c_tau(tau) * n_tau(tau) for tau in enumerate_types(n)), ZERO)
+        for n in range(1, n_max + 1))

@@ -16,7 +16,7 @@ per J and nonzero cells grouped by alpha key.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from .orbits import (CanonicalSplit, _alpha_core, alpha_keys, canonical_split,
                      census_tables, orbit_size)
@@ -76,14 +76,13 @@ def s_count(split: CanonicalSplit, L: OrderIdeal, J: OrderIdeal) -> QPolynomial:
     return total
 
 
-def exact_fiber_count(split: CanonicalSplit, L: OrderIdeal, J: OrderIdeal) -> QPolynomial:
-    """Number of elements of the distinguished part lying in the submodule
-    of L whose quotient image has invariant exactly J (Moebius inversion of
-    s_count over the quotient lattice)."""
-    total = ZERO
-    for Jp, mu in lattice(split.quotient).mobius_terms(J):
-        total = total + mu * s_count(split, L, Jp)
-    return total
+def exact_fiber_count(split: CanonicalSplit, Ls: Sequence[OrderIdeal],
+                      J: OrderIdeal) -> list[QPolynomial]:
+    """Per L in Ls, the elements of the distinguished part in L's submodule whose
+    quotient image has invariant exactly J: s_count Moebius-inverted over the
+    quotient lattice, with J's terms computed once for all of Ls."""
+    terms = list(lattice(split.quotient).mobius_terms(J))
+    return [sum((mu * s_count(split, L, Jp) for Jp, mu in terms), ZERO) for L in Ls]
 
 
 def refined_census(lam: Partition, I: OrderIdeal,
@@ -93,13 +92,13 @@ def refined_census(lam: Partition, I: OrderIdeal,
     L's Moebius terms are computed once; cell (J, K) sums those whose L'
     contains K, times K's orbit size, into its alpha key's group."""
     split = canonical_split(lam, I)
-    terms = list(lattice(lam).mobius_terms(L))
+    Lps, mus = zip(*lattice(lam).mobius_terms(L))
     js, ks = census_tables(lam, split)
-    inside = [[t for t, (Lp, _) in enumerate(terms) if K.is_subset_of(Lp)]
+    inside = [[t for t, Lp in enumerate(Lps) if K.is_subset_of(Lp)]
               for K in lattice(split.lambda_dprime).ideals]
     groups: Dict[tuple, QPolynomial] = {}
     for J, (bJ, _, _) in zip(lattice(split.quotient).ideals, js):
-        fibers = [mu * exact_fiber_count(split, Lp, J) for Lp, mu in terms]
+        fibers = [mu * f for mu, f in zip(mus, exact_fiber_count(split, Lps, J))]
         for akey, (_, wK, fK, _), ts in zip(alpha_keys(lam.weight, bJ, ks), ks, inside):
             cell = sum((fibers[t] for t in ts), ZERO)
             if cell:
@@ -131,8 +130,7 @@ def x_in_submodule(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal,
     orbit of L: the fibers over the submodules L' containing K, Moebius
     inverted over the source lattice, times K's orbit size."""
     split = canonical_split(lam, I)
-    total = ZERO
-    for Lp, mu in lattice(lam).mobius_terms(L):
-        if K.is_subset_of(Lp):
-            total = total + mu * exact_fiber_count(split, Lp, J)
+    terms = [(Lp, mu) for Lp, mu in lattice(lam).mobius_terms(L) if K.is_subset_of(Lp)]
+    fibers = exact_fiber_count(split, [Lp for Lp, _ in terms], J)
+    total = sum((mu * f for (_, mu), f in zip(terms, fibers)), ZERO)
     return total * orbit_size(split.lambda_dprime, K)

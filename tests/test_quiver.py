@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from orbitpairs import cli, quiver
+from orbitpairs.errors import NonIntegerResult
 from orbitpairs.posets import Partition, partitions_of
 from orbitpairs.qpoly import Q, QPolynomial
 from orbitpairs.quiver import (MatrixType, c_tau, enumerate_types,
@@ -189,16 +192,35 @@ class TestRepresentationCount:
         assert r_n1(2) == Q ** 4 + 2 * Q ** 3 + 4 * Q ** 2 + 2 * Q
 
     def test_nonnegative_integer_coefficients(self):
-        for n in range(1, 7):
+        for n in range(1, 13):
             p = r_n1(n)
-            assert p.is_integer_coefficients()
-            assert p.has_nonnegative_coefficients()
+            assert all(type(c) is int for c in p.coeffs), n
+            assert p.has_nonnegative_coefficients(), n
 
-    def test_genfunc(self):
-        assert genfunc_check(3)
+    def test_genfunc(self, monkeypatch):
+        # The series against the type sum for every n <= 8.
+        assert genfunc_check(8)
+        monkeypatch.setattr(quiver, "n_tau", lambda tau: n_tau(tau) + 1)
+        assert not genfunc_check(2)
+
+    def test_nonzero_remainder_raises(self, monkeypatch):
+        # Doubling every factorial leaves each J!/j! as it is but doubles
+        # each scale factor D_d = d^J J!, so the final division is inexact.
+        monkeypatch.setattr(quiver, "factorial", lambda k: 2 * math.factorial(k))
+        with pytest.raises(NonIntegerResult):
+            r_n1(3)
+
+    def test_breakdown_checks_type_sum(self, monkeypatch, capsys):
+        assert cli.main(["quiver", "3", "--breakdown"]) == 0
+        monkeypatch.setattr(cli, "n_tau", lambda tau: n_tau(tau) + 1)
+        assert cli.main(["quiver", "3", "--breakdown"]) == 2
+        assert "internal consistency failure" in capsys.readouterr().err
 
     def test_bad_input(self):
         with pytest.raises(ValueError):
             enumerate_types(0)
         with pytest.raises(ValueError):
             phi_d(0)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be positive"):
+                r_n1(n)

@@ -139,7 +139,7 @@ class TestSCount:
         split = canonical_split(lam, I)
         off_row = OrderIdeal.parse("1:3")
         with pytest.raises(IdealOutOfContext):
-            exact_fiber_count(split, OrderIdeal(), off_row)
+            exact_fiber_count(split, [OrderIdeal()], off_row)[0]
         with pytest.raises(IdealOutOfContext):
             x_in_submodule(lam, I, OrderIdeal(), OrderIdeal(), off_row)
 
@@ -157,7 +157,7 @@ class TestFiberAndYCount:
                     resummed = ZERO
                     for Jp in qlat.ideals:
                         if Jp.is_subset_of(J):
-                            resummed = resummed + exact_fiber_count(split, L, Jp)
+                            resummed = resummed + exact_fiber_count(split, [L], Jp)[0]
                     assert resummed == s_count(split, L, J)
 
     def test_y_count_at_full_module_is_x_count(self):
@@ -169,7 +169,7 @@ class TestFiberAndYCount:
                     for J in lattice(split.quotient).ideals:
                         # The elements in the full module with invariants
                         # (J, K): the exact fiber times K's orbit size.
-                        fiber = exact_fiber_count(split, top, J)
+                        fiber = exact_fiber_count(split, [top], J)[0]
                         for K in lattice(split.lambda_dprime).ideals:
                             assert fiber * orbit_size(split.lambda_dprime, K) == \
                                 x_count(lam, I, J, K)
