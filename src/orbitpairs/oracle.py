@@ -3,9 +3,10 @@
 Builds the module of a given shape over Z/p^k coordinates, closes elements
 (or pairs, diagonally) under a generating set of the automorphism group, and
 compares every orbit statistic against the polynomial formulas evaluated at
-q = p.  The generator set is an engineering construction, so a full-endos
-mode that enumerates every invertible endomorphism acts as the authority on
-any disagreement.
+q = p.  The closure works on element permutations only: pairs carry an
+|M| x |M| label array, and no pair permutation is built.  The generator set
+is an engineering construction, so a full-endos mode that enumerates every
+invertible endomorphism acts as the authority on any disagreement.
 """
 
 from __future__ import annotations
@@ -180,22 +181,30 @@ def invertible_endomorphisms(module: ExplicitModule) -> List[np.ndarray]:
     return perms
 
 
-def _closure_labels(perms: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """Connected-component labels (minimum index per component) of the graph
-    with an edge x -- perm(x) for every generator permutation."""
-    labels = np.arange(n, dtype=np.int64)
+def _closure_labels(perms: List[np.ndarray], n: int, dims: int) -> np.ndarray:
+    """Orbit labels (minimum flat index per orbit) of {0..n-1}^dims under the
+    diagonal action of the element permutations, which must be bijections:
+    labels are only pulled forward, along g, g^2, g^4, ... (pointer doubling),
+    until constant on each cycle of g.  Pointer jumping follows labels to
+    their labels, and whole rounds repeat until one changes nothing."""
+    labels = np.arange(n ** dims, dtype=np.int64).reshape((n,) * dims)
     while True:
-        prev = labels.copy()
-        for perm in perms:
-            np.minimum(labels, labels[perm], out=labels)
-            np.minimum.at(labels, perm, labels)
+        prev = labels
+        for step in perms:
+            while True:
+                pulled = labels
+                for axis in range(dims):
+                    pulled = pulled.take(step, axis)
+                if (pulled >= labels).all():
+                    break
+                labels, step = np.minimum(labels, pulled), step[step]
         while True:
-            jumped = labels[labels]
+            jumped = labels.ravel()[labels]
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
         if np.array_equal(labels, prev):
-            return labels
+            return labels.ravel()
 
 
 @dataclass
@@ -215,17 +224,17 @@ def _group_perms(module: ExplicitModule, mode: str) -> List[np.ndarray]:
 def orbits(module: ExplicitModule, space: Literal["elements", "pairs"] = "elements",
            mode: str = "quick") -> List[OrbitDescriptor]:
     """Orbit decomposition of the module (or of pairs under the diagonal
-    action), annotated with the invariant ideal(s) of a representative."""
+    action, closed on the element permutations), annotated with the
+    invariant ideal(s) of the orbit's smallest index."""
     n = module.size
     perms = _group_perms(module, mode)
     elements = module.elements()
     if space == "elements":
-        labels = _closure_labels(perms, n)
+        labels = _closure_labels(perms, n, 1)
     elif space == "pairs":
         if n * n > PAIR_BUDGET:
             raise BudgetExceeded(f"pair space {n * n} exceeds budget {PAIR_BUDGET}")
-        pair_perms = [(perm[:, None] * n + perm[None, :]).ravel() for perm in perms]
-        labels = _closure_labels(pair_perms, n * n)
+        labels = _closure_labels(perms, n, 2)
     else:
         raise ValueError(f"unknown space {space!r}")
     reps, counts = np.unique(labels, return_counts=True)

@@ -1,12 +1,18 @@
+import signal
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_orbits import max_minus, union
 
 from orbitpairs.errors import BudgetExceeded
-from orbitpairs.oracle import (ExplicitModule, aut_generators,
-                               endo_permutation, invertible_endomorphisms,
-                               orbits, valuation, verify)
-from orbitpairs.orbits import orbit_size
+from orbitpairs.oracle import (PAIR_BUDGET, ExplicitModule, _closure_labels,
+                               aut_generators, endo_permutation,
+                               invertible_endomorphisms, orbits, valuation,
+                               verify)
+from orbitpairs.orbits import n_lambda, orbit_size
 from orbitpairs.posets import (OrderIdeal, Partition, lattice, partitions_of,
                                require_context)
 
@@ -20,6 +26,113 @@ def sum_orbit_orbit(lam: Partition, I: OrderIdeal, J: OrderIdeal) -> list[OrderI
     req = set(max_minus(I, J)) | set(max_minus(J, I))
     return [K for K in lattice(lam).ideals
             if K.is_subset_of(IJ) and req <= set(K.max_points)]
+
+
+def union_find_labels(perms, n: int, dims: int) -> list[int]:
+    """Minimum flat index of each point's component in the graph on
+    {0..n-1}^dims with an edge x -- g(x) (g acting on every factor) per
+    permutation g.  Union by smaller root keeps each root its set's minimum."""
+    parent = list(range(n ** dims))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def flat(point):
+        idx = 0
+        for c in point:
+            idx = idx * n + c
+        return idx
+
+    for g in perms:
+        for point in product(range(n), repeat=dims):
+            a, b = find(flat(point)), find(flat(g[c] for c in point))
+            parent[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n ** dims)]
+
+
+def involution(order, k: int) -> np.ndarray:
+    """Product of the k disjoint transpositions (order[0] order[1]),
+    (order[2] order[3]), ..."""
+    g = np.arange(len(order))
+    for a, b in zip(order[0:2 * k:2], order[1:2 * k:2]):
+        g[a], g[b] = b, a
+    return g
+
+
+PERM_SETS = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)).map(np.array), max_size=4)))
+INVOLUTION_SETS = st.integers(2, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.builds(involution, st.permutations(range(n)),
+                                   st.integers(0, n // 2)), min_size=1, max_size=4)))
+
+
+def closure_within(seconds: float, perms, n: int, dims: int) -> np.ndarray:
+    """`_closure_labels`, raising TimeoutError after `seconds`: a wrong
+    stopping rule loops forever, and a hang should fail, not stall, a test."""
+    if not hasattr(signal, "setitimer"):
+        return _closure_labels(perms, n, dims)
+
+    def expire(signum, frame):
+        raise TimeoutError(f"closure did not terminate within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return _closure_labels(perms, n, dims)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestClosure:
+    """`_closure_labels` against a union-find over the generator edges."""
+
+    def check(self, perms, n, dims):
+        got = closure_within(5, perms, n, dims)
+        assert got.shape == (n ** dims,)
+        assert got.tolist() == union_find_labels(perms, n, dims)
+
+    @settings(deadline=None, max_examples=60)
+    @given(PERM_SETS, st.sampled_from([1, 2]))
+    def test_random_permutations(self, case, dims):
+        self.check(case[1], case[0], dims)
+
+    @settings(deadline=None, max_examples=60)
+    @given(INVOLUTION_SETS, st.sampled_from([1, 2]))
+    def test_random_involutions(self, case, dims):
+        self.check(case[1], case[0], dims)
+
+    @pytest.mark.parametrize("n, dims", [(40, 1), (40, 2), (1000, 1)])
+    def test_one_long_cycle(self, n, dims):
+        cycle = np.roll(np.arange(n), 1)
+        self.check([cycle], n, dims)
+        # Pairs fall into n diagonal classes, labelled (0, d) -> d.
+        expected = np.zeros(n) if dims == 1 else np.subtract.outer(
+            np.arange(n), np.arange(n)).T % n
+        assert np.array_equal(closure_within(5, [cycle], n, dims), expected.ravel())
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_involutions_need_a_second_round(self, dims):
+        # After one pass over (2 3) then (1 3), point 2 still carries label 2;
+        # only a second pass over (2 3) carries label 1 to it.
+        perms = [np.array([0, 1, 3, 2]), np.array([0, 3, 2, 1])]
+        self.check(perms, 4, dims)
+        assert closure_within(5, perms, 4, 1).tolist() == [0, 1, 1, 1]
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_adjacent_transpositions(self, dims):
+        n = 12
+        perms = []
+        for i in reversed(range(n - 1)):
+            perms.append(np.arange(n))
+            perms[-1][[i, i + 1]] = i + 1, i
+        self.check(perms, n, dims)
+        self.check(perms[::2], n, dims)
+
+    def test_no_generators(self):
+        self.check([], 5, 2)
 
 
 class TestPrimitives:
@@ -56,11 +169,15 @@ class TestPrimitives:
         assert str(m.ideal_of((16, 8, 8, 2, 0))) == "1:2"
 
     def test_generators_are_invertible(self):
-        for text, p in [("2,1", 2), ("3,1", 2), ("2,2", 3)]:
-            m = ExplicitModule.from_partition(Partition.parse(text), p)
-            for g in aut_generators(m):
-                perm = endo_permutation(m, g)
-                assert len(np.unique(perm)) == m.size
+        # The orbit closure needs bijective generators.  Covers every shape of
+        # the oracle grids: p = 2 up to |lambda| = 5, p = 3 up to 5, p = 5 up to 4.
+        for p, top in [(2, 5), (3, 5), (5, 4)]:
+            for lam in (lam for m in range(1, top + 1) for lam in partitions_of(m)):
+                m = ExplicitModule.from_partition(lam, p)
+                els = m.elements()
+                for g in aut_generators(m):
+                    perm = endo_permutation(m, g, els)
+                    assert len(np.unique(perm)) == m.size, (str(lam), p)
 
     def test_full_endo_count(self):
         # Automorphisms of Z/p^2 + Z/p number p^3 * (1-1/p)^2 * p.
@@ -101,6 +218,16 @@ class TestOrbits:
         # Published count at q=2 for the shape (2): q^2+2q+2 evaluates to 10.
         assert len(pairs) == 10
         assert sum(o.size for o in pairs) == m.size ** 2
+
+    def test_pair_orbits_at_budget(self):
+        # |M|^2 = PAIR_BUDGET, closed under 25 generators.
+        lam = Partition.parse("2^5")
+        m = ExplicitModule.from_partition(lam, 2)
+        assert m.size ** 2 == PAIR_BUDGET
+        assert len(aut_generators(m)) == 25
+        pairs = orbits(m, "pairs")
+        assert len(pairs) == int(n_lambda(lam)(2))
+        assert sum(o.size for o in pairs) == PAIR_BUDGET
 
     def test_quick_and_full_endos_agree(self):
         for text, p in [("2,1", 2), ("1,1", 3), ("3", 2)]:
@@ -145,3 +272,9 @@ class TestVerify:
 
     def test_odd_characteristic(self):
         assert verify(Partition.parse("2,1"), 3)["pass"]
+
+    @pytest.mark.parametrize("text, p", [("4", 5), ("6", 3), ("10", 2)])
+    def test_cyclic_modules(self, text, p):
+        # Long generator cycles: one closure step per cycle point would take
+        # hundreds of rounds here.
+        assert verify(Partition.parse(text), p)["pass"]
