@@ -21,10 +21,11 @@ import numpy as np
 from .errors import BudgetExceeded
 from .orbits import n_lambda, orbit_census, orbit_size
 from .posets import OrderIdeal, Partition, Point, lattice
-from .refined import refined_total
+from .refined import refined_matrix
 
 ELEMENT_BUDGET = 2 ** 12
 PAIR_BUDGET = 2 ** 20
+assert PAIR_BUDGET <= 2 ** 31, "closure labels are int32 flat indices"
 ENDO_BUDGET = 2 ** 24
 
 
@@ -187,7 +188,7 @@ def _closure_labels(perms: List[np.ndarray], n: int, dims: int) -> np.ndarray:
     labels are only pulled forward, along g, g^2, g^4, ... (pointer doubling),
     until constant on each cycle of g.  Pointer jumping follows labels to
     their labels, and whole rounds repeat until one changes nothing."""
-    labels = np.arange(n ** dims, dtype=np.int64).reshape((n,) * dims)
+    labels = np.arange(n ** dims, dtype=np.int32).reshape((n,) * dims)
     while True:
         prev = labels
         for step in perms:
@@ -289,11 +290,10 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
         key = (o.ideal, o.second_ideal)
         actual_refined[key] = actual_refined.get(key, 0) + 1
     expected_refined = {}
-    for I in ideals:
-        for L in ideals:
-            c = int(refined_total(lam, I, L)(p))
-            if c:
-                expected_refined[(I, L)] = c
+    for key, total in refined_matrix(lam).items():
+        c = int(total(p))
+        if c:
+            expected_refined[key] = c
     checks.append(_check("refined pair counts per orbit pair",
                          _render_map(expected_refined), _render_map(actual_refined)))
 

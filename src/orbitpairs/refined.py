@@ -9,8 +9,10 @@ one on the source lattice) then sharpen "at least" constraints to "exactly";
 each sums only over the nonzero closed-form Moebius terms of its lattice
 (IdealLattice.mobius_terms), so no count is computed for a term with mu = 0.
 
-refined_census walks the census grid on its tables, with fibers computed once
-per J and nonzero cells grouped by alpha key.
+refined_censuses computes one row, a first ideal I with a sequence of second
+ideals L: the census tables and the fibers over every L' among the row's
+Moebius terms are built once, the fibers once per J; each L then walks the
+census grid on them, with nonzero cells grouped by alpha key.
 """
 
 from __future__ import annotations
@@ -85,43 +87,58 @@ def exact_fiber_count(split: CanonicalSplit, Ls: Sequence[OrderIdeal],
     return [sum((mu * s_count(split, L, Jp) for Jp, mu in terms), ZERO) for L in Ls]
 
 
+def refined_censuses(lam: Partition, I: OrderIdeal,
+                     Ls: Sequence[OrderIdeal]) -> list[Dict[QPolynomial, QPolynomial]]:
+    """Per L in Ls, map cardinality -> number of orbits of pairs with first
+    member in the orbit of I and second member in the orbit of L.  The tables
+    are built once, and per J the fibers over every L' among the Ls' Moebius
+    terms; cell (J, K) of L sums mu * fiber over L's terms whose L' contains
+    K, times K's orbit size, into its alpha key's group."""
+    split = canonical_split(lam, I)
+    terms = [list(lattice(lam).mobius_terms(L)) for L in Ls]
+    Lps = list(dict.fromkeys(Lp for ts in terms for Lp, _ in ts))
+    col = {Lp: i for i, Lp in enumerate(Lps)}
+    js, ks = census_tables(lam, split)
+    rows = [(exact_fiber_count(split, Lps, J), alpha_keys(lam.weight, bJ, ks))
+            for J, (bJ, _, _) in zip(lattice(split.quotient).ideals, js)]
+    censuses = []
+    for ts in terms:
+        inside = [[t for t, (Lp, _) in enumerate(ts) if K.is_subset_of(Lp)]
+                  for K in lattice(split.lambda_dprime).ideals]
+        groups: Dict[tuple, QPolynomial] = {}
+        for row, akeys in rows:
+            fibers = [mu * row[col[Lp]] for Lp, mu in ts]
+            for akey, (_, wK, fK, _), its in zip(akeys, ks, inside):
+                cell = sum((fibers[t] for t in its), ZERO)
+                if cell:
+                    groups[akey] = groups.get(akey, ZERO) + cell * _alpha_core(wK, fK)
+        censuses.append({(a := _alpha_core(*key)): total.exact_div(a)
+                         for key, total in groups.items()})
+    return censuses
+
+
 def refined_census(lam: Partition, I: OrderIdeal,
                    L: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
-    """Map cardinality -> number of orbits of pairs with first member in the
-    orbit of I and second member in the orbit of L.  Per J, the fibers over
-    L's Moebius terms are computed once; cell (J, K) sums those whose L'
-    contains K, times K's orbit size, into its alpha key's group."""
-    split = canonical_split(lam, I)
-    Lps, mus = zip(*lattice(lam).mobius_terms(L))
-    js, ks = census_tables(lam, split)
-    inside = [[t for t, Lp in enumerate(Lps) if K.is_subset_of(Lp)]
-              for K in lattice(split.lambda_dprime).ideals]
-    groups: Dict[tuple, QPolynomial] = {}
-    for J, (bJ, _, _) in zip(lattice(split.quotient).ideals, js):
-        fibers = [mu * f for mu, f in zip(mus, exact_fiber_count(split, Lps, J))]
-        for akey, (_, wK, fK, _), ts in zip(alpha_keys(lam.weight, bJ, ks), ks, inside):
-            cell = sum((fibers[t] for t in ts), ZERO)
-            if cell:
-                groups[akey] = groups.get(akey, ZERO) + cell * _alpha_core(wK, fK)
-    census = {}
-    for key, total in groups.items():
-        a = _alpha_core(*key)
-        census[a] = total.exact_div(a)
-    return census
+    """The census of orbit(I) x orbit(L): the row of refined_censuses that
+    holds L alone."""
+    return refined_censuses(lam, I, [L])[0]
+
+
+def _total(census: Dict[QPolynomial, QPolynomial]) -> QPolynomial:
+    return sum(census.values(), ZERO)
 
 
 def refined_total(lam: Partition, I: OrderIdeal, L: OrderIdeal) -> QPolynomial:
     """Number of orbits of pairs in orbit(I) x orbit(L)."""
-    total = ZERO
-    for n in refined_census(lam, I, L).values():
-        total = total + n
-    return total
+    return _total(refined_census(lam, I, L))
 
 
 def refined_matrix(lam: Partition) -> Dict[tuple[OrderIdeal, OrderIdeal], QPolynomial]:
-    """Totals for every ordered pair of element orbits."""
+    """Totals for every ordered pair of element orbits: one refined_censuses
+    row per first ideal I, over every L."""
     ideals = lattice(lam).ideals
-    return {(I, L): refined_total(lam, I, L) for I in ideals for L in ideals}
+    return {(I, L): _total(census) for I in ideals
+            for L, census in zip(ideals, refined_censuses(lam, I, ideals))}
 
 
 def x_in_submodule(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal,

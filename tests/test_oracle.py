@@ -134,6 +134,11 @@ class TestClosure:
     def test_no_generators(self):
         self.check([], 5, 2)
 
+    def test_label_dtype_holds_pair_budget(self):
+        # Labels are flat pair indices, all below PAIR_BUDGET.
+        labels = _closure_labels([], 2, 2)
+        assert np.iinfo(labels.dtype).max >= PAIR_BUDGET - 1
+
 
 class TestPrimitives:
     def test_valuation(self):

@@ -5,14 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_orbits import alpha
 
+from orbitpairs import refined
 from orbitpairs.errors import IdealOutOfContext
 from orbitpairs.orbits import (canonical_split, n_lambda, orbit_size,
                                per_ideal_total, x_count)
 from orbitpairs.posets import OrderIdeal, Partition, lattice, partitions_of
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO
 from orbitpairs.refined import (coset_count, exact_fiber_count, refined_census,
-                                refined_matrix, refined_total, s_count,
-                                x_in_submodule)
+                                refined_censuses, refined_matrix, refined_total,
+                                s_count, x_in_submodule)
 
 
 def refined_by_cells(lam, I, L):
@@ -35,6 +36,12 @@ def assert_refined_matches_cells(lam):
         for L in lat.ideals:
             assert list(refined_census(lam, I, L).items()) == \
                 list(refined_by_cells(lam, I, L).items()), f"{lam}; {I}; {L}"
+
+
+# Capped shapes with |lambda| <= 6, plus uncapped ones whose lambda'' keeps
+# multiplicities above one.
+CENSUS_SHAPES = sorted({lam.cap(2) for n in range(1, 7) for lam in partitions_of(n)}
+                       | {Partition.parse("2^3,1"), Partition.parse("3^3")}, key=str)
 
 
 def val(x, k, p):
@@ -205,15 +212,43 @@ class TestRefinedCensus:
         # Same rows, in the same order, as grouping x_in_submodule's cells by
         # their alpha polynomial; the uncapped shapes keep multiplicities above
         # one in lambda''.
-        shapes = {lam.cap(2) for n in range(1, 7) for lam in partitions_of(n)}
-        shapes |= {Partition.parse("2^3,1"), Partition.parse("3^3")}
-        for lam in shapes:
+        for lam in CENSUS_SHAPES:
             assert_refined_matches_cells(lam)
 
     @settings(deadline=None, max_examples=15)
     @given(st.dictionaries(st.integers(1, 4), st.integers(1, 3), min_size=1, max_size=3))
     def test_matches_cells_random_shapes(self, mults):
         assert_refined_matches_cells(Partition(sorted(mults.items(), reverse=True)))
+
+    def test_rows_match_single_censuses(self):
+        for lam in CENSUS_SHAPES:
+            ideals = lattice(lam).ideals
+            for I in ideals:
+                rows = refined_censuses(lam, I, ideals)
+                assert [list(c.items()) for c in rows] == \
+                    [list(refined_census(lam, I, L).items()) for L in ideals], f"{lam}; {I}"
+
+    def test_matrix_matches_totals(self):
+        for lam in CENSUS_SHAPES:
+            ideals = lattice(lam).ideals
+            assert list(refined_matrix(lam).items()) == \
+                [((I, L), refined_total(lam, I, L)) for I in ideals for L in ideals], str(lam)
+
+    def test_matrix_builds_tables_and_fibers_once_per_row(self, monkeypatch):
+        # One census_tables call per first ideal I and one exact_fiber_count
+        # call per (I, J), however many second ideals L the row holds.
+        calls = {"census_tables": 0, "exact_fiber_count": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(refined, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(refined, name, counted)
+        lam = Partition.parse("2^2,1")
+        ideals = lattice(lam).ideals
+        refined_matrix(lam)
+        assert calls["census_tables"] == len(ideals)
+        assert calls["exact_fiber_count"] == sum(
+            len(lattice(canonical_split(lam, I).quotient).ideals) for I in ideals)
 
     def test_census_counts_are_integer_polynomials(self):
         lam = Partition.parse("3,1")
