@@ -125,22 +125,64 @@ def _emit_with_total(header: list[str], rows: list[list[str]], label: str,
     return f"{_emit_rows(header, rows, args)}\n{label}: {_poly_out(total, args)}"
 
 
+# Miller-Rabin to these bases decides primality for every n < 3.3e24.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for a in _WITNESSES:
+        x = pow(a, (n - 1) >> s, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _is_prime_power(q: int) -> bool:
+    """q = p**k for a prime p and k >= 1.  The largest k for which q has an
+    exact integer k-th root r is k itself when q = p**k, with r = p."""
+    if q < 2:
+        return False
+    for k in range(q.bit_length(), 0, -1):
+        lo, hi = 1, 1 << (q.bit_length() // k + 1)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid ** k <= q else (lo, mid - 1)
+        if lo ** k == q:
+            return _is_prime(lo)
+    return False
+
+
 def cmd_nlambda(args) -> int:
+    if args.at is not None and not _is_prime_power(args.at):
+        raise ValueError(f"Q = {args.at} is not a prime power, so no ring has residue field"
+                         " of that size")
     lam = Partition.parse(args.partition)
     store = ResultStore(args.cache)
     try:
         poly = n_lambda(lam, store)
     finally:
         store.save()
+    # Rendered in full before printing, so that a value too long to render
+    # leaves no partial output.
     if args.json:
         obj = {"partition": str(lam), **poly.to_json()}
         if args.at is not None:
             obj["at"] = {"q": args.at, "value": int(poly(args.at))}
-        print(json.dumps(obj))
+        out = json.dumps(obj)
     else:
-        print(_poly_out(poly, args))
+        out = _poly_out(poly, args)
         if args.at is not None:
-            print(f"at q={args.at}: {poly(args.at)}")
+            out += f"\nat q={args.at}: {poly(args.at)}"
+    print(out)
     return 0
 
 

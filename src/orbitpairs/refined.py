@@ -10,9 +10,10 @@ each sums only over the nonzero closed-form Moebius terms of its lattice
 (IdealLattice.mobius_terms), so no count is computed for a term with mu = 0.
 
 refined_censuses computes one row, a first ideal I with a sequence of second
-ideals L: the census tables and the fibers over every L' among the row's
-Moebius terms are built once, the fibers once per J; each L then walks the
-census grid on them, with nonzero cells grouped by alpha key.
+ideals L: the key tables (orbits.key_table, one per side of the grid) and
+the fibers over every L' among the row's Moebius terms are built once, the
+fibers once per J; each L then walks the census grid on them, with nonzero
+cells grouped by alpha key and divided exactly.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Optional, Sequence
 
-from .orbits import (CanonicalSplit, _alpha_core, alpha_keys, canonical_split,
-                     census_tables, orbit_size)
+from .orbits import CanonicalSplit, _alpha_core, canonical_split, key_table, orbit_size
 from .posets import OrderIdeal, Partition, lattice
 from .qpoly import ONE, QPolynomial, ZERO, monomial
 
@@ -98,9 +98,13 @@ def refined_censuses(lam: Partition, I: OrderIdeal,
     terms = [list(lattice(lam).mobius_terms(L)) for L in Ls]
     Lps = list(dict.fromkeys(Lp for ts in terms for Lp, _ in ts))
     col = {Lp: i for i, Lp in enumerate(Lps)}
-    js, ks = census_tables(lam, split)
-    rows = [(exact_fiber_count(split, Lps, J), alpha_keys(lam.weight, bJ, ks))
-            for J, (bJ, _, _) in zip(lattice(split.quotient).ideals, js)]
+    js = key_table(lam, split.quotient, False)
+    ks = key_table(lam, split.lambda_dprime, True)
+    # Alpha key of cell (J, K), as in orbits.census_groups.
+    rows = [(exact_fiber_count(split, Lps, J),
+             [(lam.weight - sum(map(min, bJ, bK)), tuple([m for m, i, v in pK if bJ[i] > v]))
+              for bK, _, _, pK in ks])
+            for J, (bJ, _, _, _) in zip(lattice(split.quotient).ideals, js)]
     censuses = []
     for ts in terms:
         inside = [[t for t, (Lp, _) in enumerate(ts) if K.is_subset_of(Lp)]

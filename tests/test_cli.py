@@ -4,6 +4,9 @@ import subprocess
 import sys
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitpairs
 from orbitpairs import cli
@@ -16,6 +19,21 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestPrimePower:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10, 10 ** 12) | st.builds(pow, st.integers(2, 10 ** 4),
+                                                  st.integers(1, 6)))
+    def test_matches_factorisation(self, q):
+        assert cli._is_prime_power(q) == (q >= 2 and len(sympy.factorint(q)) == 1)
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # Carmichael numbers and the least strong pseudoprimes to the first
+        # 2, 4, 7 and 9 prime bases.
+        for n in (561, 1729, 1373653, 3215031751, 341550071728321,
+                  3825123056546413051):
+            assert not cli._is_prime_power(n)
 
 
 class TestNLambda:
@@ -39,6 +57,30 @@ class TestNLambda:
         assert code == 0
         assert "q^2 + 5q + 5" in out
         assert "at q=2: 19" in out
+
+    @pytest.mark.parametrize("q", ["-1", "0", "1", "6", "12", "100"])
+    def test_at_not_a_prime_power_is_exit_1(self, capsys, q):
+        for fmt in ([], ["--json"]):
+            code, out, err = run(capsys, "nlambda", "2,1", "--at", q, *fmt)
+            assert code == 1
+            assert "error:" in err and "prime power" in err and out == ""
+
+    def test_at_prime_powers(self, capsys):
+        # q^2 + 5q + 5 at prime powers, including a 61-bit prime.
+        for q in (3, 4, 8, 9, 2 ** 61 - 1):
+            code, out, _ = run(capsys, "nlambda", "2,1", "--at", str(q))
+            assert code == 0
+            assert f"at q={q}: {q * q + 5 * q + 5}" in out
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python renders ints of any length")
+    def test_value_too_long_to_print_is_exit_1(self, capsys):
+        # 3**6000 is a prime power, but q^2 + 5q + 5 there has more digits
+        # than an int may render: an error line and nothing on stdout.
+        for fmt in ([], ["--json"]):
+            code, out, err = run(capsys, "nlambda", "2,1", "--at", str(3 ** 6000), *fmt)
+            assert code == 1
+            assert "error:" in err and out == ""
 
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "nlambda", "3,1", "--json")

@@ -1,8 +1,12 @@
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitpairs.errors import IdealOutOfContext
+from orbitpairs import orbits
+from orbitpairs.errors import DegreeMismatch, IdealOutOfContext
 from orbitpairs.orbits import (canonical_split, n_lambda, orbit_census,
                                orbit_size, per_ideal_total, x_count)
 from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
@@ -352,3 +356,73 @@ class TestNLambda:
         store[lam] = ZERO
         assert n_lambda(lam, store) == ZERO
         assert n_lambda(lam) == first
+
+
+def n_lambda_by_cells(lam) -> QPolynomial:
+    """Sum of every census_by_cells row over every first ideal of lam."""
+    return sum((n for I in lattice(lam).ideals for n in census_by_cells(lam, I).values()),
+               ZERO)
+
+
+class TestCensusGroups:
+    def test_n_lambda_matches_cells(self):
+        for lam in {lam.cap(2) for n in range(1, 10) for lam in partitions_of(n)}:
+            assert n_lambda(lam, {}) == n_lambda_by_cells(lam), str(lam)
+
+    def test_uncapped_n_lambda_matches_cells(self):
+        # Multiplicities above two stay in lambda'' and in the factor keys.
+        shapes = [lam for n in range(3, 8) for lam in partitions_of(n) if lam.cap(2) != lam]
+        assert len(shapes) > 10
+        for lam in shapes:
+            assert n_lambda(lam, cap=False) == n_lambda_by_cells(lam), str(lam)
+
+    def test_tables_built_once_per_context(self, monkeypatch):
+        # n_lambda builds each key table once per (mu, side) over all its
+        # first ideals.
+        built = []
+        real = orbits.key_table
+        monkeypatch.setattr(orbits, "key_table",
+                            lambda lam, mu, points: built.append((mu, points))
+                            or real(lam, mu, points))
+        lam = Partition.parse("4,3^2,2,1")
+        n_lambda(lam, {})
+        splits = [canonical_split(lam, I) for I in lattice(lam).ideals]
+        expected = {(sp.quotient, False) for sp in splits} | \
+            {(sp.lambda_dprime, True) for sp in splits}
+        assert sorted(built, key=str) == sorted(expected, key=str)
+
+    def test_weight_identity_guard(self, monkeypatch):
+        real = orbits.canonical_split
+        monkeypatch.setattr(orbits, "canonical_split", lambda lam, I: dataclasses.replace(
+            real(lam, I), fiber=real(lam, I).fiber + 1))
+        with pytest.raises(DegreeMismatch, match="does not partition"):
+            n_lambda(Partition.parse("2,1"), {})
+
+    def test_table_mass_guard(self, monkeypatch):
+        # A lattice missing its last ideal leaves its orbit sizes short of
+        # q**|mu|.
+        real = orbits.lattice
+        monkeypatch.setattr(orbits, "lattice",
+                            lambda mu: SimpleNamespace(ideals=real(mu).ideals[:-1]))
+        with pytest.raises(DegreeMismatch, match="orbit sizes"):
+            n_lambda(Partition.parse("2,1"), {})
+
+    def test_negative_power_guard(self, monkeypatch):
+        # Every K one point lighter makes every x/alpha key one power of q
+        # short, and some N_alpha has a constant term.
+        real = orbits.key_table
+        monkeypatch.setattr(orbits, "key_table", lambda lam, mu, points: [
+            (b, w - 1 if points else w, f, p) for b, w, f, p in real(lam, mu, points)])
+        with pytest.raises(DegreeMismatch, match="negative power"):
+            n_lambda(Partition.parse("2,1"), {})
+        with pytest.raises(DegreeMismatch, match="negative power"):
+            orbit_census(Partition.parse("2,1"), OrderIdeal())
+
+    def test_alpha_key_guard(self, monkeypatch):
+        # Factors heavier than the exponent: alpha would not be a polynomial.
+        real = orbits.key_table
+        monkeypatch.setattr(orbits, "key_table", lambda lam, mu, points: [
+            (b, w, f, p and [(m + lam.weight, i, v) for m, i, v in p])
+            for b, w, f, p in real(lam, mu, points)])
+        with pytest.raises(DegreeMismatch, match="no polynomial"):
+            n_lambda(Partition.parse("2,1"), {})

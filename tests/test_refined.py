@@ -235,9 +235,10 @@ class TestRefinedCensus:
                 [((I, L), refined_total(lam, I, L)) for I in ideals for L in ideals], str(lam)
 
     def test_matrix_builds_tables_and_fibers_once_per_row(self, monkeypatch):
-        # One census_tables call per first ideal I and one exact_fiber_count
-        # call per (I, J), however many second ideals L the row holds.
-        calls = {"census_tables": 0, "exact_fiber_count": 0}
+        # One key_table call per side (J and K) for each first ideal I and one
+        # exact_fiber_count call per (I, J), however many second ideals L the
+        # row holds.
+        calls = {"key_table": 0, "exact_fiber_count": 0}
         for name in calls:
             def counted(*args, _name=name, _f=getattr(refined, name)):
                 calls[_name] += 1
@@ -246,7 +247,7 @@ class TestRefinedCensus:
         lam = Partition.parse("2^2,1")
         ideals = lattice(lam).ideals
         refined_matrix(lam)
-        assert calls["census_tables"] == len(ideals)
+        assert calls["key_table"] == 2 * len(ideals)
         assert calls["exact_fiber_count"] == sum(
             len(lattice(canonical_split(lam, I).quotient).ideals) for I in ideals)
 
