@@ -10,10 +10,6 @@ class OrbitPairsError(Exception):
     pass
 
 
-class NonExactDivision(OrbitPairsError):
-    """Polynomial division left a nonzero remainder."""
-
-
 class NegativeExponent(OrbitPairsError):
     """A Laurent expansion would leave a negative power of q."""
 

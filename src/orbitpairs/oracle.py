@@ -223,12 +223,14 @@ def _group_perms(module: ExplicitModule, mode: str) -> List[np.ndarray]:
 
 
 def orbits(module: ExplicitModule, space: Literal["elements", "pairs"] = "elements",
-           mode: str = "quick") -> List[OrbitDescriptor]:
+           mode: str = "quick", perms: List[np.ndarray] = None) -> List[OrbitDescriptor]:
     """Orbit decomposition of the module (or of pairs under the diagonal
     action, closed on the element permutations), annotated with the
-    invariant ideal(s) of the orbit's smallest index."""
+    invariant ideal(s) of the orbit's smallest index.  perms, if given, are
+    _group_perms(module, mode), built once for several calls."""
     n = module.size
-    perms = _group_perms(module, mode)
+    if perms is None:
+        perms = _group_perms(module, mode)
     elements = module.elements()
     if space == "elements":
         labels = _closure_labels(perms, n, 1)
@@ -239,13 +241,19 @@ def orbits(module: ExplicitModule, space: Literal["elements", "pairs"] = "elemen
     else:
         raise ValueError(f"unknown space {space!r}")
     reps, counts = np.unique(labels, return_counts=True)
+    ideals: dict[int, OrderIdeal] = {}
+
+    def ideal(i: int) -> OrderIdeal:
+        if i not in ideals:
+            ideals[i] = module.ideal_of(elements[i].tolist())
+        return ideals[i]
+
     out = []
     for rep, size in zip(reps.tolist(), counts.tolist()):
         if space == "elements":
-            out.append(OrbitDescriptor(size, module.ideal_of(elements[rep].tolist())))
+            out.append(OrbitDescriptor(size, ideal(rep)))
         else:
-            out.append(OrbitDescriptor(size, module.ideal_of(elements[rep // n].tolist()),
-                                       module.ideal_of(elements[rep % n].tolist())))
+            out.append(OrbitDescriptor(size, ideal(rep // n), ideal(rep % n)))
     return out
 
 
@@ -261,7 +269,8 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
     ideals = lattice(lam).ideals
     checks = []
 
-    element_orbits = orbits(module, "elements", mode)
+    perms = _group_perms(module, mode)
+    element_orbits = orbits(module, "elements", mode, perms)
     checks.append(_check("element orbit count vs ideal count",
                          len(ideals), len(element_orbits)))
     sizes_by_ideal = {o.ideal: o.size for o in element_orbits}
@@ -269,7 +278,7 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
     checks.append(_check("element orbit sizes vs orbit size formula",
                          _render_map(expected_sizes), _render_map(sizes_by_ideal)))
 
-    pair_orbits = orbits(module, "pairs", mode)
+    pair_orbits = orbits(module, "pairs", mode, perms)
     checks.append(_check("pair orbit count vs n_lambda",
                          int(n_lambda(lam)(p)), len(pair_orbits)))
 

@@ -49,13 +49,16 @@ class CanonicalSplit:
     prime_parts are the maximal points (v_j, k_j) sorted by descending k;
     lambda_dprime is the source shape with one copy of each k_j removed,
     quotient is the shape of the distinguished part modulo the canonical
-    representative, and fiber is k_0 - v_0 (0 for the empty ideal).
+    representative, with the row quotient_rows[j] per prime part
+    (v_j + k_{j+1} - v_{j+1}, and v_j for the last; 0 adds no row), and fiber
+    is k_0 - v_0 (0 for the empty ideal).
     """
 
     prime_parts: tuple[Point, ...]
     lambda_dprime: Partition
     quotient: Partition
     fiber: int
+    quotient_rows: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +79,8 @@ def canonical_split(lam: Partition, I: OrderIdeal) -> CanonicalSplit:
     if pts:
         qparts.append(pts[-1].v)
     quotient = Partition.from_parts(p for p in qparts if p > 0)
-    return CanonicalSplit(pts, lam_dprime, quotient, pts[0].k - pts[0].v if pts else 0)
+    return CanonicalSplit(pts, lam_dprime, quotient, pts[0].k - pts[0].v if pts else 0,
+                          tuple(qparts))
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import NegativeExponent, NonExactDivision
+from .errors import NegativeExponent
 
 Coeff = Union[int, Fraction]
 
@@ -110,30 +110,6 @@ class QPolynomial:
             base = base * base
             n >>= 1
         return result
-
-    def exact_div(self, den: "QPolynomial") -> "QPolynomial":
-        """Divide exactly by den; NonExactDivision on a nonzero remainder."""
-        if not den:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return ZERO
-        rem = list(self.coeffs)
-        d = den.coeffs
-        lead = d[-1]
-        if len(rem) < len(d):
-            raise NonExactDivision(f"{self} not divisible by {den}")
-        quot = [0] * (len(rem) - len(d) + 1)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + len(d) - 1]
-            if c == 0:
-                continue
-            factor = Fraction(c, lead) if lead != 1 else c
-            quot[i] = factor
-            for j, dj in enumerate(d):
-                rem[i + j] -= factor * dj
-        if any(rem):
-            raise NonExactDivision(f"{self} not divisible by {den}")
-        return QPolynomial(quot)
 
     def compose_power(self, d: int) -> "QPolynomial":
         """Substitute q^d for q (coefficient of q^i moves to q^{i*d})."""

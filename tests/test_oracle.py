@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_orbits import max_minus, union
 
+from orbitpairs import oracle
 from orbitpairs.errors import BudgetExceeded
 from orbitpairs.oracle import (PAIR_BUDGET, ExplicitModule, _closure_labels,
                                aut_generators, endo_permutation,
@@ -274,6 +275,28 @@ class TestVerify:
     def test_full_endos_mode(self):
         report = verify(Partition.parse("2,1"), 2, "full-endos")
         assert report["pass"]
+
+    @pytest.mark.parametrize("mode", ["quick", "full-endos"])
+    def test_group_built_once(self, mode, monkeypatch):
+        # Both orbit closures share one list of element permutations.
+        built = []
+        real = oracle._group_perms
+        monkeypatch.setattr(oracle, "_group_perms",
+                            lambda module, m: built.append(m) or real(module, m))
+        assert verify(Partition.parse("2,1"), 2, mode)["pass"]
+        assert built == [mode]
+
+    def test_ideal_read_once_per_element(self, monkeypatch):
+        # Pair orbit representatives share their members: each element's
+        # ideal is read once per closure.
+        read = []
+        real = ExplicitModule.ideal_of
+        monkeypatch.setattr(ExplicitModule, "ideal_of",
+                            lambda module, coords: read.append(tuple(coords))
+                            or real(module, coords))
+        module = ExplicitModule.from_partition(Partition.parse("2,1"), 2)
+        pair_orbits = orbits(module, "pairs")
+        assert len(read) == len(set(read)) < 2 * len(pair_orbits)
 
     def test_odd_characteristic(self):
         assert verify(Partition.parse("2,1"), 3)["pass"]

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from polydiv import exact_div
 
 from orbitpairs import orbits
 from orbitpairs.errors import DegreeMismatch, IdealOutOfContext
@@ -114,7 +115,7 @@ def census_by_cells(lam, I) -> dict[QPolynomial, QPolynomial]:
         for K in lattice(sp.lambda_dprime).ideals:
             a = alpha(lam, I, J, K)
             groups[a] = groups.get(a, ZERO) + x_count(lam, I, J, K)
-    return {a: total.exact_div(a) for a, total in groups.items()}
+    return {a: exact_div(total, a) for a, total in groups.items()}
 
 
 # Random shapes: up to four distinct parts of size at most 5, each with

@@ -3,13 +3,15 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from polydiv import exact_div
 from test_orbits import alpha
 
-from orbitpairs import refined
-from orbitpairs.errors import IdealOutOfContext
+from orbitpairs import orbits, refined
+from orbitpairs.errors import DegreeMismatch, IdealOutOfContext
 from orbitpairs.orbits import (canonical_split, n_lambda, orbit_size,
                                per_ideal_total, x_count)
-from orbitpairs.posets import OrderIdeal, Partition, lattice, partitions_of
+from orbitpairs.posets import (IdealLattice, OrderIdeal, Partition, Point, lattice,
+                               partitions_of)
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO
 from orbitpairs.refined import (coset_count, exact_fiber_count, refined_census,
                                 refined_censuses, refined_matrix, refined_total,
@@ -27,7 +29,7 @@ def refined_by_cells(lam, I, L):
             if cell:
                 a = alpha(lam, I, J, K)
                 groups[a] = groups.get(a, ZERO) + cell
-    return {a: total.exact_div(a) for a, total in groups.items()}
+    return {a: exact_div(total, a) for a, total in groups.items()}
 
 
 def assert_refined_matches_cells(lam):
@@ -62,6 +64,20 @@ def brute_coset_profile(k, a, b, y, p):
         if val(x, k, p) >= a and val(x - y, k, p) >= b:
             counts[val(x, k, p)] += 1
     return counts
+
+
+def s_key(split, L, J):
+    """s_count's arguments for (L, J): the prime parts, L's boundaries on
+    their rows and J's boundaries on the quotient rows."""
+    pts = split.prime_parts
+    return (pts, tuple(L.boundary(pt.k) for pt in pts),
+            tuple(J.boundary(r) for r in split.quotient_rows))
+
+
+def shifted(pts):
+    """The prime parts with their v's shifted down to a last v of 0."""
+    low = pts[-1].v if pts else 0
+    return tuple(Point(v - low, k) for v, k in pts)
 
 
 def brute_s_count(split, L, J, p):
@@ -136,8 +152,14 @@ class TestSCount:
                 for L in lat.ideals:
                     for J in lattice(split.quotient).ideals:
                         expected = brute_s_count(split, L, J, p)
-                        assert s_count(split, L, J)(p) == expected, \
+                        pts, a, b = s_key(split, L, J)
+                        got = s_count(pts, a, b)
+                        assert QPolynomial(got)(p) == expected, \
                             (p, str(lam), str(I), str(L), str(J))
+                        # Untrimmed: the fibers add these lists entry by entry.
+                        assert len(got) == sum(pt.k for pt in pts) + 1
+                        # The count reads the v's only through their differences.
+                        assert s_count(shifted(pts), a, b) == got
 
     def test_context_mismatch(self):
         # s_count trusts its callers; the ideals are checked where they enter.
@@ -164,8 +186,9 @@ class TestFiberAndYCount:
                     resummed = ZERO
                     for Jp in qlat.ideals:
                         if Jp.is_subset_of(J):
-                            resummed = resummed + exact_fiber_count(split, [L], Jp)[0]
-                    assert resummed == s_count(split, L, J)
+                            resummed = resummed + QPolynomial(
+                                exact_fiber_count(split, [L], Jp)[0])
+                    assert resummed == QPolynomial(s_count(*s_key(split, L, J)))
 
     def test_y_count_at_full_module_is_x_count(self):
         for n in range(1, 6):
@@ -176,7 +199,7 @@ class TestFiberAndYCount:
                     for J in lattice(split.quotient).ideals:
                         # The elements in the full module with invariants
                         # (J, K): the exact fiber times K's orbit size.
-                        fiber = exact_fiber_count(split, [top], J)[0]
+                        fiber = QPolynomial(exact_fiber_count(split, [top], J)[0])
                         for K in lattice(split.lambda_dprime).ideals:
                             assert fiber * orbit_size(split.lambda_dprime, K) == \
                                 x_count(lam, I, J, K)
@@ -235,21 +258,62 @@ class TestRefinedCensus:
                 [((I, L), refined_total(lam, I, L)) for I in ideals for L in ideals], str(lam)
 
     def test_matrix_builds_tables_and_fibers_once_per_row(self, monkeypatch):
-        # One key_table call per side (J and K) for each first ideal I and one
-        # exact_fiber_count call per (I, J), however many second ideals L the
-        # row holds.
-        calls = {"key_table": 0, "exact_fiber_count": 0}
-        for name in calls:
-            def counted(*args, _name=name, _f=getattr(refined, name)):
-                calls[_name] += 1
-                return _f(*args)
-            monkeypatch.setattr(refined, name, counted)
+        # At most one key_table call per (mu, side) over the whole matrix, as
+        # its rows share one memo, and one exact_fiber_count call per (I, J),
+        # however many second ideals L the row holds.
+        built = []
+        real_table = orbits.key_table
+        monkeypatch.setattr(orbits, "key_table", lambda lam, mu, points: built.append(
+            (mu, points)) or real_table(lam, mu, points))
+        fibers = []
+        real_fibers = refined.exact_fiber_count
+        monkeypatch.setattr(refined, "exact_fiber_count", lambda *args: fibers.append(
+            args[2]) or real_fibers(*args))
         lam = Partition.parse("2^2,1")
         ideals = lattice(lam).ideals
         refined_matrix(lam)
-        assert calls["key_table"] == 2 * len(ideals)
-        assert calls["exact_fiber_count"] == sum(
-            len(lattice(canonical_split(lam, I).quotient).ideals) for I in ideals)
+        splits = [canonical_split(lam, I) for I in ideals]
+        assert sorted(built, key=str) == sorted(
+            {(sp.quotient, False) for sp in splits} | {(sp.lambda_dprime, True) for sp in splits},
+            key=str)
+        assert len(fibers) == sum(len(lattice(sp.quotient).ideals) for sp in splits)
+
+    def test_matrix_runs_each_kernel_once(self, monkeypatch):
+        # In one matrix, the DP runs once per distinct (prime parts, a, b)
+        # key its fibers need, the v's shifted to a last v of 0, and
+        # mobius_terms once per (mu, ideal).
+        keys, listed = [], []
+        real_s = refined.s_count
+        monkeypatch.setattr(refined, "s_count", lambda *key: keys.append(key) or real_s(*key))
+        real_terms = IdealLattice.mobius_terms
+        monkeypatch.setattr(IdealLattice, "mobius_terms", lambda lat, X: listed.append(
+            (lat.partition, X)) or real_terms(lat, X))
+        lam = Partition.parse("3,2^2,1")
+        ideals = lattice(lam).ideals
+        refined_matrix(lam)
+        expected_keys, expected_terms = set(), {(lam, L) for L in ideals}
+        for I in ideals:
+            sp = canonical_split(lam, I)
+            for J in lattice(sp.quotient).ideals:
+                expected_terms.add((sp.quotient, J))
+                for Jp, _ in real_terms(lattice(sp.quotient), J):
+                    for L in ideals:
+                        for Lp, _ in real_terms(lattice(lam), L):
+                            pts, a, b = s_key(sp, Lp, Jp)
+                            expected_keys.add((shifted(pts), a, b))
+        assert len(keys) == len(set(keys)) and set(keys) == expected_keys
+        assert len(listed) == len(set(listed)) and set(listed) == expected_terms
+
+    def test_negative_power_guard(self, monkeypatch):
+        # Every K one point lighter makes every Laurent key orbit_size(K)/alpha
+        # one power of q short, and some N_alpha has a constant term.
+        real = orbits.key_table
+        monkeypatch.setattr(orbits, "key_table", lambda lam, mu, points: [
+            (b, w - 1 if points else w, f, p) for b, w, f, p in real(lam, mu, points)])
+        with pytest.raises(DegreeMismatch, match="negative power"):
+            refined_matrix(Partition.parse("2,1"))
+        with pytest.raises(DegreeMismatch, match="negative power"):
+            refined_census(Partition.parse("2,1"), OrderIdeal(), OrderIdeal())
 
     def test_census_counts_are_integer_polynomials(self):
         lam = Partition.parse("3,1")
