@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from itertools import chain
 
 from .errors import OrbitPairsError
 from .oracle import verify
@@ -146,19 +147,49 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# Trial division tries every divisor below 2**_TRIAL_BITS.
+_TRIAL_BITS = 16
+
+
+def _iroot(q: int, k: int) -> int:
+    """floor(q ** (1/k)) for q >= 1: the root of q's top bits, shifted up
+    and rounded above, then Newton's method, which falls monotonically from
+    any start at or above the root and stops on it."""
+    s = q.bit_length() // k // 2
+    if not s:
+        r = 1
+        while (r + 1) ** k <= q:
+            r += 1
+        return r
+    x = (_iroot(q >> (k * s), k) + 1) << s
+    while True:
+        y = ((k - 1) * x + q // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _is_prime_power(q: int) -> bool:
-    """q = p**k for a prime p and k >= 1.  The largest k for which q has an
-    exact integer k-th root r is k itself when q = p**k, with r = p."""
+    """q = p**k for a prime p and k >= 1.  The first divisor d > 1 of q that
+    trial division finds is prime, and q must be a power of it.  Past
+    2**_TRIAL_BITS, every prime factor of q is larger, so q = r**k with k > 1
+    needs k <= (bit length - 1) / _TRIAL_BITS; trying prime k suffices, as an
+    r**(a*b) is an (r**b)**a."""
     if q < 2:
         return False
-    for k in range(q.bit_length(), 0, -1):
-        lo, hi = 1, 1 << (q.bit_length() // k + 1)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if mid ** k <= q else (lo, mid - 1)
-        if lo ** k == q:
-            return _is_prime(lo)
-    return False
+    for d in chain((2,), range(3, 1 << _TRIAL_BITS, 2)):
+        if d * d > q:
+            return True
+        if q % d == 0:
+            while q % d == 0:
+                q //= d
+            return q == 1
+    for k in range(2, (q.bit_length() - 1) // _TRIAL_BITS + 1):
+        if _is_prime(k):
+            r = _iroot(q, k)
+            if r ** k == q:
+                return _is_prime_power(r)
+    return _is_prime(q)
 
 
 def cmd_nlambda(args) -> int:

@@ -4,9 +4,15 @@ Builds the module of a given shape over Z/p^k coordinates, closes elements
 (or pairs, diagonally) under a generating set of the automorphism group, and
 compares every orbit statistic against the polynomial formulas evaluated at
 q = p.  The closure works on element permutations only: pairs carry an
-|M| x |M| label array, and no pair permutation is built.  The generator set
-is an engineering construction, so a full-endos mode that enumerates every
-invertible endomorphism acts as the authority on any disagreement.
+|M| x |M| label array, and no pair permutation is built.  The pair closure
+starts from a seed: an element-orbit transversal (a group element per
+element, taking it to its orbit minimum r) and, per orbit, the orbits on M of
+Schreier generators of Stab(r) (Schreier's lemma) give every pair a label in
+its orbit and no larger than its index.  The closure then only certifies
+the seed, so exactness never rests on which Schreier generators were taken.
+The generator set is an engineering construction, so a full-endos mode that
+enumerates every invertible endomorphism acts as the authority on any
+disagreement.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, List, Literal
+from typing import Iterable, Iterator, List, Literal
 
 import numpy as np
 
@@ -26,6 +32,10 @@ from .refined import refined_matrix
 ELEMENT_BUDGET = 2 ** 12
 PAIR_BUDGET = 2 ** 20
 assert PAIR_BUDGET <= 2 ** 31, "closure labels are int32 flat indices"
+assert PAIR_BUDGET <= 2 ** 30, "transversal rows are int16 element indices"
+# Entries per block of the (rows, n) arrays that the pair seed gathers, so
+# that the intp copy of a gather's index stays near 8 * _CHUNK bytes.
+_CHUNK = 2 ** 14
 ENDO_BUDGET = 2 ** 24
 
 
@@ -182,13 +192,19 @@ def invertible_endomorphisms(module: ExplicitModule) -> List[np.ndarray]:
     return perms
 
 
-def _closure_labels(perms: List[np.ndarray], n: int, dims: int) -> np.ndarray:
+def _closure_labels(perms: List[np.ndarray], n: int, dims: int,
+                    start: np.ndarray = None) -> np.ndarray:
     """Orbit labels (minimum flat index per orbit) of {0..n-1}^dims under the
     diagonal action of the element permutations, which must be bijections:
     labels are only pulled forward, along g, g^2, g^4, ... (pointer doubling),
     until constant on each cycle of g.  Pointer jumping follows labels to
-    their labels, and whole rounds repeat until one changes nothing."""
-    labels = np.arange(n ** dims, dtype=np.int32).reshape((n,) * dims)
+    their labels, and whole rounds repeat until one changes nothing.  start,
+    if given, holds int32 labels to begin from instead of the flat indices:
+    each in its point's orbit and at most the point's flat index, so that
+    the loop still ends at the orbit minima."""
+    if start is None:
+        start = np.arange(n ** dims, dtype=np.int32)
+    labels = start.reshape((n,) * dims)
     while True:
         prev = labels
         for step in perms:
@@ -206,6 +222,89 @@ def _closure_labels(perms: List[np.ndarray], n: int, dims: int) -> np.ndarray:
             labels = jumped
         if np.array_equal(labels, prev):
             return labels.ravel()
+
+
+def _blocks(perms: List[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """The permutations of {0..n-1} stacked into arrays of at most _CHUNK
+    entries each (one row at least), built one at a time."""
+    rows = max(1, _CHUNK // n)
+    for i in range(0, len(perms), rows):
+        yield np.array(perms[i:i + rows], dtype=np.intp)
+
+
+def _transversal(perms: List[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Element orbit minima, pulled and jumped as in _closure_labels(perms,
+    n, 1), with a witness per element: row x of the (n, n) int16 array V is
+    a group element, as an element permutation, taking x to its label.  A
+    pull of x's label along step sets V[x] = V[step(x)] o step; a pointer
+    jump from x to its label z sets V[x] = V[z] o V[x].  Rounds repeat until
+    the labels are constant along every generator, checked a block of
+    generators at a time."""
+    labels = np.arange(n)
+    V = np.tile(np.arange(n, dtype=np.int16), (n, 1))
+    chunk = max(1, _CHUNK // n)
+    while True:
+        for step in perms:
+            while True:
+                xs = (labels[step] < labels).nonzero()[0]
+                if not xs.size:
+                    break
+                ys = step[xs]
+                labels[xs] = labels[ys]
+                V[xs] = V[ys][:, step]
+                step = step[step]
+        # Each chunk of rows reads labels and V of one state.
+        xs = (labels[labels] != labels).nonzero()[0]
+        while xs.size:
+            for i in range(0, xs.size, chunk):
+                rows = xs[i:i + chunk]
+                zs = labels[rows]
+                V[rows] = np.take_along_axis(V[zs], V[rows], 1)
+                labels[rows] = labels[zs]
+            xs = (labels[labels] != labels).nonzero()[0]
+        if all((labels[P] == labels).all() for P in _blocks(perms, n)):
+            return labels, V
+
+
+def _pair_seed(perms: List[np.ndarray], n: int) -> np.ndarray:
+    """Start labels for _closure_labels(perms, n, 2), as flat int32 pair
+    indices.  Per element orbit with minimum r, lab_r labels M by the orbits
+    of the subgroup of Stab(r) that the Schreier generators V[g(x)] o g o
+    V[x]^-1, at x = r and at the orbit's largest element, generate for every
+    generator g (Schreier's lemma; every such orbit lies in one orbit of
+    Stab(r)).  The pair (x, y) then gets r*n + lab_r[V[x][y]]: V[x] takes it
+    to (r, V[x][y]), in its orbit, and the label is at most x*n + y, since V[x]
+    is the identity when x = r.  The closure started there only certifies the
+    seed, or finishes it if the sampled generators miss part of Stab(r)."""
+    labels, V = _transversal(perms, n)
+    reps, orbit = np.unique(labels, return_inverse=True)
+    tops = np.zeros(reps.size, dtype=np.intp)
+    np.maximum.at(tops, orbit, np.arange(n))
+    lab = np.empty((reps.size, n), dtype=np.int32)
+    for o, (r, top) in enumerate(zip(reps.tolist(), tops.tolist())):
+        if r == top:
+            # A fixed point's stabilizer is the whole group.
+            lab[o] = labels
+            continue
+        schreier = np.empty((0, n), dtype=np.int16)
+        for x in (r, top):
+            w = np.empty(n, dtype=np.intp)
+            w[V[x]] = np.arange(n)
+            for P in _blocks(perms, n):
+                # Row g is V[g(x)] o g o w, w being V[x]^-1.  Distinct rows
+                # are found by sorting each row's bytes as one key.
+                rows = np.concatenate([schreier, V[P[:, x, None], P[:, w]]])
+                rows = np.ascontiguousarray(rows)
+                _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * n))),
+                                     return_index=True)
+                schreier = rows[first]
+        lab[o] = _closure_labels(list(schreier), n, 1)
+    seed = np.empty((n, n), dtype=np.int32)
+    chunk = max(1, _CHUNK // n)
+    for i in range(0, n, chunk):
+        rows = slice(i, i + chunk)
+        seed[rows] = np.take_along_axis(lab[orbit[rows]], V[rows], 1) + labels[rows, None] * n
+    return seed.ravel()
 
 
 @dataclass
@@ -237,7 +336,7 @@ def orbits(module: ExplicitModule, space: Literal["elements", "pairs"] = "elemen
     elif space == "pairs":
         if n * n > PAIR_BUDGET:
             raise BudgetExceeded(f"pair space {n * n} exceeds budget {PAIR_BUDGET}")
-        labels = _closure_labels(perms, n, 2)
+        labels = _closure_labels(perms, n, 2, _pair_seed(perms, n))
     else:
         raise ValueError(f"unknown space {space!r}")
     reps, counts = np.unique(labels, return_counts=True)

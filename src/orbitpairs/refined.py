@@ -6,7 +6,8 @@ contributes the solutions of one coset condition (v(x) >= a and
 v(x - y) >= b with v(y) known), whose valuation distribution depends only
 on (k, a, b, v(y)).  The program (s_count) reads the submodule L and the
 quotient ideal J only through their boundaries on the coordinates' rows, so
-it runs once per (prime parts, a, b) key, on integer coefficient lists.
+it runs once per (prime parts, a, b) key in a process, on integer
+coefficient lists.
 Two Moebius inversions (one on the quotient context, one on the source
 lattice) then sharpen "at least" constraints to "exactly"; each sums only
 over the nonzero closed-form Moebius terms of its lattice
@@ -96,6 +97,12 @@ def s_count(pts: tuple[Point, ...], a: tuple[int, ...], b: tuple[int, ...]) -> t
     return tuple(total)
 
 
+# s_count's values under their (pts, a, b) keys, the v's of pts shifted down
+# to a last v of 0: kept for the process, so that shapes sharing prime parts
+# share them.
+_S_COUNTS: Dict[tuple, tuple[int, ...]] = {}
+
+
 def _mobius_terms(memo: dict, mu: Partition, X: OrderIdeal) -> list:
     """lattice(mu).mobius_terms(X), listed once per (mu, X) in memo."""
     terms = memo.get((mu, X))
@@ -108,10 +115,9 @@ def exact_fiber_count(split: CanonicalSplit, Ls: Sequence[OrderIdeal], J: OrderI
                       memo: Optional[dict] = None) -> list[list[int]]:
     """Per L in Ls, the elements of the distinguished part in L's submodule whose
     quotient image has invariant exactly J, as coefficients of q**0 .. q**(sum
-    of k_i): s_count Moebius-inverted over the quotient lattice.  memo holds
-    the Moebius terms and s_count's values under their (pts, a, b) keys, with
-    the v's of pts shifted down to a last v of 0; pass one dict to share them
-    between calls."""
+    of k_i): s_count Moebius-inverted over the quotient lattice, its values
+    looked up in _S_COUNTS.  memo holds the Moebius terms; pass one dict to
+    share them between calls."""
     memo = {} if memo is None else memo
     rows = split.quotient_rows
     low = split.prime_parts[-1].v if split.prime_parts else 0
@@ -123,9 +129,9 @@ def exact_fiber_count(split: CanonicalSplit, Ls: Sequence[OrderIdeal], J: OrderI
         a = tuple(L.boundary(p.k) for p in pts)
         acc = [0] * (sum(p.k for p in pts) + 1)
         for mu, b in terms:
-            s = memo.get((pts, a, b))
+            s = _S_COUNTS.get((pts, a, b))
             if s is None:
-                s = memo[pts, a, b] = s_count(pts, a, b)
+                s = _S_COUNTS[pts, a, b] = s_count(pts, a, b)
             acc = list(map(add if mu > 0 else sub, acc, s))
         fibers.append(acc)
     return fibers
@@ -143,8 +149,8 @@ def refined_censuses(lam: Partition, I: OrderIdeal, Ls: Sequence[OrderIdeal],
     has alpha key (|lambda| - s, m'' of K's points outside J) and Laurent key
     orbit_size(K)/alpha = (wK + s - |lambda|, m'' of K's points inside J),
     kept with its exponent shifted up by |lambda|.  memo holds the key tables
-    (orbits._table), the Moebius terms and s_count's values; pass one dict to
-    share them between the rows of one lambda."""
+    (orbits._table) and the Moebius terms; pass one dict to share them
+    between the rows of one lambda."""
     memo = {} if memo is None else memo
     split = canonical_split(lam, I)
     weight = lam.weight

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 import sympy
@@ -27,6 +28,18 @@ class TestPrimePower:
                                                   st.integers(1, 6)))
     def test_matches_factorisation(self, q):
         assert cli._is_prime_power(q) == (q >= 2 and len(sympy.factorint(q)) == 1)
+
+    @pytest.mark.parametrize("q, expected", [
+        (3 ** 40, True), ((2 ** 61 - 1) ** 3, True), (2 ** 61 - 1, True),
+        (6 ** 5, False), (1, False), (0, False)])
+    def test_examples(self, q, expected):
+        assert cli._is_prime_power(q) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2 ** 400), st.integers(1, 40))
+    def test_integer_root(self, q, k):
+        r = cli._iroot(q, k)
+        assert r ** k <= q < (r + 1) ** k
 
     def test_strong_pseudoprimes_are_composite(self):
         # Carmichael numbers and the least strong pseudoprimes to the first
@@ -64,6 +77,13 @@ class TestNLambda:
             code, out, err = run(capsys, "nlambda", "2,1", "--at", q, *fmt)
             assert code == 1
             assert "error:" in err and "prime power" in err and out == ""
+
+    def test_at_huge_composite_is_fast_exit_1(self, capsys):
+        # 10**4000 + 1 has 4001 digits and least prime factor 19841.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nlambda", "2,1", "--at", str(10 ** 4000 + 1))
+        assert time.perf_counter() - start < 1
+        assert code == 1 and "prime power" in err and out == ""
 
     def test_at_prime_powers(self, capsys):
         # q^2 + 5q + 5 at prime powers, including a 61-bit prime.

@@ -10,6 +10,7 @@ from test_orbits import max_minus, union
 from orbitpairs import oracle
 from orbitpairs.errors import BudgetExceeded
 from orbitpairs.oracle import (PAIR_BUDGET, ExplicitModule, _closure_labels,
+                               _group_perms, _pair_seed, _transversal,
                                aut_generators, endo_permutation,
                                invertible_endomorphisms, orbits, valuation,
                                verify)
@@ -70,18 +71,18 @@ INVOLUTION_SETS = st.integers(2, 40).flatmap(lambda n: st.tuples(
                                    st.integers(0, n // 2)), min_size=1, max_size=4)))
 
 
-def closure_within(seconds: float, perms, n: int, dims: int) -> np.ndarray:
+def closure_within(seconds: float, perms, n: int, dims: int, start=None) -> np.ndarray:
     """`_closure_labels`, raising TimeoutError after `seconds`: a wrong
     stopping rule loops forever, and a hang should fail, not stall, a test."""
     if not hasattr(signal, "setitimer"):
-        return _closure_labels(perms, n, dims)
+        return _closure_labels(perms, n, dims, start)
 
     def expire(signum, frame):
         raise TimeoutError(f"closure did not terminate within {seconds} s")
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        return _closure_labels(perms, n, dims)
+        return _closure_labels(perms, n, dims, start)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
@@ -139,6 +140,62 @@ class TestClosure:
         # Labels are flat pair indices, all below PAIR_BUDGET.
         labels = _closure_labels([], 2, 2)
         assert np.iinfo(labels.dtype).max >= PAIR_BUDGET - 1
+
+
+class TestPairSeed:
+    """`_pair_seed` against a union-find over the generator edges: every seed
+    label lies in its pair's orbit and is at most the pair's flat index, so
+    the closure started there ends at the same minima."""
+
+    def check(self, perms, n):
+        expected = union_find_labels(perms, n, 2)
+        seed = _pair_seed(perms, n)
+        assert seed.shape == (n * n,) and seed.dtype == np.int32
+        for i, s in enumerate(seed.tolist()):
+            assert s <= i and expected[s] == expected[i], (i, s)
+        labels, V = _transversal(perms, n)
+        assert labels.tolist() == union_find_labels(perms, n, 1)
+        assert V[np.arange(n), np.arange(n)].tolist() == labels.tolist()
+        assert closure_within(5, perms, n, 2, seed).tolist() == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(PERM_SETS)
+    def test_random_permutations(self, case):
+        self.check(case[1], case[0])
+
+    @settings(deadline=None, max_examples=60)
+    @given(INVOLUTION_SETS)
+    def test_random_involutions(self, case):
+        self.check(case[1], case[0])
+
+    def test_no_generators(self):
+        self.check([], 5)
+        assert _pair_seed([], 5).tolist() == list(range(25))
+
+    def test_one_long_cycle(self):
+        self.check([np.roll(np.arange(40), 1)], 40)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_blocks_of_one_row(self, chunk, monkeypatch):
+        # Generator blocks, pointer-jump chunks and seed chunks of one or a
+        # few rows give the same labels as whole arrays.
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for n, k in [(6, 9), (12, 5), (20, 3)]:
+            self.check([rng.permutation(n) for _ in range(k)], n)
+        m = ExplicitModule.from_partition(Partition.parse("2,1"), 2)
+        self.check(_group_perms(m, "full-endos"), m.size)
+
+    def test_seed_is_final_on_verify_grid(self):
+        # On every module of the benchmark's verify grid, the Schreier
+        # generators at each orbit's smallest and largest element already
+        # give every pair its orbit minimum: the closure only certifies.
+        for p, top in [(3, 5), (5, 4)]:
+            for lam in (lam for m in range(1, top + 1) for lam in partitions_of(m)):
+                m = ExplicitModule.from_partition(lam, p)
+                perms = _group_perms(m, "quick")
+                seed = _pair_seed(perms, m.size)
+                assert np.array_equal(seed, _closure_labels(perms, m.size, 2)), (str(lam), p)
 
 
 class TestPrimitives:

@@ -279,11 +279,12 @@ class TestRefinedCensus:
         assert len(fibers) == sum(len(lattice(sp.quotient).ideals) for sp in splits)
 
     def test_matrix_runs_each_kernel_once(self, monkeypatch):
-        # In one matrix, the DP runs once per distinct (prime parts, a, b)
-        # key its fibers need, the v's shifted to a last v of 0, and
-        # mobius_terms once per (mu, ideal).
+        # From a cold kernel cache, one matrix runs the DP once per distinct
+        # (prime parts, a, b) key its fibers need, the v's shifted to a last
+        # v of 0, and mobius_terms once per (mu, ideal).
         keys, listed = [], []
         real_s = refined.s_count
+        monkeypatch.setattr(refined, "_S_COUNTS", {})
         monkeypatch.setattr(refined, "s_count", lambda *key: keys.append(key) or real_s(*key))
         real_terms = IdealLattice.mobius_terms
         monkeypatch.setattr(IdealLattice, "mobius_terms", lambda lat, X: listed.append(
@@ -303,6 +304,20 @@ class TestRefinedCensus:
                             expected_keys.add((shifted(pts), a, b))
         assert len(keys) == len(set(keys)) and set(keys) == expected_keys
         assert len(listed) == len(set(listed)) and set(listed) == expected_terms
+
+    def test_kernel_values_shared_across_matrices(self, monkeypatch):
+        # The kernel cache outlives a matrix: (2^2, 1) needs only keys that
+        # (3, 2^2, 1) already ran, and a repeated matrix runs no DP at all.
+        runs = []
+        real_s = refined.s_count
+        monkeypatch.setattr(refined, "_S_COUNTS", {})
+        monkeypatch.setattr(refined, "s_count", lambda *key: runs.append(key) or real_s(*key))
+        first = refined_matrix(Partition.parse("3,2^2,1"))
+        ran = len(runs)
+        assert ran == len(refined._S_COUNTS) > 0
+        assert refined_matrix(Partition.parse("3,2^2,1")) == first
+        refined_matrix(Partition.parse("2^2,1"))
+        assert len(runs) == ran
 
     def test_negative_power_guard(self, monkeypatch):
         # Every K one point lighter makes every Laurent key orbit_size(K)/alpha
