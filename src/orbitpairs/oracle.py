@@ -10,6 +10,7 @@ element, taking it to its orbit minimum r) and, per orbit, the orbits on M of
 Schreier generators of Stab(r) (Schreier's lemma) give every pair a label in
 its orbit and no larger than its index.  The closure then only certifies
 the seed, so exactness never rests on which Schreier generators were taken.
+verify builds the transversal once: its labels are also the element orbits.
 The generator set is an engineering construction, so a full-endos mode that
 enumerates every invertible endomorphism acts as the authority on any
 disagreement.
@@ -266,9 +267,11 @@ def _transversal(perms: List[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarra
             return labels, V
 
 
-def _pair_seed(perms: List[np.ndarray], n: int) -> np.ndarray:
+def _pair_seed(perms: List[np.ndarray], n: int,
+               transversal: tuple[np.ndarray, np.ndarray] = None) -> np.ndarray:
     """Start labels for _closure_labels(perms, n, 2), as flat int32 pair
-    indices.  Per element orbit with minimum r, lab_r labels M by the orbits
+    indices, from transversal = _transversal(perms, n), built here if not
+    given.  Per element orbit with minimum r, lab_r labels M by the orbits
     of the subgroup of Stab(r) that the Schreier generators V[g(x)] o g o
     V[x]^-1, at x = r and at the orbit's largest element, generate for every
     generator g (Schreier's lemma; every such orbit lies in one orbit of
@@ -276,7 +279,7 @@ def _pair_seed(perms: List[np.ndarray], n: int) -> np.ndarray:
     to (r, V[x][y]), in its orbit, and the label is at most x*n + y, since V[x]
     is the identity when x = r.  The closure started there only certifies the
     seed, or finishes it if the sampled generators miss part of Stab(r)."""
-    labels, V = _transversal(perms, n)
+    labels, V = _transversal(perms, n) if transversal is None else transversal
     reps, orbit = np.unique(labels, return_inverse=True)
     tops = np.zeros(reps.size, dtype=np.intp)
     np.maximum.at(tops, orbit, np.arange(n))
@@ -321,22 +324,28 @@ def _group_perms(module: ExplicitModule, mode: str) -> List[np.ndarray]:
     return [endo_permutation(module, g, elements) for g in aut_generators(module)]
 
 
+def _check_pair_budget(module: ExplicitModule):
+    if module.size ** 2 > PAIR_BUDGET:
+        raise BudgetExceeded(f"pair space {module.size ** 2} exceeds budget {PAIR_BUDGET}")
+
+
 def orbits(module: ExplicitModule, space: Literal["elements", "pairs"] = "elements",
-           mode: str = "quick", perms: List[np.ndarray] = None) -> List[OrbitDescriptor]:
+           mode: str = "quick", perms: List[np.ndarray] = None,
+           transversal: tuple[np.ndarray, np.ndarray] = None) -> List[OrbitDescriptor]:
     """Orbit decomposition of the module (or of pairs under the diagonal
     action, closed on the element permutations), annotated with the
     invariant ideal(s) of the orbit's smallest index.  perms, if given, are
-    _group_perms(module, mode), built once for several calls."""
+    _group_perms(module, mode), and transversal _transversal(perms, |M|),
+    built once for several calls: its labels are the element orbits."""
     n = module.size
     if perms is None:
         perms = _group_perms(module, mode)
     elements = module.elements()
     if space == "elements":
-        labels = _closure_labels(perms, n, 1)
+        labels = _closure_labels(perms, n, 1) if transversal is None else transversal[0]
     elif space == "pairs":
-        if n * n > PAIR_BUDGET:
-            raise BudgetExceeded(f"pair space {n * n} exceeds budget {PAIR_BUDGET}")
-        labels = _closure_labels(perms, n, 2, _pair_seed(perms, n))
+        _check_pair_budget(module)
+        labels = _closure_labels(perms, n, 2, _pair_seed(perms, n, transversal))
     else:
         raise ValueError(f"unknown space {space!r}")
     reps, counts = np.unique(labels, return_counts=True)
@@ -369,7 +378,10 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
     checks = []
 
     perms = _group_perms(module, mode)
-    element_orbits = orbits(module, "elements", mode, perms)
+    # One transversal serves both calls; the pair budget bounds its (n, n) V.
+    _check_pair_budget(module)
+    transversal = _transversal(perms, module.size)
+    element_orbits = orbits(module, "elements", mode, perms, transversal)
     checks.append(_check("element orbit count vs ideal count",
                          len(ideals), len(element_orbits)))
     sizes_by_ideal = {o.ideal: o.size for o in element_orbits}
@@ -377,7 +389,7 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
     checks.append(_check("element orbit sizes vs orbit size formula",
                          _render_map(expected_sizes), _render_map(sizes_by_ideal)))
 
-    pair_orbits = orbits(module, "pairs", mode, perms)
+    pair_orbits = orbits(module, "pairs", mode, perms, transversal)
     checks.append(_check("pair orbit count vs n_lambda",
                          int(n_lambda(lam)(p)), len(pair_orbits)))
 

@@ -27,7 +27,16 @@ division.  Three guards stand in for the mass check and exact division:
 - alpha divides its group total iff N_alpha, the group's Laurent sum, has no
   negative power, as alpha is monic.
 
-orbit_census expands the alpha keys; n_lambda adds every group of every I.
+Two paths run all three.  census_groups, under orbit_census and
+per_ideal_total (the census and verify commands), loops over one I's cells
+in Python on key tables built per call by key_table, which refined shares.
+n_lambda sums every cell of every I of a shape in one numpy batch
+(_laurent_total) on arrays that ideal_arrays builds once per mu and process:
+the weight identity is checked per I, the mass check once per mu, alpha's
+exponent and that of x/alpha against their factors' sums per cell, and the
+negative powers per (I, alpha) over the cells whose Laurent key reaches
+below q**0, the only ones that can leave one.  n_lambda then checks that the total is monic of degree lambda_1 with
+integer coefficients.
 """
 
 from __future__ import annotations
@@ -35,9 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
-from typing import Dict, MutableMapping, Optional
+from typing import Dict, MutableMapping, NamedTuple, Optional
 
-from .errors import DegreeMismatch
+import numpy as np
+
+from .errors import BudgetExceeded, DegreeMismatch
 from .posets import OrderIdeal, Partition, Point, lattice, require_context
 from .qpoly import QPolynomial, laurent_product, monomial
 
@@ -112,12 +123,18 @@ def key_table(lam: Partition, mu: Partition, points: bool) -> list:
             if points else None
         table.append((tuple(m * X.boundary(k) for k, m in lam.pairs), X.weighted_size(mu),
                       tuple(sorted(mu.mult(k) for _, k in X.max_points)), pts))
+    _check_mass(mu, [(w, f) for _, w, f, _ in table])
+    return table
+
+
+def _check_mass(mu: Partition, keys: list):
+    """Raise unless the orbit-size keys (weighted size, sorted factors) of
+    lattice(mu) sum to q**|mu|."""
     mass = [0] * (mu.weight + 1)
-    for _, w, f, _ in table:
+    for w, f in keys:
         mass[:w + 1] = map(add, mass[:w + 1], _alpha_core(w, f).coeffs)
     if mass != [0] * mu.weight + [1]:
         raise DegreeMismatch(f"orbit sizes of lattice({mu}) sum to {QPolynomial(mass)}")
-    return table
 
 
 def _table(tables: dict, lam: Partition, mu: Partition, points: bool) -> list:
@@ -199,6 +216,200 @@ def per_ideal_total(lam: Partition, I: OrderIdeal) -> QPolynomial:
     return sum(orbit_census(lam, I).values(), QPolynomial())
 
 
+class IdealArrays(NamedTuple):
+    """lattice(mu) as arrays, one row per ideal in lattice order: its maximal
+    points (v, k) with their orbit-size factors m_k in mu, padded to mu's
+    row count with v = _FAR, k = 0 and m = 0, and its weighted size."""
+
+    v: np.ndarray
+    k: np.ndarray
+    m: np.ndarray
+    w: np.ndarray
+
+
+# A padded point's boundary candidate v + max(0, r - k) lies past every row r.
+_FAR = 1 << 32
+_INT64_MAX = 2 ** 63 - 1
+
+
+def ideal_arrays(mu: Partition) -> IdealArrays:
+    """The arrays of lattice(mu); its orbit sizes must sum to q**|mu|."""
+    width = len(mu.pairs)
+    vs, ks, ms, keys = [], [], [], []
+    for X in lattice(mu).ideals:
+        pts = X.max_points
+        f = [mu.mult(p.k) for p in pts]
+        pad = [0] * (width - len(pts))
+        vs.append([p.v for p in pts] + [_FAR] * len(pad))
+        ks.append([p.k for p in pts] + pad)
+        ms.append(f + pad)
+        keys.append((X.weighted_size(mu), tuple(sorted(f))))
+    _check_mass(mu, keys)
+    shape = (len(keys), width)
+    return IdealArrays(*(np.array(a, dtype=np.int64).reshape(shape) for a in (vs, ks, ms)),
+                       np.array([w for w, _ in keys], dtype=np.int64))
+
+
+# ideal_arrays(mu) under mu, kept for the process like refined._S_COUNTS, so
+# that the shapes of one process build each mu's arrays once.
+_IDEAL_ARRAYS: Dict[Partition, IdealArrays] = {}
+
+
+def _int64(bound: int, what: str, lam: Partition):
+    if bound > _INT64_MAX:
+        raise BudgetExceeded(f"{what} of n_lambda({lam}) reach {bound}, past int64")
+
+
+class _Codes(NamedTuple):
+    """Factor multisets of one shape as radix codes: digit r counts the
+    factor values[r], values rising, and codes below span."""
+
+    radix: int
+    values: list
+
+    @property
+    def span(self) -> int:
+        return self.radix ** len(self.values)
+
+    def factors(self, code: int) -> tuple[int, ...]:
+        out: list[int] = []
+        for m in self.values:
+            code, c = divmod(code, self.radix)
+            out += [m] * c
+        return tuple(out)
+
+
+def _laurent_total(lam: Partition) -> list[int]:
+    """Coefficients of n_lambda: the Laurent keys x/alpha of every cell
+    (I, J, K) of census_groups, summed in one numpy batch.
+
+    Every quotient and lambda'' of lambda's first ideals contributes its
+    ideal_arrays once; one broadcast gives their boundaries on lambda's rows.
+    The cells are index arrays into those rows, and factor multisets are
+    radix codes: digit r counts the r-th smallest factor value of the shape,
+    and the radix exceeds J's points plus K's, so codes add as multisets do.
+    Every key and code is checked to fit in int64 before it is formed, and
+    the coefficients are summed as Python ints."""
+    weight = lam.weight
+    ideals = lattice(lam).ideals
+    index: Dict[Partition, int] = {}
+    firsts = []
+    for I in ideals:
+        sp = canonical_split(lam, I)
+        if sp.fiber + sp.quotient.weight + sp.lambda_dprime.weight != weight:
+            raise DegreeMismatch(f"split of ({lam}; {I}) does not partition the module")
+        firsts.append((sp.fiber, index.setdefault(sp.quotient, len(index)),
+                       index.setdefault(sp.lambda_dprime, len(index))))
+    parts = []
+    for mu in index:
+        arrays = _IDEAL_ARRAYS.get(mu)
+        if arrays is None:
+            arrays = _IDEAL_ARRAYS[mu] = ideal_arrays(mu)
+        parts.append(arrays)
+
+    # One row per ideal of every mu, padded to the widest antichain.
+    sizes = np.array([len(a.w) for a in parts])
+    starts = np.cumsum(sizes) - sizes
+    width = max(a.v.shape[1] for a in parts)
+    pv = np.full((int(sizes.sum()), width), _FAR, dtype=np.int64)
+    pk = np.zeros_like(pv)
+    pm = np.zeros_like(pv)
+    for a, st in zip(parts, starts.tolist()):
+        block = slice(st, st + len(a.w))
+        pv[block, :a.v.shape[1]] = a.v
+        pk[block, :a.k.shape[1]] = a.k
+        pm[block, :a.m.shape[1]] = a.m
+    w = np.concatenate([a.w for a in parts])
+    rows = np.array(lam.rows, dtype=np.int64)
+    bound = np.minimum((pv[:, :, None] + np.maximum(rows - pk[:, :, None], 0)).min(
+        1, initial=_FAR), rows)
+    scaled = bound * np.array([m for _, m in lam.pairs], dtype=np.int64)
+    where = np.zeros(lam.largest + 1, dtype=np.int64)
+    where[rows] = np.arange(rows.size)
+    point_row = where[pk]  # read for K's points only, which lie on rows of lambda
+
+    values, rank = np.unique(pm, return_inverse=True)
+    codes = _Codes(2 * width + 1, values[values > 0].tolist())
+    span = codes.span
+    _int64(span - 1, "factor codes", lam)
+    digit = np.array([0] * (values.size - len(codes.values)) +
+                     [codes.radix ** r for r in range(len(codes.values))], dtype=np.int64)
+    point_code = digit[rank.reshape(pm.shape)]
+    code, sf = point_code.sum(1), pm.sum(1)
+
+    # Cells, I outer, then J, then K.
+    fiber, jmu, kmu = np.array(firsts, dtype=np.int64).T
+    counts = sizes[jmu] * sizes[kmu]
+    first, j0, k0, nk, off = np.repeat(np.stack(
+        [np.arange(len(ideals)), starts[jmu], starts[kmu], sizes[kmu],
+         np.cumsum(counts) - counts]), counts, axis=1)
+    t = np.arange(off.size) - off
+    J, K = j0 + t // nk, k0 + t % nk
+    s = np.minimum(scaled[J], scaled[K]).sum(1)
+    inside = bound[J[:, None], point_row[K]] <= pv[K]
+    in_code = (point_code[K] * inside).sum(1)
+    in_sf = (pm[K] * inside).sum(1)
+    ea, a_code, a_sf = weight - s, code[K] - in_code, sf[K] - in_sf
+    e, l_code, l_sf = fiber[first] + w[J] + w[K] + s, code[J] + in_code, sf[J] + in_sf
+
+    def akey(c: int) -> tuple:
+        return int(ea[c]), codes.factors(int(a_code[c]))
+
+    bad = (ea < a_sf).nonzero()[0]
+    if bad.size:
+        raise DegreeMismatch(f"alpha key {akey(bad[0])} of ({lam}; {ideals[first[bad[0]]]})"
+                             f" is no polynomial")
+    low = e - l_sf  # lowest shifted power of the cell's Laurent key
+    bad = (low < 0).nonzero()[0]
+    if bad.size:
+        raise _negative_power(lam, ideals[first[bad[0]]], akey(bad[0]))
+    _check_groups(lam, ideals, codes, (low < weight).nonzero()[0], first, ea, a_code, l_code,
+                  low, l_sf)
+
+    top = int(e.max())
+    _int64((top + 1) * span - 1, "packed Laurent keys", lam)
+    keys, counts = np.unique(e * span + l_code, return_counts=True)
+    total = [0] * (top + 1)  # coefficient i stands for q**(i - |lambda|)
+    for key, c in zip(keys.tolist(), counts.tolist()):
+        hi, lcode = divmod(key, span)
+        f = codes.factors(lcode)
+        lo = hi - sum(f)
+        total[lo:hi + 1] = [a + c * b for a, b in zip(total[lo:hi + 1],
+                                                       _alpha_core(sum(f), f).coeffs)]
+    return total[weight:]
+
+
+def _check_groups(lam, ideals, codes, cells, first, ea, a_code, l_code, low, l_sf):
+    """Raise _negative_power unless every (I, alpha) group's Laurent sum has
+    no negative power.  Only the cells whose key reaches below q**0 can
+    leave one, so only those are grouped and summed."""
+    if not cells.size:
+        return
+    weight = lam.weight
+    span = codes.span
+    _int64(len(ideals) * (weight + 1) * span - 1, "(I, alpha) keys", lam)
+    groups, gid = np.unique((first[cells] * (weight + 1) + ea[cells]) * span + a_code[cells],
+                            return_inverse=True)
+    keys, cid = np.unique(l_code[cells], return_inverse=True)
+    table = [_alpha_core(sum(f), f).coeffs for f in map(codes.factors, keys.tolist())]
+    _int64(cells.size * max(abs(b) for cs in table for b in cs), "N_alpha coefficients", lam)
+    expansions = np.zeros((len(table), max(map(len, table))), dtype=np.int64)
+    for row, cs in zip(expansions, table):
+        row[:len(cs)] = cs
+    # Entry j of a cell is its key's power low + j, while below q**0.
+    low = low[cells]
+    n = np.minimum(l_sf[cells], weight - 1 - low) + 1
+    cell = np.repeat(np.arange(cells.size), n)
+    j = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
+    acc = np.zeros((groups.size, weight), dtype=np.int64)
+    np.add.at(acc, (gid[cell], low[cell] + j), expansions[cid[cell], j])
+    bad = acc.any(1).nonzero()[0]
+    if bad.size:
+        rest, acode = divmod(int(groups[bad[0]]), span)
+        i, a = divmod(rest, weight + 1)
+        raise _negative_power(lam, ideals[i], (a, codes.factors(acode)))
+
+
 _N_LAMBDA: Dict[Partition, QPolynomial] = {}
 
 
@@ -219,12 +430,7 @@ def n_lambda(lam: Partition,
         cached = store.get(capped)
         if cached is not None:
             return cached
-    coeffs = [0] * (capped.weight + 1)
-    tables: dict = {}
-    for I in lattice(capped).ideals:
-        for group in census_groups(capped, I, tables).values():
-            coeffs = list(map(add, coeffs, group))
-    total = QPolynomial(coeffs)
+    total = QPolynomial(_laurent_total(capped))
     if capped and (not total.is_monic() or total.degree != capped.largest
                    or not total.is_integer_coefficients()):
         raise DegreeMismatch(f"n_lambda({lam}) = {total} fails monic/degree check")

@@ -343,6 +343,31 @@ class TestVerify:
         assert verify(Partition.parse("2,1"), 2, mode)["pass"]
         assert built == [mode]
 
+    @pytest.mark.parametrize("mode", ["quick", "full-endos"])
+    def test_element_labels_computed_once(self, mode, monkeypatch):
+        # One transversal gives the element orbits and seeds the pairs; the
+        # group's own closure then runs once, on pairs.
+        groups, transversals, closures = [], [], []
+        real_group, real_transversal = oracle._group_perms, oracle._transversal
+        real_closure = oracle._closure_labels
+        monkeypatch.setattr(oracle, "_group_perms",
+                            lambda module, m: groups.append(real_group(module, m)) or groups[-1])
+        monkeypatch.setattr(oracle, "_transversal", lambda perms, n: transversals.append(
+            perms is groups[0]) or real_transversal(perms, n))
+        monkeypatch.setattr(oracle, "_closure_labels", lambda perms, n, dims, start=None: (
+            perms is groups[0] and closures.append(dims)) or real_closure(perms, n, dims, start))
+        assert verify(Partition.parse("2,1"), 3, mode)["pass"]
+        assert transversals == [True]
+        assert closures == [2]
+
+    def test_pair_budget_checked_before_transversal(self, monkeypatch):
+        # |M| = 4096 fits the element budget, but its (|M|, |M|) transversal
+        # table is not built: the pair space is over budget.
+        monkeypatch.setattr(oracle, "_transversal",
+                            lambda perms, n: pytest.fail("transversal built"))
+        with pytest.raises(BudgetExceeded, match="pair space"):
+            verify(Partition.parse("2^6"), 2)
+
     def test_ideal_read_once_per_element(self, monkeypatch):
         # Pair orbit representatives share their members: each element's
         # ideal is read once per closure.

@@ -1,13 +1,15 @@
 import dataclasses
+import itertools
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from polydiv import exact_div
 
 from orbitpairs import orbits
-from orbitpairs.errors import DegreeMismatch, IdealOutOfContext
+from orbitpairs.errors import BudgetExceeded, DegreeMismatch, IdealOutOfContext
 from orbitpairs.orbits import (canonical_split, n_lambda, orbit_census,
                                orbit_size, per_ideal_total, x_count)
 from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
@@ -365,6 +367,14 @@ def n_lambda_by_cells(lam) -> QPolynomial:
                ZERO)
 
 
+def patch_ideal_arrays(monkeypatch, change):
+    """Pass n_lambda's ideal arrays through change, kept in a fresh per-mu
+    dict that the test's end discards."""
+    monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
+    real = orbits.ideal_arrays
+    monkeypatch.setattr(orbits, "ideal_arrays", lambda mu: change(real(mu)))
+
+
 class TestCensusGroups:
     def test_n_lambda_matches_cells(self):
         for lam in {lam.cap(2) for n in range(1, 10) for lam in partitions_of(n)}:
@@ -377,20 +387,33 @@ class TestCensusGroups:
         for lam in shapes:
             assert n_lambda(lam, cap=False) == n_lambda_by_cells(lam), str(lam)
 
+    def test_batch_matches_grouped_census(self):
+        # The batch sums every cell's Laurent key at once; the grouped census
+        # divides per (I, alpha).  Criterion 7 runs cap=False with
+        # multiplicities above two, which the factor codes must hold.
+        def grouped(lam):
+            return sum((per_ideal_total(lam, I) for I in lattice(lam).ideals), ZERO)
+
+        for lam in {lam.cap(2) for n in range(1, 13) for lam in partitions_of(n)}:
+            assert n_lambda(lam, {}) == grouped(lam), str(lam)
+        for lam in (lam for n in range(1, 9) for lam in partitions_of(n)):
+            assert n_lambda(lam, cap=False) == grouped(lam), str(lam)
+        assert n_lambda(Partition(), {}) == grouped(Partition()) == ONE
+
     def test_tables_built_once_per_context(self, monkeypatch):
-        # n_lambda builds each key table once per (mu, side) over all its
-        # first ideals.
+        # n_lambda builds the ideal arrays of each quotient and lambda'' once
+        # per process, over all its first ideals and later calls.
+        monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
         built = []
-        real = orbits.key_table
-        monkeypatch.setattr(orbits, "key_table",
-                            lambda lam, mu, points: built.append((mu, points))
-                            or real(lam, mu, points))
+        real = orbits.ideal_arrays
+        monkeypatch.setattr(orbits, "ideal_arrays", lambda mu: built.append(mu) or real(mu))
         lam = Partition.parse("4,3^2,2,1")
         n_lambda(lam, {})
         splits = [canonical_split(lam, I) for I in lattice(lam).ideals]
-        expected = {(sp.quotient, False) for sp in splits} | \
-            {(sp.lambda_dprime, True) for sp in splits}
+        expected = {sp.quotient for sp in splits} | {sp.lambda_dprime for sp in splits}
         assert sorted(built, key=str) == sorted(expected, key=str)
+        n_lambda(lam, {})
+        assert len(built) == len(expected)
 
     def test_weight_identity_guard(self, monkeypatch):
         real = orbits.canonical_split
@@ -402,6 +425,7 @@ class TestCensusGroups:
     def test_table_mass_guard(self, monkeypatch):
         # A lattice missing its last ideal leaves its orbit sizes short of
         # q**|mu|.
+        monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
         real = orbits.lattice
         monkeypatch.setattr(orbits, "lattice",
                             lambda mu: SimpleNamespace(ideals=real(mu).ideals[:-1]))
@@ -409,21 +433,40 @@ class TestCensusGroups:
             n_lambda(Partition.parse("2,1"), {})
 
     def test_negative_power_guard(self, monkeypatch):
-        # Every K one point lighter makes every x/alpha key one power of q
-        # short, and some N_alpha has a constant term.
-        real = orbits.key_table
-        monkeypatch.setattr(orbits, "key_table", lambda lam, mu, points: [
-            (b, w - 1 if points else w, f, p) for b, w, f, p in real(lam, mu, points)])
+        # Every orbit size with a factor q divided by q: each cell's Laurent
+        # key keeps its exponent at least its factors' sum, but the cells of
+        # some (I, alpha) no longer sum to a polynomial.
+        patch_ideal_arrays(monkeypatch, lambda a: a._replace(w=a.w - (a.w > a.m.sum(1))))
         with pytest.raises(DegreeMismatch, match="negative power"):
             n_lambda(Partition.parse("2,1"), {})
+        # Every K one point lighter makes every x/alpha key one power of q
+        # short in the grouped census.
+        real_table = orbits.key_table
+        monkeypatch.setattr(orbits, "key_table", lambda lam, mu, points: [
+            (b, w - 1 if points else w, f, p) for b, w, f, p in real_table(lam, mu, points)])
         with pytest.raises(DegreeMismatch, match="negative power"):
             orbit_census(Partition.parse("2,1"), OrderIdeal())
 
+    def test_cell_exponent_guard(self, monkeypatch):
+        # Every orbit size far too light: some cell's Laurent key has an
+        # exponent below its factors' sum.
+        patch_ideal_arrays(monkeypatch, lambda a: a._replace(w=a.w - 10))
+        with pytest.raises(DegreeMismatch, match="negative power"):
+            n_lambda(Partition.parse("2,1"), {})
+
     def test_alpha_key_guard(self, monkeypatch):
         # Factors heavier than the exponent: alpha would not be a polynomial.
-        real = orbits.key_table
-        monkeypatch.setattr(orbits, "key_table", lambda lam, mu, points: [
-            (b, w, f, p and [(m + lam.weight, i, v) for m, i, v in p])
-            for b, w, f, p in real(lam, mu, points)])
+        patch_ideal_arrays(monkeypatch, lambda a: a._replace(m=a.m + 100 * (a.m > 0)))
         with pytest.raises(DegreeMismatch, match="no polynomial"):
             n_lambda(Partition.parse("2,1"), {})
+
+    def test_wide_keys_widen_or_raise(self, monkeypatch):
+        # A radix digit per factor value present: 1^70's factors 69 and 70
+        # take two digits, not seventy.
+        assert n_lambda(Partition([(1, 70)]), cap=False) == Q + 3
+        # One factor value per point: too many digits for int64 is an error.
+        fresh = itertools.count(1, 100)
+        patch_ideal_arrays(monkeypatch, lambda a: a._replace(m=np.where(
+            a.m > 0, next(fresh) + np.arange(a.m.size).reshape(a.m.shape), 0)))
+        with pytest.raises(BudgetExceeded, match="past int64"):
+            n_lambda(Partition.parse("4,3,2,1"), {})
