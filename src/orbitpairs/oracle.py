@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, List, Literal
 import numpy as np
 
 from .errors import BudgetExceeded
-from .orbits import n_lambda, orbit_census, orbit_size
+from .orbits import n_lambda, orbit_censuses, orbit_size
 from .posets import OrderIdeal, Partition, Point, lattice
 from .refined import refined_matrix
 
@@ -318,6 +318,8 @@ class OrbitDescriptor:
 
 
 def _group_perms(module: ExplicitModule, mode: str) -> List[np.ndarray]:
+    if mode not in ("quick", "full-endos"):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "full-endos":
         return invertible_endomorphisms(module)
     elements = module.elements()
@@ -394,9 +396,9 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
                          int(n_lambda(lam)(p)), len(pair_orbits)))
 
     expected_multiset: dict[int, int] = {}
-    for I in ideals:
+    for I, census in zip(ideals, orbit_censuses(lam, ideals)):
         scale = orbit_size(lam, I)(p)
-        for a, cnt in orbit_census(lam, I).items():
+        for a, cnt in census.items():
             size = int(a(p)) * int(scale)
             expected_multiset[size] = expected_multiset.get(size, 0) + int(cnt(p))
     actual_multiset: dict[int, int] = {}

@@ -16,7 +16,7 @@ valuation exactly v.  x_count is the fiber q**(k_0 - v_0) times the orbit
 sizes of J and K, so alpha's factors are a sub-multiset of x_count's and
 x/alpha is again a key, with factors J's plus those of K's points inside J:
 a Laurent polynomial, as its exponent may fall below its factors' sum.
-census_groups sums these Laurent keys per alpha into N_alpha, with no
+The census sums these Laurent keys per alpha into N_alpha, with no
 division.  Three guards stand in for the mass check and exact division:
 
 - per I, fiber + |quotient| + |lambda''| = |lambda|, and each key table's
@@ -27,16 +27,14 @@ division.  Three guards stand in for the mass check and exact division:
 - alpha divides its group total iff N_alpha, the group's Laurent sum, has no
   negative power, as alpha is monic.
 
-Two paths run all three.  census_groups, under orbit_census and
-per_ideal_total (the census and verify commands), loops over one I's cells
-in Python on key tables built per call by key_table, which refined shares.
-n_lambda sums every cell of every I of a shape in one numpy batch
-(_laurent_total) on arrays that ideal_arrays builds once per mu and process:
-the weight identity is checked per I, the mass check once per mu, alpha's
-exponent and that of x/alpha against their factors' sums per cell, and the
-negative powers per (I, alpha) over the cells whose Laurent key reaches
-below q**0, the only ones that can leave one.  n_lambda then checks that the total is monic of degree lambda_1 with
-integer coefficients.
+One engine runs all three.  _cells builds the cells of any first ideals
+of a shape in one numpy batch, on arrays that ideal_arrays builds once per
+mu and process, checking the weight identity per I, the mass once per mu,
+and alpha's exponent and that of x/alpha against their factors' sums per
+cell; _group_sums sums the Laurent keys per (I, alpha) and checks the
+negative powers.  orbit_censuses groups every cell; n_lambda groups only
+the cells whose key reaches below q**0, sums all keys into one total and
+checks that it is monic of degree lambda_1 with integer coefficients.
 """
 
 from __future__ import annotations
@@ -98,8 +96,8 @@ def canonical_split(lam: Partition, I: OrderIdeal) -> CanonicalSplit:
 def _alpha_core(exponent: int, factors: tuple[int, ...]) -> QPolynomial:
     """q**exponent * prod(1 - q**-m for m in factors), for exponent at least
     sum(factors): an alpha or orbit-size key, or at exponent sum(factors),
-    prod(q**m - 1), the expansion of a Laurent key x/alpha of census_groups
-    up to its shift by a power of q."""
+    prod(q**m - 1), the expansion of a Laurent key x/alpha up to its shift
+    by a power of q."""
     return laurent_product(exponent, factors)
 
 
@@ -150,86 +148,16 @@ def _negative_power(lam: Partition, I: OrderIdeal, akey: tuple) -> DegreeMismatc
                           f" in the census of ({lam}; {I})")
 
 
-def census_groups(lam: Partition, I: OrderIdeal, tables: dict) -> Dict[tuple, list]:
-    """Map from alpha key to the coefficients of N_alpha, in order of first
-    appearance over the grid, J outer and K inner; tables holds the key
-    tables of lambda's calls (see _table).
-
-    Cell (J, K) has s = sum(map(min, bJ, bK)) = |lambda| - [J union K]_lambda,
-    alpha key (|lambda| - s, m'' of K's points outside J), and x/alpha key
-    (fiber + [J] + [K] - |lambda| + s, J's factors plus m'' of K's points
-    inside J), kept with its exponent shifted up by |lambda|; K's point
-    (v, k) lies outside J iff bJ[row k] > m_k * v."""
-    sp = canonical_split(lam, I)
-    weight = lam.weight
-    if sp.fiber + sp.quotient.weight + sp.lambda_dprime.weight != weight:
-        raise DegreeMismatch(f"split of ({lam}; {I}) does not partition the module")
-    js = _table(tables, lam, sp.quotient, False)
-    ks = _table(tables, lam, sp.lambda_dprime, True)
-    cells: Dict[tuple, int] = {}
-    for bJ, wJ, fJ, _ in js:
-        base = sp.fiber + wJ
-        for bK, wK, _, pK in ks:
-            s = sum(map(min, bJ, bK))
-            out, ins = [], list(fJ)
-            for m, i, v in pK:
-                (out if bJ[i] > v else ins).append(m)
-            ins.sort()
-            key = (weight - s, tuple(out), base + wK + s, tuple(ins))
-            cells[key] = cells.get(key, 0) + 1
-    # Coefficient i of acc stands for q**(i - |lambda|); a Laurent key's
-    # shifted exponent e is at most 2 |lambda|, and its expansion is
-    # prod(q**m - 1) over f shifted up by e - sum(f).
-    groups: Dict[tuple, list] = {}
-    for (ea, fa, e, f), c in cells.items():
-        acc = groups.get((ea, fa))
-        if acc is None:
-            if ea < sum(fa):
-                raise DegreeMismatch(f"alpha key {(ea, fa)} of ({lam}; {I}) is no polynomial")
-            acc = groups[ea, fa] = [0] * (2 * weight + 1)
-        sf = sum(f)
-        if e < sf:
-            raise _negative_power(lam, I, (ea, fa))
-        if c == 1:  # most cells have a key of their own; this skips the products
-            acc[e - sf:e + 1] = map(add, acc[e - sf:e + 1], _alpha_core(sf, f).coeffs)
-        else:
-            acc[e - sf:e + 1] = [a + c * b for a, b in
-                                 zip(acc[e - sf:e + 1], _alpha_core(sf, f).coeffs)]
-    for akey, acc in groups.items():
-        if any(acc[:weight]):
-            raise _negative_power(lam, I, akey)
-        groups[akey] = acc[weight:]
-    return groups
-
-
-def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
-    """Map from orbit cardinality to number of stabilizer orbits of that
-    cardinality, under census_groups' guards.  Grouping by alpha key is
-    grouping by alpha, as q**(e - sum m) * prod(q**m - 1) factors uniquely
-    into cyclotomics."""
-    return {_alpha_core(*akey): QPolynomial(coeffs)
-            for akey, coeffs in census_groups(lam, I, {}).items()}
-
-
-def per_ideal_total(lam: Partition, I: OrderIdeal) -> QPolynomial:
-    """Number of orbits of pairs whose first member has invariant I."""
-    return sum(orbit_census(lam, I).values(), QPolynomial())
-
-
 class IdealArrays(NamedTuple):
     """lattice(mu) as arrays, one row per ideal in lattice order: its maximal
-    points (v, k) with their orbit-size factors m_k in mu, padded to mu's
-    row count with v = _FAR, k = 0 and m = 0, and its weighted size."""
+    points (v, k) with their orbit-size factors m_k in mu, padded with zeros
+    to mu's row count, and its weighted size.  A padded point (0, 0) bounds
+    row r by r, which no boundary exceeds, so it changes none."""
 
     v: np.ndarray
     k: np.ndarray
     m: np.ndarray
     w: np.ndarray
-
-
-# A padded point's boundary candidate v + max(0, r - k) lies past every row r.
-_FAR = 1 << 32
-_INT64_MAX = 2 ** 63 - 1
 
 
 def ideal_arrays(mu: Partition) -> IdealArrays:
@@ -240,7 +168,7 @@ def ideal_arrays(mu: Partition) -> IdealArrays:
         pts = X.max_points
         f = [mu.mult(p.k) for p in pts]
         pad = [0] * (width - len(pts))
-        vs.append([p.v for p in pts] + [_FAR] * len(pad))
+        vs.append([p.v for p in pts] + pad)
         ks.append([p.k for p in pts] + pad)
         ms.append(f + pad)
         keys.append((X.weighted_size(mu), tuple(sorted(f))))
@@ -256,20 +184,25 @@ _IDEAL_ARRAYS: Dict[Partition, IdealArrays] = {}
 
 
 def _int64(bound: int, what: str, lam: Partition):
-    if bound > _INT64_MAX:
-        raise BudgetExceeded(f"{what} of n_lambda({lam}) reach {bound}, past int64")
+    if bound > np.iinfo(np.int64).max:
+        raise BudgetExceeded(f"{what} of the cells of {lam} reach {bound}, past int64")
 
 
-class _Codes(NamedTuple):
-    """Factor multisets of one shape as radix codes: digit r counts the
-    factor values[r], values rising, and codes below span."""
+class _Cells(NamedTuple):
+    """A batch of cells (I, J, K): per cell, I's index, the alpha key (ea,
+    a_code) and the Laurent key x/alpha (e shifted up by |lambda|, l_code,
+    factors' sum l_sf).  Factor multisets are radix codes: digit r counts
+    the factor values[r], values rising, and codes lie below span."""
 
+    first: np.ndarray
+    ea: np.ndarray
+    a_code: np.ndarray
+    e: np.ndarray
+    l_code: np.ndarray
+    l_sf: np.ndarray
     radix: int
     values: list
-
-    @property
-    def span(self) -> int:
-        return self.radix ** len(self.values)
+    span: int
 
     def factors(self, code: int) -> tuple[int, ...]:
         out: list[int] = []
@@ -278,20 +211,24 @@ class _Codes(NamedTuple):
             out += [m] * c
         return tuple(out)
 
+    def alpha(self, c: int) -> tuple:
+        return int(self.ea[c]), self.factors(int(self.a_code[c]))
 
-def _laurent_total(lam: Partition) -> list[int]:
-    """Coefficients of n_lambda: the Laurent keys x/alpha of every cell
-    (I, J, K) of census_groups, summed in one numpy batch.
 
-    Every quotient and lambda'' of lambda's first ideals contributes its
-    ideal_arrays once; one broadcast gives their boundaries on lambda's rows.
-    The cells are index arrays into those rows, and factor multisets are
-    radix codes: digit r counts the r-th smallest factor value of the shape,
-    and the radix exceeds J's points plus K's, so codes add as multisets do.
-    Every key and code is checked to fit in int64 before it is formed, and
-    the coefficients are summed as Python ints."""
+def _cells(lam: Partition, ideals: list) -> _Cells:
+    """The cells of the ideals, I outer, then J, then K, in one numpy batch
+    under every guard but _group_sums' negative powers.
+
+    Every quotient and lambda'' of the ideals contributes its ideal_arrays
+    once, one row per ideal; one broadcast gives their boundaries on the
+    rows 0..lambda_1 of the module.  The cells are index arrays into the
+    ideals, and factor multisets are radix codes: digit r counts the r-th
+    smallest factor value of the shape, and the radix exceeds J's points
+    plus K's, so codes add as multisets do.  Every key and code is checked
+    to fit in int64 before it is formed.  With s = |lambda| - [J union K],
+    the sum of min(bJ, bK) over lambda's rows scaled by multiplicities,
+    alpha has exponent |lambda| - s and x/alpha fiber + [J] + [K] - |lambda| + s."""
     weight = lam.weight
-    ideals = lattice(lam).ideals
     index: Dict[Partition, int] = {}
     firsts = []
     for I in ideals:
@@ -311,33 +248,26 @@ def _laurent_total(lam: Partition) -> list[int]:
     sizes = np.array([len(a.w) for a in parts])
     starts = np.cumsum(sizes) - sizes
     width = max(a.v.shape[1] for a in parts)
-    pv = np.full((int(sizes.sum()), width), _FAR, dtype=np.int64)
-    pk = np.zeros_like(pv)
-    pm = np.zeros_like(pv)
+    pv, pk, pm = (np.zeros((int(sizes.sum()), width), dtype=np.int64) for _ in range(3))
     for a, st in zip(parts, starts.tolist()):
-        block = slice(st, st + len(a.w))
-        pv[block, :a.v.shape[1]] = a.v
-        pk[block, :a.k.shape[1]] = a.k
-        pm[block, :a.m.shape[1]] = a.m
+        for padded, field in ((pv, a.v), (pk, a.k), (pm, a.m)):
+            padded[st:st + len(a.w), :field.shape[1]] = field
     w = np.concatenate([a.w for a in parts])
-    rows = np.array(lam.rows, dtype=np.int64)
-    bound = np.minimum((pv[:, :, None] + np.maximum(rows - pk[:, :, None], 0)).min(
-        1, initial=_FAR), rows)
-    scaled = bound * np.array([m for _, m in lam.pairs], dtype=np.int64)
-    where = np.zeros(lam.largest + 1, dtype=np.int64)
-    where[rows] = np.arange(rows.size)
-    point_row = where[pk]  # read for K's points only, which lie on rows of lambda
+    # Boundaries on every row 0..lambda_1, so that a point's row indexes them.
+    every = np.arange(lam.largest + 1)
+    bound = np.minimum((pv[:, :, None] + np.maximum(every - pk[:, :, None], 0)).min(
+        1, initial=lam.largest), every)
+    scaled = bound[:, lam.rows] * np.array([m for _, m in lam.pairs], dtype=np.int64)
 
     values, rank = np.unique(pm, return_inverse=True)
-    codes = _Codes(2 * width + 1, values[values > 0].tolist())
-    span = codes.span
+    radix, factor_values = 2 * width + 1, values[values > 0].tolist()
+    span = radix ** len(factor_values)
     _int64(span - 1, "factor codes", lam)
-    digit = np.array([0] * (values.size - len(codes.values)) +
-                     [codes.radix ** r for r in range(len(codes.values))], dtype=np.int64)
+    digit = np.array([0] * (values.size - len(factor_values)) +
+                     [radix ** r for r in range(len(factor_values))], dtype=np.int64)
     point_code = digit[rank.reshape(pm.shape)]
     code, sf = point_code.sum(1), pm.sum(1)
 
-    # Cells, I outer, then J, then K.
     fiber, jmu, kmu = np.array(firsts, dtype=np.int64).T
     counts = sizes[jmu] * sizes[kmu]
     first, j0, k0, nk, off = np.repeat(np.stack(
@@ -346,68 +276,105 @@ def _laurent_total(lam: Partition) -> list[int]:
     t = np.arange(off.size) - off
     J, K = j0 + t // nk, k0 + t % nk
     s = np.minimum(scaled[J], scaled[K]).sum(1)
-    inside = bound[J[:, None], point_row[K]] <= pv[K]
+    inside = bound[J[:, None], pk[K]] <= pv[K]
     in_code = (point_code[K] * inside).sum(1)
     in_sf = (pm[K] * inside).sum(1)
     ea, a_code, a_sf = weight - s, code[K] - in_code, sf[K] - in_sf
     e, l_code, l_sf = fiber[first] + w[J] + w[K] + s, code[J] + in_code, sf[J] + in_sf
-
-    def akey(c: int) -> tuple:
-        return int(ea[c]), codes.factors(int(a_code[c]))
+    cells = _Cells(first, ea, a_code, e, l_code, l_sf, radix, factor_values, span)
 
     bad = (ea < a_sf).nonzero()[0]
     if bad.size:
-        raise DegreeMismatch(f"alpha key {akey(bad[0])} of ({lam}; {ideals[first[bad[0]]]})"
-                             f" is no polynomial")
-    low = e - l_sf  # lowest shifted power of the cell's Laurent key
-    bad = (low < 0).nonzero()[0]
+        raise DegreeMismatch(f"alpha key {cells.alpha(bad[0])} of"
+                             f" ({lam}; {ideals[first[bad[0]]]}) is no polynomial")
+    bad = (e < l_sf).nonzero()[0]
     if bad.size:
-        raise _negative_power(lam, ideals[first[bad[0]]], akey(bad[0]))
-    _check_groups(lam, ideals, codes, (low < weight).nonzero()[0], first, ea, a_code, l_code,
-                  low, l_sf)
+        raise _negative_power(lam, ideals[first[bad[0]]], cells.alpha(bad[0]))
+    _int64(len(ideals) * (weight + 1) * span - 1, "(I, alpha) keys", lam)
+    _int64((int(e.max()) + 1) * span - 1, "packed Laurent keys", lam)
+    return cells
 
-    top = int(e.max())
-    _int64((top + 1) * span - 1, "packed Laurent keys", lam)
-    keys, counts = np.unique(e * span + l_code, return_counts=True)
-    total = [0] * (top + 1)  # coefficient i stands for q**(i - |lambda|)
+
+def _group_sums(lam: Partition, ideals: list, cells: _Cells, sel: np.ndarray,
+                width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the Laurent keys of the cells sel per (I, alpha), in int64 with
+    column i standing for q**(i - |lambda|), i < width.  Returns each
+    group's first cell, in order of first appearance over sel, and the
+    group's row of sums.  Raises _negative_power unless every row is zero
+    below q**0: alpha divides its group total iff N_alpha has no negative
+    power."""
+    weight = lam.weight
+    _, seen, gid = np.unique(
+        (cells.first[sel] * (weight + 1) + cells.ea[sel]) * cells.span + cells.a_code[sel],
+        return_index=True, return_inverse=True)
+    order = np.argsort(seen)
+    gid = np.argsort(order)[gid]
+    heads = sel[seen[order]]
+    lcodes, cid = np.unique(cells.l_code[sel], return_inverse=True)
+    table = [_alpha_core(sum(f), f).coeffs for f in map(cells.factors, lcodes.tolist())]
+    _int64(sel.size * max(abs(b) for cs in table for b in cs), "N_alpha coefficients", lam)
+    expansions = np.zeros((len(table), max(map(len, table))), dtype=np.int64)
+    for row, cs in zip(expansions, table):
+        row[:len(cs)] = cs
+    # Column j of a cell's expansion is power low + j; columns past width are cut.
+    low = cells.e[sel] - cells.l_sf[sel]
+    acc = np.zeros((heads.size, width + expansions.shape[1]), dtype=np.int64)
+    for j in range(expansions.shape[1]):
+        np.add.at(acc, (gid, low + j), expansions[cid, j])
+    acc = acc[:, :width]
+    bad = acc[:, :weight].any(1).nonzero()[0]
+    if bad.size:
+        c = heads[bad[0]]
+        raise _negative_power(lam, ideals[cells.first[c]], cells.alpha(c))
+    return heads, acc
+
+
+def _laurent_total(lam: Partition) -> list[int]:
+    """Coefficients of n_lambda: the Laurent keys x/alpha of every cell of
+    lambda's first ideals, summed as Python ints.  Only the cells whose key
+    reaches below q**0 can leave a negative power in their (I, alpha)
+    group, so only those are grouped."""
+    weight = lam.weight
+    ideals = lattice(lam).ideals
+    cells = _cells(lam, ideals)
+    below = (cells.e - cells.l_sf < weight).nonzero()[0]
+    if below.size:
+        _group_sums(lam, ideals, cells, below, weight)
+    keys, counts = np.unique(cells.e * cells.span + cells.l_code, return_counts=True)
+    total = [0] * (int(cells.e.max()) + 1)  # coefficient i stands for q**(i - |lambda|)
     for key, c in zip(keys.tolist(), counts.tolist()):
-        hi, lcode = divmod(key, span)
-        f = codes.factors(lcode)
+        hi, lcode = divmod(key, cells.span)
+        f = cells.factors(lcode)
         lo = hi - sum(f)
         total[lo:hi + 1] = [a + c * b for a, b in zip(total[lo:hi + 1],
                                                        _alpha_core(sum(f), f).coeffs)]
     return total[weight:]
 
 
-def _check_groups(lam, ideals, codes, cells, first, ea, a_code, l_code, low, l_sf):
-    """Raise _negative_power unless every (I, alpha) group's Laurent sum has
-    no negative power.  Only the cells whose key reaches below q**0 can
-    leave one, so only those are grouped and summed."""
-    if not cells.size:
-        return
+def orbit_censuses(lam: Partition, ideals: list) -> list[Dict[QPolynomial, QPolynomial]]:
+    """orbit_census(lam, I) for every I in ideals, from one cell batch.  A
+    shifted exponent e is at most 2 |lambda|, so 2 |lambda| + 1 columns
+    hold every group."""
     weight = lam.weight
-    span = codes.span
-    _int64(len(ideals) * (weight + 1) * span - 1, "(I, alpha) keys", lam)
-    groups, gid = np.unique((first[cells] * (weight + 1) + ea[cells]) * span + a_code[cells],
-                            return_inverse=True)
-    keys, cid = np.unique(l_code[cells], return_inverse=True)
-    table = [_alpha_core(sum(f), f).coeffs for f in map(codes.factors, keys.tolist())]
-    _int64(cells.size * max(abs(b) for cs in table for b in cs), "N_alpha coefficients", lam)
-    expansions = np.zeros((len(table), max(map(len, table))), dtype=np.int64)
-    for row, cs in zip(expansions, table):
-        row[:len(cs)] = cs
-    # Entry j of a cell is its key's power low + j, while below q**0.
-    low = low[cells]
-    n = np.minimum(l_sf[cells], weight - 1 - low) + 1
-    cell = np.repeat(np.arange(cells.size), n)
-    j = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
-    acc = np.zeros((groups.size, weight), dtype=np.int64)
-    np.add.at(acc, (gid[cell], low[cell] + j), expansions[cid[cell], j])
-    bad = acc.any(1).nonzero()[0]
-    if bad.size:
-        rest, acode = divmod(int(groups[bad[0]]), span)
-        i, a = divmod(rest, weight + 1)
-        raise _negative_power(lam, ideals[i], (a, codes.factors(acode)))
+    cells = _cells(lam, ideals)
+    heads, acc = _group_sums(lam, ideals, cells, np.arange(cells.first.size), 2 * weight + 1)
+    censuses: list = [{} for _ in ideals]
+    for c, row in zip(heads.tolist(), acc[:, weight:].tolist()):
+        censuses[cells.first[c]][_alpha_core(*cells.alpha(c))] = QPolynomial(row)
+    return censuses
+
+
+def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
+    """Map from orbit cardinality to number of stabilizer orbits of that
+    cardinality, in order of first appearance over the grid, J outer and K
+    inner.  Grouping by alpha key is grouping by alpha, as
+    q**(e - sum m) * prod(q**m - 1) factors uniquely into cyclotomics."""
+    return orbit_censuses(lam, [I])[0]
+
+
+def per_ideal_total(lam: Partition, I: OrderIdeal) -> QPolynomial:
+    """Number of orbits of pairs whose first member has invariant I."""
+    return sum(orbit_census(lam, I).values(), QPolynomial())
 
 
 _N_LAMBDA: Dict[Partition, QPolynomial] = {}

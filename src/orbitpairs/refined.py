@@ -14,7 +14,7 @@ over the nonzero closed-form Moebius terms of its lattice
 (IdealLattice.mobius_terms), listed once per (mu, ideal).
 
 refined_censuses computes one row, a first ideal I with a sequence of second
-ideals L, on the census grid of orbits.census_groups: per J the fibers over
+ideals L, on the census grid (J, K) of orbits._cells: per J the fibers over
 every L' among the row's Moebius terms, and per L the cells (J, K).  A cell
 counts the elements of L's orbit with invariants (J, K); divided by alpha it
 is the cell's fiber times the Laurent key orbit_size(K)/alpha, whose
@@ -145,7 +145,7 @@ def refined_censuses(lam: Partition, I: OrderIdeal, Ls: Sequence[OrderIdeal],
 
     Per J, the fibers over every L' among the Ls' Moebius terms are computed
     once; cell (J, K) of L sums mu * fiber over L's terms whose L' contains
-    K.  As in orbits.census_groups, with s = sum(map(min, bJ, bK)), the cell
+    K.  As in orbits._cells, with s = sum(map(min, bJ, bK)), the cell
     has alpha key (|lambda| - s, m'' of K's points outside J) and Laurent key
     orbit_size(K)/alpha = (wK + s - |lambda|, m'' of K's points inside J),
     kept with its exponent shifted up by |lambda|.  memo holds the key tables

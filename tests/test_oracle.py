@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from test_orbits import max_minus, union
 
 from orbitpairs import oracle
+from orbitpairs import orbits as orbits_module
 from orbitpairs.errors import BudgetExceeded
 from orbitpairs.oracle import (PAIR_BUDGET, ExplicitModule, _closure_labels,
                                _group_perms, _pair_seed, _transversal,
@@ -332,6 +333,26 @@ class TestVerify:
     def test_full_endos_mode(self):
         report = verify(Partition.parse("2,1"), 2, "full-endos")
         assert report["pass"]
+
+    @pytest.mark.parametrize("mode", ["full", "", "Quick"])
+    def test_unknown_mode_rejected(self, mode):
+        # Any mode but quick and full-endos is an error, not a quick run.
+        with pytest.raises(ValueError, match="unknown mode"):
+            verify(Partition.parse("2,1"), 2, mode)
+        with pytest.raises(ValueError, match="unknown mode"):
+            orbits(ExplicitModule.from_partition(Partition.parse("2,1"), 2), "pairs", mode)
+
+    def test_one_cell_batch_per_shape(self, monkeypatch):
+        # The census check reads every first ideal's census from one batch;
+        # n_lambda's own batch is warmed and memoized beforehand.
+        lam = Partition.parse("2^2,1")
+        n_lambda(lam)
+        built = []
+        real = orbits_module._cells
+        monkeypatch.setattr(orbits_module, "_cells",
+                            lambda lam, ideals: built.append(len(ideals)) or real(lam, ideals))
+        assert verify(lam, 2)["pass"]
+        assert built == [len(lattice(lam).ideals)]
 
     @pytest.mark.parametrize("mode", ["quick", "full-endos"])
     def test_group_built_once(self, mode, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from polydiv import exact_div
 
-from orbitpairs import orbits
+from orbitpairs import cli, orbits
 from orbitpairs.errors import BudgetExceeded, DegreeMismatch, IdealOutOfContext
 from orbitpairs.orbits import (canonical_split, n_lambda, orbit_census,
                                orbit_size, per_ideal_total, x_count)
@@ -268,7 +268,7 @@ class TestCensus:
         # The keyed census has the same rows, in the same order, as grouping
         # the cells by their alpha polynomial; the uncapped shapes keep
         # multiplicities above two in lambda''.
-        shapes = {lam.cap(2) for n in range(1, 10) for lam in partitions_of(n)}
+        shapes = {lam.cap(2) for n in range(1, 13) for lam in partitions_of(n)}
         shapes |= {Partition.parse(text) for text in ("2^3,1^2", "3^3", "4,2^3,1")}
         for lam in shapes:
             assert_census_matches_cells(lam)
@@ -368,11 +368,16 @@ def n_lambda_by_cells(lam) -> QPolynomial:
 
 
 def patch_ideal_arrays(monkeypatch, change):
-    """Pass n_lambda's ideal arrays through change, kept in a fresh per-mu
-    dict that the test's end discards."""
+    """Pass the census cells' ideal arrays through change, kept in a fresh
+    per-mu dict that the test's end discards."""
     monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
     real = orbits.ideal_arrays
     monkeypatch.setattr(orbits, "ideal_arrays", lambda mu: change(real(mu)))
+
+
+# Both readings of the cell batch, n_lambda and a census at the empty first
+# ideal, run every guard of the batch.
+ENGINES = (lambda lam: n_lambda(lam, {}), lambda lam: orbit_census(lam, OrderIdeal()))
 
 
 class TestCensusGroups:
@@ -388,9 +393,11 @@ class TestCensusGroups:
             assert n_lambda(lam, cap=False) == n_lambda_by_cells(lam), str(lam)
 
     def test_batch_matches_grouped_census(self):
-        # The batch sums every cell's Laurent key at once; the grouped census
-        # divides per (I, alpha).  Criterion 7 runs cap=False with
-        # multiplicities above two, which the factor codes must hold.
+        # n_lambda sums every cell's Laurent key at once; the census rows
+        # sum them per (I, alpha), so the two readings of one batch must
+        # agree (census_by_cells is the independent reference).  Criterion 7
+        # runs cap=False with multiplicities above two, which the factor
+        # codes must hold.
         def grouped(lam):
             return sum((per_ideal_total(lam, I) for I in lattice(lam).ideals), ZERO)
 
@@ -419,8 +426,9 @@ class TestCensusGroups:
         real = orbits.canonical_split
         monkeypatch.setattr(orbits, "canonical_split", lambda lam, I: dataclasses.replace(
             real(lam, I), fiber=real(lam, I).fiber + 1))
-        with pytest.raises(DegreeMismatch, match="does not partition"):
-            n_lambda(Partition.parse("2,1"), {})
+        for engine in ENGINES:
+            with pytest.raises(DegreeMismatch, match="does not partition"):
+                engine(Partition.parse("2,1"))
 
     def test_table_mass_guard(self, monkeypatch):
         # A lattice missing its last ideal leaves its orbit sizes short of
@@ -429,8 +437,9 @@ class TestCensusGroups:
         real = orbits.lattice
         monkeypatch.setattr(orbits, "lattice",
                             lambda mu: SimpleNamespace(ideals=real(mu).ideals[:-1]))
-        with pytest.raises(DegreeMismatch, match="orbit sizes"):
-            n_lambda(Partition.parse("2,1"), {})
+        for engine in ENGINES:
+            with pytest.raises(DegreeMismatch, match="orbit sizes"):
+                engine(Partition.parse("2,1"))
 
     def test_negative_power_guard(self, monkeypatch):
         # Every orbit size with a factor q divided by q: each cell's Laurent
@@ -439,11 +448,8 @@ class TestCensusGroups:
         patch_ideal_arrays(monkeypatch, lambda a: a._replace(w=a.w - (a.w > a.m.sum(1))))
         with pytest.raises(DegreeMismatch, match="negative power"):
             n_lambda(Partition.parse("2,1"), {})
-        # Every K one point lighter makes every x/alpha key one power of q
-        # short in the grouped census.
-        real_table = orbits.key_table
-        monkeypatch.setattr(orbits, "key_table", lambda lam, mu, points: [
-            (b, w - 1 if points else w, f, p) for b, w, f, p in real_table(lam, mu, points)])
+        # The census of one first ideal groups all of its cells, and the
+        # same (I, alpha) check catches it.
         with pytest.raises(DegreeMismatch, match="negative power"):
             orbit_census(Partition.parse("2,1"), OrderIdeal())
 
@@ -451,22 +457,32 @@ class TestCensusGroups:
         # Every orbit size far too light: some cell's Laurent key has an
         # exponent below its factors' sum.
         patch_ideal_arrays(monkeypatch, lambda a: a._replace(w=a.w - 10))
-        with pytest.raises(DegreeMismatch, match="negative power"):
-            n_lambda(Partition.parse("2,1"), {})
+        for engine in ENGINES:
+            with pytest.raises(DegreeMismatch, match="negative power"):
+                engine(Partition.parse("2,1"))
 
     def test_alpha_key_guard(self, monkeypatch):
         # Factors heavier than the exponent: alpha would not be a polynomial.
         patch_ideal_arrays(monkeypatch, lambda a: a._replace(m=a.m + 100 * (a.m > 0)))
-        with pytest.raises(DegreeMismatch, match="no polynomial"):
-            n_lambda(Partition.parse("2,1"), {})
+        for engine in ENGINES:
+            with pytest.raises(DegreeMismatch, match="no polynomial"):
+                engine(Partition.parse("2,1"))
 
-    def test_wide_keys_widen_or_raise(self, monkeypatch):
+    def test_wide_keys_widen_or_raise(self, monkeypatch, capsys):
         # A radix digit per factor value present: 1^70's factors 69 and 70
         # take two digits, not seventy.
-        assert n_lambda(Partition([(1, 70)]), cap=False) == Q + 3
-        # One factor value per point: too many digits for int64 is an error.
+        lam = Partition([(1, 70)])
+        assert n_lambda(lam, cap=False) == Q + 3
+        I = OrderIdeal.parse("0:1")
+        assert list(orbit_census(lam, I).items()) == list(census_by_cells(lam, I).items())
+        # One factor value per point: too many digits for int64 is an error,
+        # and the census command exits 1 on it.
         fresh = itertools.count(1, 100)
         patch_ideal_arrays(monkeypatch, lambda a: a._replace(m=np.where(
             a.m > 0, next(fresh) + np.arange(a.m.size).reshape(a.m.shape), 0)))
         with pytest.raises(BudgetExceeded, match="past int64"):
             n_lambda(Partition.parse("4,3,2,1"), {})
+        with pytest.raises(BudgetExceeded, match="past int64"):
+            orbit_census(Partition.parse("4,3,2,1"), OrderIdeal())
+        assert cli.main(["census", "4,3,2,1", "--max", ""]) == 1
+        assert "past int64" in capsys.readouterr().err
