@@ -18,8 +18,8 @@ from .errors import OrbitPairsError
 from .oracle import verify
 from .orbits import n_lambda, orbit_census
 from .posets import OrderIdeal, Partition, lattice, partitions_of
-from .qpoly import QPolynomial, ZERO, format_poly, latex_poly
-from .quiver import c_tau, enumerate_types, n_tau, r_n1
+from .qpoly import QPolynomial, format_poly, latex_poly
+from .quiver import r_n1, type_sum
 from .refined import refined_matrix
 
 REFINED_LIMIT = 8
@@ -84,10 +84,10 @@ class ResultStore:
                 os.remove(tmp)
 
 
-def _poly_out(p: QPolynomial, args) -> str:
+def _poly_out(p: QPolynomial, args, den: int = 1) -> str:
     if args.latex:
-        return latex_poly(p)
-    return format_poly(p)
+        return latex_poly(p, den)
+    return format_poly(p, den)
 
 
 def _json_rows(header: list[str], rows: list[list[str]]) -> list[dict]:
@@ -207,7 +207,7 @@ def cmd_nlambda(args) -> int:
     if args.json:
         obj = {"partition": str(lam), **poly.to_json()}
         if args.at is not None:
-            obj["at"] = {"q": args.at, "value": int(poly(args.at))}
+            obj["at"] = {"q": args.at, "value": poly(args.at)}
         out = json.dumps(obj)
     else:
         out = _poly_out(poly, args)
@@ -239,7 +239,7 @@ def cmd_census(args) -> int:
     lam = Partition.parse(args.partition)
     I = OrderIdeal.parse(args.max)
     census = orbit_census(lam, I)
-    rows = [[format_poly(a), format_poly(n)]
+    rows = [[_poly_out(a, args), _poly_out(n, args)]
             for a, n in sorted(census.items(), key=lambda e: (e[0].degree, e[0].coeffs))]
     total = sum(census.values(), QPolynomial())
     print(_emit_with_total(["cardinality", "number of orbits"], rows, "total", total, args))
@@ -261,10 +261,10 @@ def cmd_refined(args) -> int:
         row_sum = QPolynomial()
         for L in ideals:
             entry = matrix[(I, L)]
-            row.append(format_poly(entry))
+            row.append(_poly_out(entry, args))
             row_sum = row_sum + entry
             grand = grand + entry
-        row.append(format_poly(row_sum))
+        row.append(_poly_out(row_sum, args))
         rows.append(row)
     header = ["first \\ second"] + [f"[{L}]" for L in ideals] + ["row sum"]
     print(_emit_with_total(header, rows, "grand total", grand, args))
@@ -276,10 +276,10 @@ def cmd_quiver(args) -> int:
     obj = {"n": args.n, **poly.to_json()}
     if args.breakdown:
         header = ["type", "classes", "orbit count"]
-        types = [(str(tau), c_tau(tau), n_tau(tau)) for tau in enumerate_types(args.n)]
-        if sum((c * m for _, c, m in types), ZERO) != poly:
+        terms, ok = type_sum(args.n, poly)
+        if not ok:
             raise OrbitPairsError(f"R_{args.n},1: the type sum differs from {poly}")
-        rows = [[tau, format_poly(c), format_poly(m)] for tau, c, m in types]
+        rows = [[str(t), _poly_out(c, args, d), _poly_out(m, args)] for t, c, d, m in terms]
         if args.json:
             print(json.dumps({"rows": _json_rows(header, rows), **obj}, indent=1))
             return 0

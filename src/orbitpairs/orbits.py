@@ -8,19 +8,19 @@ then classified by a pair of ideals (J, K) over the derived contexts.  The
 census groups the cells by their common orbit cardinality alpha and counts
 N_alpha, the number of orbits of that cardinality, as a polynomial in q.
 
-Both alpha and the cell count x_count are integer keys (e, sorted m's)
+Both alpha and the cell count x are integer keys (e, sorted m's)
 standing for q**e * prod(1 - q**-m).  Alpha is q**[J union K] times
 (1 - q**-m''_k) over the maximal points (v, k) of K outside J, which stay
 maximal in J union K and are reached iff a row-k coordinate of lambda'' has
-valuation exactly v.  x_count is the fiber q**(k_0 - v_0) times the orbit
-sizes of J and K, so alpha's factors are a sub-multiset of x_count's and
+valuation exactly v.  x is the fiber q**(k_0 - v_0) times the orbit
+sizes of J and K, so alpha's factors are a sub-multiset of x's and
 x/alpha is again a key, with factors J's plus those of K's points inside J:
 a Laurent polynomial, as its exponent may fall below its factors' sum.
 The census sums these Laurent keys per alpha into N_alpha, with no
 division.  Three guards stand in for the mass check and exact division:
 
 - per I, fiber + |quotient| + |lambda''| = |lambda|, and each key table's
-  orbit sizes sum to q**|mu| when it is built; as the grid sum of x_count is
+  orbit sizes sum to q**|mu| when it is built; as the grid sum of x is
   q**fiber * (sum over J) * (sum over K), together these say that the cells
   partition the module;
 - every alpha key is a polynomial: its exponent is at least its factors' sum;
@@ -34,7 +34,7 @@ and alpha's exponent and that of x/alpha against their factors' sums per
 cell; _group_sums sums the Laurent keys per (I, alpha) and checks the
 negative powers.  orbit_censuses groups every cell; n_lambda groups only
 the cells whose key reaches below q**0, sums all keys into one total and
-checks that it is monic of degree lambda_1 with integer coefficients.
+checks that it is monic of degree lambda_1.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, DegreeMismatch
 from .posets import OrderIdeal, Partition, Point, lattice, require_context
-from .qpoly import QPolynomial, laurent_product, monomial
+from .qpoly import QPolynomial, laurent_product
 
 
 @dataclass(frozen=True)
@@ -99,12 +99,6 @@ def _alpha_core(exponent: int, factors: tuple[int, ...]) -> QPolynomial:
     prod(q**m - 1), the expansion of a Laurent key x/alpha up to its shift
     by a power of q."""
     return laurent_product(exponent, factors)
-
-
-def x_count(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal) -> QPolynomial:
-    """Number of second elements with invariants exactly (J, K)."""
-    sp = canonical_split(lam, I)
-    return monomial(sp.fiber) * orbit_size(sp.quotient, J) * orbit_size(sp.lambda_dprime, K)
 
 
 def key_table(lam: Partition, mu: Partition, points: bool) -> list:
@@ -398,8 +392,7 @@ def n_lambda(lam: Partition,
         if cached is not None:
             return cached
     total = QPolynomial(_laurent_total(capped))
-    if capped and (not total.is_monic() or total.degree != capped.largest
-                   or not total.is_integer_coefficients()):
+    if capped and (not total.is_monic() or total.degree != capped.largest):
         raise DegreeMismatch(f"n_lambda({lam}) = {total} fails monic/degree check")
     if cap:
         store[capped] = total

@@ -1,20 +1,17 @@
 """Exact polynomials in the formal variable q.
 
-A polynomial is a dense tuple of coefficients in ascending powers with no
-trailing zero; the zero polynomial is the empty tuple.  Coefficients are
-stored as given, ints or Fractions, and never converted: an integral Fraction
-equals and hashes like its int, and the observers that tell integers from
-fractions (is_integer_coefficients, to_json, the renderers) read denominator.
+A polynomial is a dense tuple of int coefficients in ascending powers with
+no trailing zero; the zero polynomial is the empty tuple.  Every count of
+the package lies in Z[q]; a rational quantity is carried as an int
+polynomial over an int denominator, which the renderers reduce per term.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd
+from typing import Iterable
 
 from .errors import NegativeExponent
-
-Coeff = Union[int, Fraction]
 
 
 class QPolynomial:
@@ -22,7 +19,7 @@ class QPolynomial:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coeff] = ()):
+    def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
@@ -41,7 +38,7 @@ class QPolynomial:
     def __eq__(self, other):
         if isinstance(other, QPolynomial):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self == QPolynomial((other,))
         return NotImplemented
 
@@ -50,9 +47,6 @@ class QPolynomial:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def is_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def has_nonnegative_coefficients(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -83,7 +77,7 @@ class QPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return QPolynomial(c * other for c in self.coeffs)
         if not isinstance(other, QPolynomial):
             return NotImplemented
@@ -122,9 +116,9 @@ class QPolynomial:
             cs[i * d] = c
         return QPolynomial(cs)
 
-    def __call__(self, q0) -> Coeff:
-        """Exact evaluation at a rational point (Horner)."""
-        acc: Coeff = 0
+    def __call__(self, q0):
+        """Exact evaluation at q0 (Horner)."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * q0 + c
         return acc
@@ -138,18 +132,17 @@ class QPolynomial:
         return f"QPolynomial({list(self.coeffs)!r})"
 
     def to_json(self):
-        return {"coeffs": [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                           for c in self.coeffs]}
+        return {"coeffs": list(self.coeffs)}
 
     @classmethod
     def from_json(cls, obj) -> "QPolynomial":
-        return cls(Fraction(c) if isinstance(c, str) else c for c in obj["coeffs"])
+        return cls(obj["coeffs"])
 
 
 def _coerce(x):
     if isinstance(x, QPolynomial):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return QPolynomial((x,))
     return None
 
@@ -159,11 +152,11 @@ ONE = QPolynomial((1,))
 Q = QPolynomial((0, 1))
 
 
-def monomial(power: int, coeff: Coeff = 1) -> QPolynomial:
-    """coeff * q**power."""
+def monomial(power: int) -> QPolynomial:
+    """q**power."""
     if power < 0:
         raise NegativeExponent(f"monomial with power {power}")
-    return QPolynomial([0] * power + [coeff])
+    return QPolynomial([0] * power + [1])
 
 
 def laurent_product(exponent: int, factors: Iterable[int]) -> QPolynomial:
@@ -184,7 +177,7 @@ def laurent_product(exponent: int, factors: Iterable[int]) -> QPolynomial:
     return p
 
 
-def _term(coeff: Coeff, power: int, latex: bool) -> str:
+def _term(coeff: int, den: int, power: int, latex: bool) -> str:
     if power == 0:
         var = ""
     elif power == 1:
@@ -193,9 +186,10 @@ def _term(coeff: Coeff, power: int, latex: bool) -> str:
         var = f"q^{{{power}}}" if power > 9 else f"q^{power}"
     else:
         var = f"q^{power}"
-    if coeff.denominator != 1:
-        c = f"\\frac{{{coeff.numerator}}}{{{coeff.denominator}}}" if latex \
-            else f"({coeff.numerator}/{coeff.denominator})"
+    g = gcd(coeff, den)
+    coeff, den = coeff // g, den // g
+    if den != 1:
+        c = f"\\frac{{{coeff}}}{{{den}}}" if latex else f"({coeff}/{den})"
     elif coeff == 1 and var:
         c = ""
     else:
@@ -203,7 +197,7 @@ def _term(coeff: Coeff, power: int, latex: bool) -> str:
     return (c + var) if (c or var) else "0"
 
 
-def _render(p: QPolynomial, latex: bool) -> str:
+def _render(p: QPolynomial, den: int, latex: bool) -> str:
     if not p:
         return "0"
     parts = []
@@ -212,7 +206,7 @@ def _render(p: QPolynomial, latex: bool) -> str:
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
-        parts.append((sign, _term(abs(c), power, latex)))
+        parts.append((sign, _term(abs(c), den, power, latex)))
     first_sign, first = parts[0]
     out = ("-" if first_sign == "-" else "") + first
     for sign, term in parts[1:]:
@@ -220,11 +214,12 @@ def _render(p: QPolynomial, latex: bool) -> str:
     return out
 
 
-def format_poly(p: QPolynomial) -> str:
-    """Plain-text rendering with descending powers, e.g. 'q^3 + 5q^2 + 7q + 4'."""
-    return _render(p, latex=False)
+def format_poly(p: QPolynomial, den: int = 1) -> str:
+    """Plain-text rendering of p / den with descending powers, each
+    coefficient in lowest terms, e.g. 'q^3 + 5q^2 + 7q + 4' or '(1/2)q^2 - (1/2)q'."""
+    return _render(p, den, latex=False)
 
 
-def latex_poly(p: QPolynomial) -> str:
-    """LaTeX rendering with descending powers."""
-    return _render(p, latex=True)
+def latex_poly(p: QPolynomial, den: int = 1) -> str:
+    """LaTeX rendering of p / den with descending powers."""
+    return _render(p, den, latex=True)

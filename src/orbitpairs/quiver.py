@@ -3,15 +3,15 @@
 R_{n,1}(q) is read off Hua's product sum_n R_{n,1} x^n = prod_d (sum_lambda
 n_lambda(q^d) x^{d|lambda|})^{phi_d(q)}, expanded in integer arithmetic.  The
 sum over similarity-class types (multisets of (partition, degree) pairs) of
-class counts times orbit counts is its independent check.
+class counts times orbit counts is its independent check; the rational phi_d
+and class counts are each an int polynomial over an int denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm, prod
 from typing import Dict, Iterable
 
 from .errors import NonIntegerResult
@@ -93,31 +93,27 @@ def _moebius_int(n: int) -> int:
     return result
 
 
-def _d_phi(d: int) -> QPolynomial:
-    """d * phi_d(q) = sum over e | d of mu(d/e) q^e, with integer coefficients."""
-    return sum((_moebius_int(d // e) * Q ** e for e in range(1, d + 1) if d % e == 0), ZERO)
-
-
 @lru_cache(maxsize=None)
-def phi_d(d: int) -> QPolynomial:
+def phi_d(d: int) -> tuple[QPolynomial, int]:
     """Number of monic irreducible degree-d polynomials over a field of
-    size q (necklace polynomial, rational coefficients)."""
+    size q (necklace polynomial), as (d * phi_d, d): d * phi_d(q) is the
+    sum over e | d of mu(d/e) q^e, with integer coefficients."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    return _d_phi(d) * Fraction(1, d)
+    return sum((_moebius_int(d // e) * Q ** e for e in range(1, d + 1) if d % e == 0), ZERO), d
 
 
-def c_tau(tau: MatrixType) -> QPolynomial:
-    """Number of similarity classes of the given type."""
-    prod = ONE
-    for d in sorted({dd for (_, dd), _ in tau.entries}):
-        phi = phi_d(d)
-        for j in range(tau.degree_multiplicity(d)):
-            prod = prod * (phi - j)
-    denom = 1
-    for _, a in tau.entries:
-        denom *= factorial(a)
-    return prod * Fraction(1, denom)
+def c_tau(tau: MatrixType) -> tuple[QPolynomial, int]:
+    """Number of similarity classes of the given type, prod over d of the
+    falling factorial phi_d (phi_d - 1) ... (phi_d - m_d + 1), m_d its number
+    of degree-d pairs, over prod a! of its multiplicities a.  Returned as
+    (prod_d prod_{j < m_d} (d phi_d - j d), prod_d d^{m_d} * prod a!)."""
+    num, den = ONE, prod(factorial(a) for _, a in tau.entries)
+    for d in {d for (_, d), _ in tau.entries}:
+        m = tau.degree_multiplicity(d)
+        num = num * prod(phi_d(d)[0] - j * d for j in range(m))
+        den *= d ** m
+    return num, den
 
 
 def n_tau(tau: MatrixType) -> QPolynomial:
@@ -155,7 +151,7 @@ def _series(n_max: int) -> list[QPolynomial]:
         J = n_max // d
         u = [sums[i // d].compose_power(d) if i and i % d == 0 else ZERO
              for i in range(n_max + 1)]
-        d_phi = _d_phi(d)
+        d_phi = phi_d(d)[0]
         factor = [ZERO] * (n_max + 1)
         term = [ONE] + [ZERO] * n_max
         falling = ONE
@@ -184,12 +180,20 @@ def r_n1(n: int) -> QPolynomial:
     return _series(n)[n]
 
 
+def type_sum(n: int, r: QPolynomial) -> tuple[list, bool]:
+    """(tau, c_tau numerator, c_tau denominator, n_tau) for every type of
+    weight n, and whether r is the sum of their c_tau * n_tau, both sides
+    scaled by the lcm of the denominators so that every product is in Z[q]."""
+    terms = [(tau, *c_tau(tau), n_tau(tau)) for tau in enumerate_types(n)]
+    scale = lcm(*(den for _, _, den, _ in terms))
+    total = sum((num * (scale // den) * m for _, num, den, m in terms), ZERO)
+    return terms, total == r * scale
+
+
 def genfunc_check(n_max: int) -> bool:
     """Compare the series R_{0..n_max} with the type sums over all types of
     weight n, sum c_tau * n_tau, for every n <= n_max."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     series = _series(n_max)
-    return series[0] == ONE and all(
-        series[n] == sum((c_tau(tau) * n_tau(tau) for tau in enumerate_types(n)), ZERO)
-        for n in range(1, n_max + 1))
+    return series[0] == ONE and all(type_sum(n, series[n])[1] for n in range(1, n_max + 1))

@@ -237,15 +237,3 @@ def refined_matrix(lam: Partition) -> Dict[tuple[OrderIdeal, OrderIdeal], QPolyn
     memo: dict = {}
     return {(I, L): _total(census) for I in ideals
             for L, census in zip(ideals, refined_censuses(lam, I, ideals, memo))}
-
-
-def x_in_submodule(lam: Partition, I: OrderIdeal, J: OrderIdeal, K: OrderIdeal,
-                   L: OrderIdeal) -> QPolynomial:
-    """Number of second elements with invariants (J, K) lying exactly in the
-    orbit of L: the fibers over the submodules L' containing K, Moebius
-    inverted over the source lattice, times K's orbit size."""
-    split = canonical_split(lam, I)
-    terms = [(Lp, mu) for Lp, mu in lattice(lam).mobius_terms(L) if K.is_subset_of(Lp)]
-    fibers = exact_fiber_count(split, [Lp for Lp, _ in terms], J)
-    total = sum((mu * QPolynomial(f) for (_, mu), f in zip(terms, fibers)), ZERO)
-    return total * orbit_size(split.lambda_dprime, K)

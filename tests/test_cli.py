@@ -178,6 +178,13 @@ class TestCensus:
         assert code == 0
         assert (0, repeated) == run(capsys, "census", "2,1", "--max", "0:1")[:2]
 
+    def test_latex_cells_are_typeset(self, capsys):
+        # Powers above 9 are braced in every cell, not only in the total.
+        code, out, _ = run(capsys, "census", "6,5", "--max", "0:6", "--latex")
+        assert code == 0
+        assert " $ q^{10} - q^9 $ & $ q $\\\\" in out.splitlines()
+        assert "q^10" not in out
+
     def test_json_is_one_document(self, capsys):
         code, out, _ = run(capsys, "census", "2,1", "--max", "0:2", "--json")
         assert code == 0
@@ -232,6 +239,14 @@ class TestQuiverVerifyConjecture:
         assert code == 0
         assert "((1),2)" in out
         assert "q^4 + 2q^3 + 4q^2 + 2q" in out
+
+    def test_breakdown_latex_typesets_fractions(self, capsys):
+        code, out, _ = run(capsys, "quiver", "4", "--breakdown", "--latex")
+        assert code == 0
+        assert " $ ((1),4) $ & $ \\frac{1}{4}q^4 - \\frac{1}{4}q^2 $ & $ q^4 + 2 $\\\\" \
+            in out.splitlines()
+        assert "\\frac{1}{24}q^4 - \\frac{1}{4}q^3 + \\frac{11}{24}q^2 - \\frac{1}{4}q" in out
+        assert "(1/4)" not in out and "/" not in out
 
     def test_breakdown_json_is_one_document(self, capsys):
         code, out, _ = run(capsys, "quiver", "2", "--breakdown", "--json")
@@ -378,3 +393,14 @@ class TestCache:
         assert "Traceback" not in proc.stderr
         assert repr(cache) in proc.stderr
         assert ".tmp" not in proc.stderr
+
+
+def test_import_graph_has_no_fractions():
+    # Every count is an int polynomial; a rational one is an int
+    # polynomial over an int denominator, so fractions is never loaded.
+    src = os.path.dirname(os.path.dirname(orbitpairs.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, orbitpairs.cli; "
+         "assert not {'fractions', 'decimal'} & set(sys.modules), sorted(sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from cellcounts import x_count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from polydiv import exact_div
@@ -11,7 +12,7 @@ from polydiv import exact_div
 from orbitpairs import cli, orbits
 from orbitpairs.errors import BudgetExceeded, DegreeMismatch, IdealOutOfContext
 from orbitpairs.orbits import (canonical_split, n_lambda, orbit_census,
-                               orbit_size, per_ideal_total, x_count)
+                               orbit_size, per_ideal_total)
 from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, laurent_product, monomial
 
@@ -262,7 +263,7 @@ class TestCensus:
             for lam in partitions_of(n):
                 for I in lattice(lam).ideals:
                     for a, cnt in orbit_census(lam, I).items():
-                        assert cnt.is_integer_coefficients(), f"{lam}; {I}; {a}"
+                        assert all(type(c) is int for c in cnt.coeffs), f"{lam}; {I}; {a}"
 
     def test_key_space_matches_cells(self):
         # The keyed census has the same rows, in the same order, as grouping
@@ -329,7 +330,7 @@ class TestNLambda:
                 p = n_lambda(lam)
                 assert p.is_monic()
                 assert p.degree == lam.largest
-                assert p.is_integer_coefficients()
+                assert all(type(c) is int for c in p.coeffs)
 
     def test_capping_invariance(self):
         # The count only depends on multiplicities capped at two; verify by

@@ -34,13 +34,20 @@ class TestArithmetic:
         assert QPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
         assert QPolynomial([0, 0]).coeffs == ()
 
-    def test_fraction_collapses_to_int(self):
-        # An integral Fraction coefficient is observed exactly like an int.
-        p = poly(Fraction(1, 2)) * 2
-        assert p == ONE and hash(p) == hash(ONE)
-        assert p.is_integer_coefficients()
+    def test_constant_collapses_to_int(self):
+        # A constant polynomial is observed exactly like its int.
+        p = poly(3) * 2 - 5
+        assert p == ONE and p == 1 and hash(p) == hash(ONE)
         assert p.to_json() == {"coeffs": [1]}
         assert format_poly(p) == "1"
+
+    def test_non_int_scalars_refused(self):
+        for x in (0.5, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                Q * x
+            with pytest.raises(TypeError):
+                Q + x
+            assert Q != x
 
     def test_degree(self):
         assert ZERO.degree is None
@@ -135,22 +142,31 @@ class TestRendering:
         assert format_poly(ZERO) == "0"
         assert format_poly(Q - 1) == "q - 1"
         assert format_poly(-Q) == "-q"
-        assert format_poly(poly(Fraction(1, 2))) == "(1/2)"
+
+    def test_over_a_denominator(self):
+        assert format_poly(ONE, 2) == "(1/2)"
+        assert format_poly(poly(0, -1, 1), 2) == "(1/2)q^2 - (1/2)q"
+        assert format_poly(poly(4, -6, 2), 4) == "(1/2)q^2 - (3/2)q + 1"
+        assert format_poly(poly(0, 3, -3), 3) == "-q^2 + q"
+        assert format_poly(ZERO, 5) == "0"
 
     def test_latex(self):
         assert latex_poly(poly(0, 0, -1, 1)) == "q^3 - q^2"
         assert latex_poly(monomial(15)) == "q^{15}"
+        assert latex_poly(monomial(15) - 3 * Q, 24) == "\\frac{1}{24}q^{15} - \\frac{1}{8}q"
 
     def test_json_roundtrip(self):
-        for p in [ZERO, Q + 2, poly(Fraction(1, 2), -3, 1)]:
+        for p in [ZERO, Q + 2, poly(-1, -3, 1), Q ** 70 * 10 ** 30]:
             assert QPolynomial.from_json(p.to_json()) == p
-        obj = poly(Fraction(1, 2)).to_json()
-        assert obj == {"coeffs": ["1/2"]}
+            assert json.loads(json.dumps(p.to_json())) == p.to_json()
+        obj = poly(-1, 0, 2).to_json()
+        assert obj == {"coeffs": [-1, 0, 2]}
+        assert all(type(c) is int for c in obj["coeffs"])
 
 
-# Independent arithmetic: sympy polynomials over QQ.
+# Independent arithmetic: sympy polynomials over ZZ, evaluated over QQ.
 X = sympy.Symbol("q")
-COEFF = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=7))
+COEFF = st.one_of(st.integers(-30, 30), st.integers())
 COEFFS = st.lists(COEFF, max_size=6)
 POINT = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=4))
 
@@ -160,8 +176,30 @@ def rational(c):
 
 
 def to_sympy(p):
-    return sympy.Poly([rational(c) for c in reversed(p.coeffs)] or [0], X,
-                      domain=sympy.QQ)
+    assert all(type(c) is int for c in p.coeffs)
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], X, domain=sympy.ZZ)
+
+
+def reference_render(p, den, latex):
+    """p / den rendered on Fraction coefficients, term by term."""
+    parts = []
+    for power in range(len(p.coeffs) - 1, -1, -1):
+        c = Fraction(p.coeffs[power], den)
+        if c == 0:
+            continue
+        var = "" if power == 0 else "q" if power == 1 else \
+            f"q^{{{power}}}" if latex and power > 9 else f"q^{power}"
+        a = abs(c)
+        if a.denominator != 1:
+            num = f"\\frac{{{a.numerator}}}{{{a.denominator}}}" if latex \
+                else f"({a.numerator}/{a.denominator})"
+        else:
+            num = "" if a == 1 and var else str(a)
+        parts.append(("-" if c < 0 else "+", num + var or "0"))
+    if not parts:
+        return "0"
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return out + "".join(f" {sign} {term}" for sign, term in parts[1:])
 
 
 class TestAgainstSympy:
@@ -191,11 +229,21 @@ class TestAgainstSympy:
         assert to_sympy(quot) == expected and rem.is_zero
 
     @settings(deadline=None, max_examples=100)
-    @given(st.lists(st.integers(-30, 30), max_size=6))
-    def test_integral_fractions_observed_as_ints(self, cs):
-        p, f = QPolynomial(cs), QPolynomial(map(Fraction, cs))
-        assert p == f and hash(p) == hash(f)
-        assert f.is_integer_coefficients() and p.is_integer_coefficients()
-        assert json.dumps(f.to_json()) == json.dumps(p.to_json())
-        assert format_poly(f) == format_poly(p)
-        assert latex_poly(f) == latex_poly(p)
+    @given(COEFFS, COEFFS, st.integers(0, 3), st.integers(1, 4))
+    def test_coefficients_stay_int(self, a, b, n, d):
+        p, r = QPolynomial(a), QPolynomial(b)
+        for out in (p + r, p - r, p * r, -p, 3 * p, p ** n, p.compose_power(d),
+                    QPolynomial.from_json(json.loads(json.dumps(p.to_json())))):
+            assert all(type(c) is int for c in out.coeffs)
+        assert QPolynomial.from_json(p.to_json()) == p and hash(p) == hash(QPolynomial(a))
+
+
+class TestRenderingReference:
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.integers(-60, 60), max_size=14), st.integers(1, 60))
+    def test_matches_fraction_reference(self, cs, den):
+        p = QPolynomial(cs)
+        assert format_poly(p, den) == reference_render(p, den, latex=False)
+        assert latex_poly(p, den) == reference_render(p, den, latex=True)
+        if den == 1:
+            assert format_poly(p) == format_poly(p, 1) and latex_poly(p) == latex_poly(p, 1)

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,7 +8,16 @@ from orbitpairs.errors import NonIntegerResult
 from orbitpairs.posets import Partition, partitions_of
 from orbitpairs.qpoly import Q, QPolynomial
 from orbitpairs.quiver import (MatrixType, c_tau, enumerate_types,
-                               genfunc_check, n_tau, phi_d, r_n1)
+                               genfunc_check, n_tau, phi_d, r_n1, type_sum)
+
+
+def at(rational, q0):
+    """The value at q0 of an (int polynomial, denominator) pair, asserting
+    that it is an integer."""
+    num, den = rational
+    assert all(type(c) is int for c in num.coeffs) and type(den) is int and den >= 1
+    assert num(q0) % den == 0, (num, den, q0)
+    return num(q0) // den
 
 
 def matrices(n, p):
@@ -143,35 +151,47 @@ class TestTypes:
 
 class TestPhi:
     def test_closed_forms(self):
-        assert phi_d(1) == Q
-        assert phi_d(2) == (Q ** 2 - Q) * Fraction(1, 2)
-        assert phi_d(3) == (Q ** 3 - Q) * Fraction(1, 3)
+        assert phi_d(1) == (Q, 1)
+        assert phi_d(2) == (Q ** 2 - Q, 2)
+        assert phi_d(3) == (Q ** 3 - Q, 3)
+        assert phi_d(4) == (Q ** 4 - Q ** 2, 4)
+        assert phi_d(6) == (Q ** 6 - Q ** 3 - Q ** 2 + Q, 6)
 
     def test_against_brute_irreducible_counts(self):
         for p in (2, 3):
             for d in (1, 2, 3):
-                assert phi_d(d)(p) == brute_irreducible_count(d, p), (p, d)
+                assert at(phi_d(d), p) == brute_irreducible_count(d, p), (p, d)
 
     def test_spot_values(self):
-        assert phi_d(2)(2) == 1
-        assert phi_d(2)(3) == 3
-        assert phi_d(3)(2) == 2
+        assert at(phi_d(2), 2) == 1
+        assert at(phi_d(2), 3) == 3
+        assert at(phi_d(3), 2) == 2
+        # Necklace counts: d * phi_d(q) is divisible by d at every integer q.
+        for d in range(1, 13):
+            for q0 in range(2, 12):
+                at(phi_d(d), q0)
 
 
 class TestClassCounts:
     def test_c_tau_closed_forms(self):
         one = Partition.parse("1")
-        assert c_tau(MatrixType.from_pairs([(one, 1)])) == Q
-        assert c_tau(MatrixType.from_pairs([(one, 1), (one, 1)])) == \
-            Q * (Q - 1) * Fraction(1, 2)
+        assert c_tau(MatrixType.from_pairs([(one, 1)])) == (Q, 1)
+        assert c_tau(MatrixType.from_pairs([(one, 1), (one, 1)])) == (Q * (Q - 1), 2)
         assert c_tau(MatrixType.from_pairs([(one, 2)])) == phi_d(2)
-        assert c_tau(MatrixType.from_pairs([(Partition.parse("2"), 1)])) == Q
+        assert c_tau(MatrixType.from_pairs([(Partition.parse("2"), 1)])) == (Q, 1)
+        # Two distinct degree-2 pairs and one of degree 1: phi_2 (phi_2 - 1) phi_1
+        # = (2 phi_2)(2 phi_2 - 2) q / 2^2; a repeated pair adds its a! below.
+        two = Partition.parse("2")
+        assert c_tau(MatrixType.from_pairs([(one, 2), (two, 2), (one, 1)])) == \
+            ((Q ** 2 - Q) * (Q ** 2 - Q - 2) * Q, 4)
+        assert c_tau(MatrixType.from_pairs([(one, 2), (one, 2), (one, 1)])) == \
+            ((Q ** 2 - Q) * (Q ** 2 - Q - 2) * Q, 8)
 
     def test_total_classes_against_brute_force(self):
         # Summing class counts over all types of weight n gives the number
         # of similarity classes of n x n matrices.
         for n, p in [(2, 2), (2, 3), (3, 2)]:
-            total = sum(int(c_tau(t)(p)) for t in enumerate_types(n))
+            total = sum(at(c_tau(t), p) for t in enumerate_types(n))
             assert total == brute_similarity_classes(n, p), (n, p)
 
     def test_n_tau_composition(self):
@@ -210,9 +230,20 @@ class TestRepresentationCount:
         with pytest.raises(NonIntegerResult):
             r_n1(3)
 
+    def test_type_sum_cross_multiplies(self, monkeypatch):
+        # A class count off by a factor in its denominator alone breaks the
+        # check, as does one off by one in a single coefficient.
+        for n in range(1, 6):
+            terms, ok = type_sum(n, r_n1(n))
+            assert ok and [t for t, *_ in terms] == enumerate_types(n)
+            assert not type_sum(n, r_n1(n) + 1)[1]
+        monkeypatch.setattr(quiver, "c_tau", lambda tau: (c_tau(tau)[0], 2 * c_tau(tau)[1]))
+        assert not type_sum(3, r_n1(3))[1]
+        assert not genfunc_check(3)
+
     def test_breakdown_checks_type_sum(self, monkeypatch, capsys):
         assert cli.main(["quiver", "3", "--breakdown"]) == 0
-        monkeypatch.setattr(cli, "n_tau", lambda tau: n_tau(tau) + 1)
+        monkeypatch.setattr(quiver, "n_tau", lambda tau: n_tau(tau) + 1)
         assert cli.main(["quiver", "3", "--breakdown"]) == 2
         assert "internal consistency failure" in capsys.readouterr().err
 

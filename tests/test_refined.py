@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from cellcounts import x_count, x_in_submodule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from polydiv import exact_div
@@ -8,14 +9,13 @@ from test_orbits import alpha
 
 from orbitpairs import orbits, refined
 from orbitpairs.errors import DegreeMismatch, IdealOutOfContext
-from orbitpairs.orbits import (canonical_split, n_lambda, orbit_size,
-                               per_ideal_total, x_count)
+from orbitpairs.orbits import canonical_split, n_lambda, orbit_size, per_ideal_total
 from orbitpairs.posets import (IdealLattice, OrderIdeal, Partition, Point, lattice,
                                partitions_of)
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO
 from orbitpairs.refined import (coset_count, exact_fiber_count, refined_census,
                                 refined_censuses, refined_matrix, refined_total,
-                                s_count, x_in_submodule)
+                                s_count)
 
 
 def refined_by_cells(lam, I, L):
@@ -337,7 +337,7 @@ class TestRefinedCensus:
             for L in lat.ideals:
                 for a, cnt in refined_census(lam, I, L).items():
                     assert a.is_monic()
-                    assert cnt.is_integer_coefficients()
+                    assert all(type(c) is int for c in cnt.coeffs)
 
     def test_single_row_matrix(self):
         lam = Partition.parse("1")
