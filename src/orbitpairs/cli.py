@@ -104,7 +104,9 @@ def _emit_rows(header: list[str], rows: list[list[str]], args) -> str:
         w.writerows(rows)
         return buf.getvalue().rstrip("\n")
     if args.latex:
-        lines = ["\\begin{tabular}{|" + "c|" * len(header) + "}", "\\hline"]
+        lines = ["\\begin{tabular}{|" + "c|" * len(header) + "}", "\\hline",
+                 " " + " & ".join(h.replace("\\", r"\textbackslash{}") for h in header) + "\\\\",
+                 "\\hline"]
         for row in rows:
             lines.append(" $ " + " $ & $ ".join(row) + " $\\\\")
         lines += ["\\hline", "\\end{tabular}"]

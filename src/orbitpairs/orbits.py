@@ -19,22 +19,26 @@ a Laurent polynomial, as its exponent may fall below its factors' sum.
 The census sums these Laurent keys per alpha into N_alpha, with no
 division.  Three guards stand in for the mass check and exact division:
 
-- per I, fiber + |quotient| + |lambda''| = |lambda|, and each key table's
-  orbit sizes sum to q**|mu| when it is built; as the grid sum of x is
-  q**fiber * (sum over J) * (sum over K), together these say that the cells
-  partition the module;
+- per I, fiber + |quotient| + |lambda''| = |lambda|, and the orbit sizes of
+  each mu's ideals sum to q**|mu| when its ideal arrays (or refined's key
+  table) are built; as the grid sum of x is q**fiber * (sum over J) *
+  (sum over K), together these say that the cells partition the module;
 - every alpha key is a polynomial: its exponent is at least its factors' sum;
 - alpha divides its group total iff N_alpha, the group's Laurent sum, has no
   negative power, as alpha is monic.
 
-One engine runs all three.  _cells builds the cells of any first ideals
-of a shape in one numpy batch, on arrays that ideal_arrays builds once per
-mu and process, checking the weight identity per I, the mass once per mu,
+One engine runs all three.  ideal_arrays reads a shape's ideals off
+posets' walk of boundary profiles as int rows, once per mu and process,
+checking the mass.  _cells takes first ideals as the rows (v, k) of their
+maximal points, gets all their splits at once from split_arrays, and
+builds the cells in one numpy batch, checking the weight identity per I
 and alpha's exponent and that of x/alpha against their factors' sums per
 cell; _group_sums sums the Laurent keys per (I, alpha) and checks the
-negative powers.  orbit_censuses groups every cell; n_lambda groups only
-the cells whose key reaches below q**0, sums all keys into one total and
-checks that it is monic of degree lambda_1.
+negative powers.  n_lambda passes every row of ideal_arrays(lambda), so it
+builds no OrderIdeal, lattice or canonical_split; it groups only the cells
+whose key reaches below q**0, sums all keys into one total and checks that
+it is monic of degree lambda_1.  orbit_censuses takes OrderIdeals and
+groups every cell; canonical_split and key_table serve refined.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from typing import Dict, MutableMapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, DegreeMismatch
-from .posets import OrderIdeal, Partition, Point, lattice, require_context
+from .posets import OrderIdeal, Partition, Point, _profiles, lattice, require_context
 from .qpoly import QPolynomial, laurent_product
 
 
@@ -155,17 +159,16 @@ class IdealArrays(NamedTuple):
 
 
 def ideal_arrays(mu: Partition) -> IdealArrays:
-    """The arrays of lattice(mu); its orbit sizes must sum to q**|mu|."""
+    """The arrays of lattice(mu), read off its boundary profiles; its orbit
+    sizes must sum to q**|mu|."""
     width = len(mu.pairs)
     vs, ks, ms, keys = [], [], [], []
-    for X in lattice(mu).ideals:
-        pts = X.max_points
-        f = [mu.mult(p.k) for p in pts]
-        pad = [0] * (width - len(pts))
-        vs.append([p.v for p in pts] + pad)
-        ks.append([p.k for p in pts] + pad)
-        ms.append(f + pad)
-        keys.append((X.weighted_size(mu), tuple(sorted(f))))
+    for v, k, m, w in _profiles(mu):
+        pad = (0,) * (width - len(v))
+        vs += v + pad
+        ks += k + pad
+        ms += m + pad
+        keys.append((w, tuple(sorted(m))))
     _check_mass(mu, keys)
     shape = (len(keys), width)
     return IdealArrays(*(np.array(a, dtype=np.int64).reshape(shape) for a in (vs, ks, ms)),
@@ -177,6 +180,37 @@ def ideal_arrays(mu: Partition) -> IdealArrays:
 _IDEAL_ARRAYS: Dict[Partition, IdealArrays] = {}
 
 
+def _arrays(mu: Partition) -> IdealArrays:
+    arrays = _IDEAL_ARRAYS.get(mu)
+    if arrays is None:
+        arrays = _IDEAL_ARRAYS[mu] = ideal_arrays(mu)
+    return arrays
+
+
+def split_arrays(lam: Partition, v: np.ndarray, k: np.ndarray) -> tuple:
+    """canonical_split of every first ideal given as the rows (v, k) of its
+    maximal points, padded with (0, 0): the fibers k_0 - v_0; the quotient
+    rows v_j + k_{j+1} - v_{j+1}, v_j for the last point and 0 for a padded
+    one, which fall strictly, so that a row's nonzero entries are the
+    quotient's parts; and lambda'''s multiplicities on lambda's rows,
+    lambda's less one for each k_j."""
+    c, quotient = k - v, v.copy()
+    quotient[:, :-1] += c[:, 1:]
+    onehot = k[:, :, None] == np.array(lam.rows, dtype=np.int64)
+    mults = np.array([m for _, m in lam.pairs], dtype=np.int64)
+    # c[:, :1] is empty, and the fiber 0, when lambda has no rows.
+    return c[:, :1].sum(1), quotient, mults - onehot.sum(1)
+
+
+def _distinct(a: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct rows of a, as tuples in order of first appearance, and
+    each row's index among them.  A dict of row tuples runs faster here than
+    np.unique on a void view of the rows, on small shapes and large."""
+    index: Dict[tuple, int] = {}
+    inverse = [index.setdefault(row, len(index)) for row in map(tuple, a.tolist())]
+    return list(index), np.array(inverse, dtype=np.int64)
+
+
 def _int64(bound: int, what: str, lam: Partition):
     if bound > np.iinfo(np.int64).max:
         raise BudgetExceeded(f"{what} of the cells of {lam} reach {bound}, past int64")
@@ -186,8 +220,11 @@ class _Cells(NamedTuple):
     """A batch of cells (I, J, K): per cell, I's index, the alpha key (ea,
     a_code) and the Laurent key x/alpha (e shifted up by |lambda|, l_code,
     factors' sum l_sf).  Factor multisets are radix codes: digit r counts
-    the factor values[r], values rising, and codes lie below span."""
+    the factor values[r], values rising, and codes lie below span.  fv and
+    fk are the first ideals' maximal points, as in IdealArrays."""
 
+    fv: np.ndarray
+    fk: np.ndarray
     first: np.ndarray
     ea: np.ndarray
     a_code: np.ndarray
@@ -208,35 +245,45 @@ class _Cells(NamedTuple):
     def alpha(self, c: int) -> tuple:
         return int(self.ea[c]), self.factors(int(self.a_code[c]))
 
+    def ideal(self, i: int) -> OrderIdeal:
+        return _ideal(self.fv[i], self.fk[i])
 
-def _cells(lam: Partition, ideals: list) -> _Cells:
-    """The cells of the ideals, I outer, then J, then K, in one numpy batch
-    under every guard but _group_sums' negative powers.
 
-    Every quotient and lambda'' of the ideals contributes its ideal_arrays
-    once, one row per ideal; one broadcast gives their boundaries on the
-    rows 0..lambda_1 of the module.  The cells are index arrays into the
-    ideals, and factor multisets are radix codes: digit r counts the r-th
-    smallest factor value of the shape, and the radix exceeds J's points
-    plus K's, so codes add as multisets do.  Every key and code is checked
-    to fit in int64 before it is formed.  With s = |lambda| - [J union K],
+def _ideal(v: np.ndarray, k: np.ndarray) -> OrderIdeal:
+    """The ideal with maximal points (v, k), padded as in IdealArrays; built
+    for error messages only."""
+    return OrderIdeal(Point(a, b) for a, b in zip(v.tolist(), k.tolist()) if b)
+
+
+def _cells(lam: Partition, fv: np.ndarray, fk: np.ndarray) -> _Cells:
+    """The cells of the first ideals with maximal points (fv, fk), padded as
+    in IdealArrays, I outer, then J, then K, in one numpy batch under every
+    guard but _group_sums' negative powers.
+
+    split_arrays gives every split at once; each distinct quotient and
+    lambda'' row becomes a partition, which contributes its ideal_arrays
+    once, one row per ideal; one broadcast gives their boundaries on
+    lambda's rows.  The cells are index arrays into the ideals, and factor
+    multisets are radix codes: digit r counts the r-th smallest factor
+    value of the shape, and the radix exceeds J's points plus K's, so codes
+    add as multisets do.  Every key and code is checked to fit in int64
+    before it is formed.  With s = |lambda| - [J union K],
     the sum of min(bJ, bK) over lambda's rows scaled by multiplicities,
     alpha has exponent |lambda| - s and x/alpha fiber + [J] + [K] - |lambda| + s."""
-    weight = lam.weight
+    weight, rows = lam.weight, np.array(lam.rows, dtype=np.int64)
+    fiber, qrows, dprime = split_arrays(lam, fv, fk)
+    bad = (fiber + qrows.sum(1) + dprime @ rows != weight).nonzero()[0]
+    if bad.size:
+        raise DegreeMismatch(f"split of ({lam}; {_ideal(fv[bad[0]], fk[bad[0]])})"
+                             " does not partition the module")
     index: Dict[Partition, int] = {}
-    firsts = []
-    for I in ideals:
-        sp = canonical_split(lam, I)
-        if sp.fiber + sp.quotient.weight + sp.lambda_dprime.weight != weight:
-            raise DegreeMismatch(f"split of ({lam}; {I}) does not partition the module")
-        firsts.append((sp.fiber, index.setdefault(sp.quotient, len(index)),
-                       index.setdefault(sp.lambda_dprime, len(index))))
-    parts = []
-    for mu in index:
-        arrays = _IDEAL_ARRAYS.get(mu)
-        if arrays is None:
-            arrays = _IDEAL_ARRAYS[mu] = ideal_arrays(mu)
-        parts.append(arrays)
+    qkeys, qrow = _distinct(qrows)
+    dkeys, drow = _distinct(dprime)
+    jmu = np.array([index.setdefault(Partition((p, 1) for p in row if p), len(index))
+                    for row in qkeys])[qrow]
+    kmu = np.array([index.setdefault(Partition((p, m) for p, m in zip(lam.rows, row) if m),
+                                     len(index)) for row in dkeys])[drow]
+    parts = [_arrays(mu) for mu in index]
 
     # One row per ideal of every mu, padded to the widest antichain.
     sizes = np.array([len(a.w) for a in parts])
@@ -247,11 +294,13 @@ def _cells(lam: Partition, ideals: list) -> _Cells:
         for padded, field in ((pv, a.v), (pk, a.k), (pm, a.m)):
             padded[st:st + len(a.w), :field.shape[1]] = field
     w = np.concatenate([a.w for a in parts])
-    # Boundaries on every row 0..lambda_1, so that a point's row indexes them.
-    every = np.arange(lam.largest + 1)
-    bound = np.minimum((pv[:, :, None] + np.maximum(every - pk[:, :, None], 0)).min(
-        1, initial=lam.largest), every)
-    scaled = bound[:, lam.rows] * np.array([m for _, m in lam.pairs], dtype=np.int64)
+    # Boundaries on lambda's rows; column[k] is row k's column, and a padded
+    # point, which carries no factor, reads column 0.
+    bound = np.minimum((pv[:, :, None] + np.maximum(rows - pk[:, :, None], 0)).min(
+        1, initial=lam.largest), rows)
+    scaled = bound * np.array([m for _, m in lam.pairs], dtype=np.int64)
+    column = np.zeros(lam.largest + 1, dtype=np.int64)
+    column[rows] = np.arange(rows.size)
 
     values, rank = np.unique(pm, return_inverse=True)
     radix, factor_values = 2 * width + 1, values[values > 0].tolist()
@@ -262,34 +311,34 @@ def _cells(lam: Partition, ideals: list) -> _Cells:
     point_code = digit[rank.reshape(pm.shape)]
     code, sf = point_code.sum(1), pm.sum(1)
 
-    fiber, jmu, kmu = np.array(firsts, dtype=np.int64).T
     counts = sizes[jmu] * sizes[kmu]
     first, j0, k0, nk, off = np.repeat(np.stack(
-        [np.arange(len(ideals)), starts[jmu], starts[kmu], sizes[kmu],
+        [np.arange(len(fv)), starts[jmu], starts[kmu], sizes[kmu],
          np.cumsum(counts) - counts]), counts, axis=1)
     t = np.arange(off.size) - off
     J, K = j0 + t // nk, k0 + t % nk
-    s = np.minimum(scaled[J], scaled[K]).sum(1)
-    inside = bound[J[:, None], pk[K]] <= pv[K]
-    in_code = (point_code[K] * inside).sum(1)
-    in_sf = (pm[K] * inside).sum(1)
+    # take and einsum run faster than fancy indexing and a product's sum.
+    s = np.minimum(scaled.take(J, 0), scaled.take(K, 0)).sum(1)
+    inside = bound.ravel().take(J[:, None] * rows.size + column[pk].take(K, 0)) <= pv.take(K, 0)
+    in_code = np.einsum("cw,cw->c", point_code.take(K, 0), inside)
+    in_sf = np.einsum("cw,cw->c", pm.take(K, 0), inside)
     ea, a_code, a_sf = weight - s, code[K] - in_code, sf[K] - in_sf
     e, l_code, l_sf = fiber[first] + w[J] + w[K] + s, code[J] + in_code, sf[J] + in_sf
-    cells = _Cells(first, ea, a_code, e, l_code, l_sf, radix, factor_values, span)
+    cells = _Cells(fv, fk, first, ea, a_code, e, l_code, l_sf, radix, factor_values, span)
 
     bad = (ea < a_sf).nonzero()[0]
     if bad.size:
         raise DegreeMismatch(f"alpha key {cells.alpha(bad[0])} of"
-                             f" ({lam}; {ideals[first[bad[0]]]}) is no polynomial")
+                             f" ({lam}; {cells.ideal(first[bad[0]])}) is no polynomial")
     bad = (e < l_sf).nonzero()[0]
     if bad.size:
-        raise _negative_power(lam, ideals[first[bad[0]]], cells.alpha(bad[0]))
-    _int64(len(ideals) * (weight + 1) * span - 1, "(I, alpha) keys", lam)
+        raise _negative_power(lam, cells.ideal(first[bad[0]]), cells.alpha(bad[0]))
+    _int64(len(fv) * (weight + 1) * span - 1, "(I, alpha) keys", lam)
     _int64((int(e.max()) + 1) * span - 1, "packed Laurent keys", lam)
     return cells
 
 
-def _group_sums(lam: Partition, ideals: list, cells: _Cells, sel: np.ndarray,
+def _group_sums(lam: Partition, cells: _Cells, sel: np.ndarray,
                 width: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum the Laurent keys of the cells sel per (I, alpha), in int64 with
     column i standing for q**(i - |lambda|), i < width.  Returns each
@@ -310,16 +359,19 @@ def _group_sums(lam: Partition, ideals: list, cells: _Cells, sel: np.ndarray,
     expansions = np.zeros((len(table), max(map(len, table))), dtype=np.int64)
     for row, cs in zip(expansions, table):
         row[:len(cs)] = cs
-    # Column j of a cell's expansion is power low + j; columns past width are cut.
-    low = cells.e[sel] - cells.l_sf[sel]
-    acc = np.zeros((heads.size, width + expansions.shape[1]), dtype=np.int64)
-    for j in range(expansions.shape[1]):
-        np.add.at(acc, (gid, low + j), expansions[cid, j])
+    # Column j of a cell's expansion is power e - l_sf + j, at flat index
+    # low + j of acc; columns past width are cut.  One add.at on a flat
+    # index runs faster than one per column.
+    cols = width + expansions.shape[1]
+    low = gid * cols + cells.e[sel] - cells.l_sf[sel]
+    acc = np.zeros((heads.size, cols), dtype=np.int64)
+    np.add.at(acc.ravel(), (low[:, None] + np.arange(expansions.shape[1])).ravel(),
+              expansions[cid].ravel())
     acc = acc[:, :width]
     bad = acc[:, :weight].any(1).nonzero()[0]
     if bad.size:
         c = heads[bad[0]]
-        raise _negative_power(lam, ideals[cells.first[c]], cells.alpha(c))
+        raise _negative_power(lam, cells.ideal(cells.first[c]), cells.alpha(c))
     return heads, acc
 
 
@@ -329,11 +381,11 @@ def _laurent_total(lam: Partition) -> list[int]:
     reaches below q**0 can leave a negative power in their (I, alpha)
     group, so only those are grouped."""
     weight = lam.weight
-    ideals = lattice(lam).ideals
-    cells = _cells(lam, ideals)
+    arrays = _arrays(lam)
+    cells = _cells(lam, arrays.v, arrays.k)
     below = (cells.e - cells.l_sf < weight).nonzero()[0]
     if below.size:
-        _group_sums(lam, ideals, cells, below, weight)
+        _group_sums(lam, cells, below, weight)
     keys, counts = np.unique(cells.e * cells.span + cells.l_code, return_counts=True)
     total = [0] * (int(cells.e.max()) + 1)  # coefficient i stands for q**(i - |lambda|)
     for key, c in zip(keys.tolist(), counts.tolist()):
@@ -349,9 +401,13 @@ def orbit_censuses(lam: Partition, ideals: list) -> list[Dict[QPolynomial, QPoly
     """orbit_census(lam, I) for every I in ideals, from one cell batch.  A
     shifted exponent e is at most 2 |lambda|, so 2 |lambda| + 1 columns
     hold every group."""
-    weight = lam.weight
-    cells = _cells(lam, ideals)
-    heads, acc = _group_sums(lam, ideals, cells, np.arange(cells.first.size), 2 * weight + 1)
+    weight, width = lam.weight, len(lam.pairs)
+    for I in ideals:
+        require_context(lam, I)
+    points = np.array([I.max_points + ((0, 0),) * (width - len(I.max_points)) for I in ideals],
+                      dtype=np.int64).reshape(len(ideals), width, 2)
+    cells = _cells(lam, points[:, :, 0], points[:, :, 1])
+    heads, acc = _group_sums(lam, cells, np.arange(cells.first.size), 2 * weight + 1)
     censuses: list = [{} for _ in ideals]
     for c, row in zip(heads.tolist(), acc[:, weight:].tolist()):
         censuses[cells.first[c]][_alpha_core(*cells.alpha(c))] = QPolynomial(row)

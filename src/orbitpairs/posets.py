@@ -8,7 +8,11 @@ so the same ideal object can be evaluated against several partitions (the
 counting pipeline mixes three partition contexts per computation).  Boundary
 valuations are derived on demand from the generators: boundary(k) is the
 least v with (v, k) in the ideal, and k itself when row k misses the ideal
-(row k holds valuations 0..k-1, so k acts as infinity).
+(row k holds valuations 0..k-1, so k acts as infinity).  One walk of
+boundary profiles, _profiles, enumerates the ideals: enumerate_ideals makes
+OrderIdeals of them, and the census batch in orbits keeps each shape's as
+int rows, a per-partition array layout inside the batch, not a stored
+ideal form, so OrderIdeal stays the one ideal type.
 
 The ideals on a partition's rows form a finite distributive lattice, so its
 Moebius function has a closed form: mu(A, B) = (-1)^|B - A| when A is B
@@ -246,31 +250,44 @@ class OrderIdeal:
         return f"OrderIdeal.parse({str(self)!r})"
 
 
-def enumerate_ideals(lam: Partition) -> list[OrderIdeal]:
-    """All ideals of J(P)_lambda, via boundary profiles row by row.
+def _profiles(lam: Partition) -> list[tuple]:
+    """Every ideal on lam's rows, in lattice order, as the valuations, rows
+    and multiplicities in lam of its maximal points, and its weighted size.
 
-    A profile assigns to every row k (largest first) a boundary in 0..k,
-    with k marking an empty row; boundaries and co-boundaries k - boundary
-    both weakly decrease down the rows.  Each row tries the empty boundary
-    first, so the empty ideal comes first.
-    """
-    rows = lam.rows
-    bounds = [0] * len(rows)
+    Boundary profiles are enumerated row by row: a boundary b_i per row k_i,
+    largest row first, with b_i and c_i = k_i - b_i both weakly falling, and
+    c_i = 0 (an empty row) tried first, so the empty ideal comes first.  Row
+    i holds a maximal point (b_i, k_i) iff c_i > 0, b_i < b_{i-1} (always,
+    on the top row) and c_i > c_{i+1} (0 past the last row), so row i is
+    settled once row i + 1 is chosen.  The weighted size is sum m_i * c_i."""
+    rows, mults = lam.rows, [m for _, m in lam.pairs]
     out = []
 
-    def rec(i: int, prev_v: int, prev_c: int):
+    def rec(i: int, pv: tuple, pk: tuple, pm: tuple, w: int,
+            prev_v: int, prev_c: int, fell: bool):
+        # fell: b_{i-1} < b_{i-2}, with b_{-1} = k_0 above the top row.
         if i == len(rows):
-            out.append(OrderIdeal.from_generators(
-                Point(v, k) for v, k in zip(bounds, rows) if v < k))
+            if fell and prev_c:
+                pv, pk, pm = pv + (prev_v,), pk + (rows[-1],), pm + (mults[-1],)
+            out.append((pv, pk, pm, w))
             return
-        k = rows[i]
+        k, m = rows[i], mults[i]
         for v in range(min(prev_v, k), max(k - prev_c, 0) - 1, -1):
-            bounds[i] = v
-            rec(i + 1, v, k - v)
+            c = k - v
+            if fell and prev_c > c:
+                rec(i + 1, pv + (prev_v,), pk + (rows[i - 1],), pm + (mults[i - 1],),
+                    w + m * c, v, c, v < prev_v)
+            else:
+                rec(i + 1, pv, pk, pm, w + m * c, v, c, v < prev_v)
 
-    top = lam.largest
-    rec(0, top, top)
+    rec(0, (), (), (), 0, lam.largest, lam.largest, False)
     return out
+
+
+def enumerate_ideals(lam: Partition) -> list[OrderIdeal]:
+    """All ideals of J(P)_lambda, in the order of _profiles, built from
+    their maximal points."""
+    return [OrderIdeal(map(Point, v, k)) for v, k, _, _ in _profiles(lam)]
 
 
 def require_context(lam: Partition, I: OrderIdeal):

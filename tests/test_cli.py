@@ -145,6 +145,14 @@ class TestTable:
         assert "\\begin{tabular}" in out
         assert "q^2 + 2q + 2" in out
 
+    def test_latex_header_row(self, capsys):
+        code, out, _ = run(capsys, "table", "2", "--latex")
+        assert code == 0
+        assert out.splitlines() == [
+            "\\begin{tabular}{|c|c|}", "\\hline", " partition & orbit count\\\\", "\\hline",
+            " $ (2) $ & $ q^2 + 2q + 2 $\\\\", " $ (1, 1) $ & $ q + 3 $\\\\", "\\hline",
+            "\\end{tabular}"]
+
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "table", "2", "--csv")
         assert code == 0
@@ -184,6 +192,17 @@ class TestCensus:
         assert code == 0
         assert " $ q^{10} - q^9 $ & $ q $\\\\" in out.splitlines()
         assert "q^10" not in out
+
+    def test_latex_header_row(self, capsys):
+        code, out, _ = run(capsys, "census", "6,5", "--max", "0:6", "--latex")
+        assert code == 0
+        assert out.splitlines()[:4] == ["\\begin{tabular}{|c|c|}", "\\hline",
+                                        " cardinality & number of orbits\\\\", "\\hline"]
+        # Column names are text, with LaTeX's specials escaped.
+        code, out, _ = run(capsys, "refined", "2,1", "--latex")
+        assert code == 0
+        assert out.splitlines()[2] == \
+            " first \\textbackslash{} second & [] & [1:2] & [0:1] & [0:2] & row sum\\\\"
 
     def test_json_is_one_document(self, capsys):
         code, out, _ = run(capsys, "census", "2,1", "--max", "0:2", "--json")

@@ -350,7 +350,7 @@ class TestVerify:
         built = []
         real = orbits_module._cells
         monkeypatch.setattr(orbits_module, "_cells",
-                            lambda lam, ideals: built.append(len(ideals)) or real(lam, ideals))
+                            lambda lam, fv, fk: built.append(len(fv)) or real(lam, fv, fk))
         assert verify(lam, 2)["pass"]
         assert built == [len(lattice(lam).ideals)]
 

@@ -1,6 +1,4 @@
-import dataclasses
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -417,27 +415,31 @@ class TestCensusGroups:
         monkeypatch.setattr(orbits, "ideal_arrays", lambda mu: built.append(mu) or real(mu))
         lam = Partition.parse("4,3^2,2,1")
         n_lambda(lam, {})
+        # lambda's own arrays give its first ideals and their splits.
         splits = [canonical_split(lam, I) for I in lattice(lam).ideals]
-        expected = {sp.quotient for sp in splits} | {sp.lambda_dprime for sp in splits}
+        expected = {sp.quotient for sp in splits} | {sp.lambda_dprime for sp in splits} | {lam}
         assert sorted(built, key=str) == sorted(expected, key=str)
         n_lambda(lam, {})
         assert len(built) == len(expected)
 
     def test_weight_identity_guard(self, monkeypatch):
-        real = orbits.canonical_split
-        monkeypatch.setattr(orbits, "canonical_split", lambda lam, I: dataclasses.replace(
-            real(lam, I), fiber=real(lam, I).fiber + 1))
+        real = orbits.split_arrays
+
+        def heavy_fibers(lam, v, k):
+            fiber, quotient, dprime = real(lam, v, k)
+            return fiber + 1, quotient, dprime
+
+        monkeypatch.setattr(orbits, "split_arrays", heavy_fibers)
         for engine in ENGINES:
             with pytest.raises(DegreeMismatch, match="does not partition"):
                 engine(Partition.parse("2,1"))
 
     def test_table_mass_guard(self, monkeypatch):
-        # A lattice missing its last ideal leaves its orbit sizes short of
+        # Profiles missing their last ideal leave the orbit sizes short of
         # q**|mu|.
         monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
-        real = orbits.lattice
-        monkeypatch.setattr(orbits, "lattice",
-                            lambda mu: SimpleNamespace(ideals=real(mu).ideals[:-1]))
+        real = orbits._profiles
+        monkeypatch.setattr(orbits, "_profiles", lambda mu: real(mu)[:-1])
         for engine in ENGINES:
             with pytest.raises(DegreeMismatch, match="orbit sizes"):
                 engine(Partition.parse("2,1"))
@@ -487,3 +489,64 @@ class TestCensusGroups:
             orbit_census(Partition.parse("4,3,2,1"), OrderIdeal())
         assert cli.main(["census", "4,3,2,1", "--max", ""]) == 1
         assert "past int64" in capsys.readouterr().err
+
+
+def arrays_from_lattice(mu: Partition) -> tuple:
+    """(v, k, m, w) of every ideal of lattice(mu), in lattice order, read
+    through OrderIdeal's own max_points and weighted_size, with the maximal
+    points padded with zeros to mu's row count: the reference for
+    ideal_arrays' int rows."""
+    ideals = lattice(mu).ideals
+
+    def padded(field):
+        return [[field(p) for p in X.max_points] + [0] * (len(mu.pairs) - len(X.max_points))
+                for X in ideals]
+
+    return (padded(lambda p: p.v), padded(lambda p: p.k), padded(lambda p: mu.mult(p.k)),
+            [X.weighted_size(mu) for X in ideals])
+
+
+CAPPED_TO_12 = sorted({lam.cap(2) for n in range(13) for lam in partitions_of(n)}, key=str)
+
+
+class TestIdealArrays:
+    def test_profiles_match_lattice(self, monkeypatch):
+        # Every mu met by n_lambda with |lambda| <= 12: the shapes, their
+        # quotients and their lambda''s, which are capped shapes again.
+        monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
+        for lam in CAPPED_TO_12:
+            n_lambda(lam, {})
+        met = dict(orbits._IDEAL_ARRAYS)
+        assert set(met) == set(CAPPED_TO_12)
+        for mu, arrays in met.items():
+            assert tuple(a.tolist() for a in arrays) == arrays_from_lattice(mu), str(mu)
+            assert arrays.v.shape == (len(lattice(mu).ideals), len(mu.pairs))
+
+    def test_splits_match_canonical_split(self):
+        for lam in CAPPED_TO_12:
+            arrays = orbits.ideal_arrays(lam)
+            fiber, quotient, dprime = orbits.split_arrays(lam, arrays.v, arrays.k)
+            for i, I in enumerate(lattice(lam).ideals):
+                sp = canonical_split(lam, I)
+                assert fiber[i] == sp.fiber, (str(lam), str(I))
+                rows = quotient[i].tolist()
+                assert rows == list(sp.quotient_rows) + [0] * (len(rows) - len(sp.prime_parts))
+                assert Partition((p, 1) for p in rows if p) == sp.quotient
+                assert Partition((p, m) for p, m in zip(lam.rows, dprime[i].tolist())
+                                 if m) == sp.lambda_dprime, (str(lam), str(I))
+
+    def test_n_lambda_builds_no_ideal_objects(self, monkeypatch):
+        monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
+        lattice.cache_clear()
+        canonical_split.cache_clear()
+        made = []
+        real = OrderIdeal.__init__
+        monkeypatch.setattr(OrderIdeal, "__init__",
+                            lambda self, *a: made.append(a) or real(self, *a))
+        store = {}
+        for lam in partitions_of(8):
+            n_lambda(lam, store)
+        assert len(orbits._IDEAL_ARRAYS) > len(store) == 21
+        assert lattice.cache_info().currsize == 0
+        assert canonical_split.cache_info().currsize == 0
+        assert made == []
