@@ -20,9 +20,9 @@ The census sums these Laurent keys per alpha into N_alpha, with no
 division.  Three guards stand in for the mass check and exact division:
 
 - per I, fiber + |quotient| + |lambda''| = |lambda|, and the orbit sizes of
-  each mu's ideals sum to q**|mu| when its ideal arrays (or refined's key
-  table) are built; as the grid sum of x is q**fiber * (sum over J) *
-  (sum over K), together these say that the cells partition the module;
+  each mu's ideals sum to q**|mu| when its ideal arrays, which refined's
+  tables read too, are built; as the grid sum of x is q**fiber * (sum over
+  J) * (sum over K), together these say that the cells partition the module;
 - every alpha key is a polynomial: its exponent is at least its factors' sum;
 - alpha divides its group total iff N_alpha, the group's Laurent sum, has no
   negative power, as alpha is monic.
@@ -38,7 +38,7 @@ negative powers.  n_lambda passes every row of ideal_arrays(lambda), so it
 builds no OrderIdeal, lattice or canonical_split; it groups only the cells
 whose key reaches below q**0, sums all keys into one total and checks that
 it is monic of degree lambda_1.  orbit_censuses takes OrderIdeals and
-groups every cell; canonical_split and key_table serve refined.
+groups every cell; refined reads canonical_split and the ideal arrays.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Dict, MutableMapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, DegreeMismatch
-from .posets import OrderIdeal, Partition, Point, _profiles, lattice, require_context
+from .posets import OrderIdeal, Partition, Point, _profiles, require_context
 from .qpoly import QPolynomial, laurent_product
 
 
@@ -105,42 +105,6 @@ def _alpha_core(exponent: int, factors: tuple[int, ...]) -> QPolynomial:
     return laurent_product(exponent, factors)
 
 
-def key_table(lam: Partition, mu: Partition, points: bool) -> list:
-    """Per ideal X of lattice(mu), in lattice order: its boundaries on
-    lambda's rows scaled by lambda's multiplicities, its orbit-size key
-    (weighted size, sorted factors) and, if points, its maximal points as
-    sorted (m_k in mu, row index in lambda, m_k in lambda * v), for which
-    mu's rows must be rows of lambda.  The orbit sizes must sum to q**|mu|."""
-    mult = dict(lam.pairs)
-    row = {k: i for i, k in enumerate(lam.rows)}
-    table = []
-    for X in lattice(mu).ideals:
-        pts = sorted((mu.mult(k), row[k], mult[k] * v) for v, k in X.max_points) \
-            if points else None
-        table.append((tuple(m * X.boundary(k) for k, m in lam.pairs), X.weighted_size(mu),
-                      tuple(sorted(mu.mult(k) for _, k in X.max_points)), pts))
-    _check_mass(mu, [(w, f) for _, w, f, _ in table])
-    return table
-
-
-def _check_mass(mu: Partition, keys: list):
-    """Raise unless the orbit-size keys (weighted size, sorted factors) of
-    lattice(mu) sum to q**|mu|."""
-    mass = [0] * (mu.weight + 1)
-    for w, f in keys:
-        mass[:w + 1] = map(add, mass[:w + 1], _alpha_core(w, f).coeffs)
-    if mass != [0] * mu.weight + [1]:
-        raise DegreeMismatch(f"orbit sizes of lattice({mu}) sum to {QPolynomial(mass)}")
-
-
-def _table(tables: dict, lam: Partition, mu: Partition, points: bool) -> list:
-    """key_table(lam, mu, points), built once per (mu, points) in tables."""
-    table = tables.get((mu, points))
-    if table is None:
-        table = tables[mu, points] = key_table(lam, mu, points)
-    return table
-
-
 def _negative_power(lam: Partition, I: OrderIdeal, akey: tuple) -> DegreeMismatch:
     return DegreeMismatch(f"N_alpha has a negative power for alpha {_alpha_core(*akey)}"
                           f" in the census of ({lam}; {I})")
@@ -162,17 +126,20 @@ def ideal_arrays(mu: Partition) -> IdealArrays:
     """The arrays of lattice(mu), read off its boundary profiles; its orbit
     sizes must sum to q**|mu|."""
     width = len(mu.pairs)
-    vs, ks, ms, keys = [], [], [], []
+    vs, ks, ms, ws = [], [], [], []
+    mass = [0] * (mu.weight + 1)
     for v, k, m, w in _profiles(mu):
         pad = (0,) * (width - len(v))
         vs += v + pad
         ks += k + pad
         ms += m + pad
-        keys.append((w, tuple(sorted(m))))
-    _check_mass(mu, keys)
-    shape = (len(keys), width)
+        ws.append(w)
+        mass[:w + 1] = map(add, mass[:w + 1], _alpha_core(w, tuple(sorted(m))).coeffs)
+    if mass != [0] * mu.weight + [1]:
+        raise DegreeMismatch(f"orbit sizes of lattice({mu}) sum to {QPolynomial(mass)}")
+    shape = (len(ws), width)
     return IdealArrays(*(np.array(a, dtype=np.int64).reshape(shape) for a in (vs, ks, ms)),
-                       np.array([w for w, _ in keys], dtype=np.int64))
+                       np.array(ws, dtype=np.int64))
 
 
 # ideal_arrays(mu) under mu, kept for the process like refined._S_COUNTS, so

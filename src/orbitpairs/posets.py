@@ -10,21 +10,22 @@ valuations are derived on demand from the generators: boundary(k) is the
 least v with (v, k) in the ideal, and k itself when row k misses the ideal
 (row k holds valuations 0..k-1, so k acts as infinity).  One walk of
 boundary profiles, _profiles, enumerates the ideals: enumerate_ideals makes
-OrderIdeals of them, and the census batch in orbits keeps each shape's as
-int rows, a per-partition array layout inside the batch, not a stored
-ideal form, so OrderIdeal stays the one ideal type.
+OrderIdeals of them, and orbits keeps each shape's as int rows, which its
+census batch and refined's tables read: a per-partition array layout, not
+a stored ideal form, so OrderIdeal stays the one ideal type.
 
 The ideals on a partition's rows form a finite distributive lattice, so its
 Moebius function has a closed form: mu(A, B) = (-1)^|B - A| when A is B
 minus a set of B's maximal points, and 0 otherwise.  Inversions sum over
-those terms only.
+those terms only, which mobius_terms lists as boundary tuples: removing the
+maximal point on a row raises that row's boundary by 1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import IdealOutOfContext
 
@@ -162,6 +163,28 @@ def partitions_of(n: int) -> list[Partition]:
     return out
 
 
+def boundary(points: Iterable[tuple[int, int]], k: int) -> int:
+    """Least valuation in row k of the ideal with maximal points (v, k); k if
+    the row misses the ideal (row k holds valuations 0..k-1, so k acts as
+    infinity)."""
+    best = k
+    for v, gk in points:
+        if k > gk:
+            v += k - gk
+        if v < best:
+            best = v
+    return best
+
+
+def mobius_terms(b: tuple[int, ...], tops: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """Every (A, mu(A, B)) with mu nonzero, for the ideal B with boundaries b
+    on a partition's rows and its maximal points on the rows tops (indices
+    into b), A given by its boundaries: A is B minus a set S of those points,
+    which raises the boundary on each of their rows by 1, and mu = (-1)^|S|."""
+    return [(tuple(x + (i in removed) for i, x in enumerate(b)), (-1) ** r)
+            for r in range(len(tops) + 1) for removed in combinations(tops, r)]
+
+
 class OrderIdeal:
     """An order ideal of the fundamental poset, stored as its antichain of
     maximal points (distinct rows; sorted by descending row)."""
@@ -207,16 +230,7 @@ class OrderIdeal:
         return cls(pts)
 
     def boundary(self, k: int) -> int:
-        """Least valuation of a point of the ideal in row k; k if the row
-        misses the ideal (row k holds valuations 0..k-1, so k acts as
-        infinity)."""
-        best = k
-        for v, gk in self.max_points:
-            if k > gk:
-                v += k - gk
-            if v < best:
-                best = v
-        return best
+        return boundary(self.max_points, k)
 
     def contains(self, p: Point) -> bool:
         return self.boundary(p.k) <= p.v
@@ -301,22 +315,6 @@ class IdealLattice:
     def __init__(self, lam: Partition):
         self.partition = lam
         self.ideals = enumerate_ideals(lam)
-
-    def mobius_terms(self, B: OrderIdeal) -> Iterator[tuple[OrderIdeal, int]]:
-        """Every (A, mu(A, B)) with mu nonzero: A is B minus a set S of its
-        maximal points, and mu = (-1)^|S|.  Removing the point (v, k) raises
-        row k's boundary to v + 1."""
-        require_context(self.partition, B)
-        base = {k: B.boundary(k) for k in self.partition.rows}
-        tops = B.max_points
-        for r in range(len(tops) + 1):
-            for removed in combinations(tops, r):
-                bounds = dict(base)
-                for v, k in removed:
-                    bounds[k] = v + 1
-                A = OrderIdeal.from_generators(
-                    Point(b, k) for k, b in bounds.items() if b < k)
-                yield A, (-1) ** r
 
 
 @lru_cache(maxsize=None)

@@ -10,8 +10,8 @@ it runs once per (prime parts, a, b) key in a process, on integer
 coefficient lists.
 Two Moebius inversions (one on the quotient context, one on the source
 lattice) then sharpen "at least" constraints to "exactly"; each sums only
-over the nonzero closed-form Moebius terms of its lattice
-(IdealLattice.mobius_terms), listed once per (mu, ideal).
+over the nonzero closed-form Moebius terms of its lattice, boundary tuples
+from posets.mobius_terms, listed once per (mu, ideal).
 
 refined_censuses computes one row, a first ideal I with a sequence of second
 ideals L, on the census grid (J, K) of orbits._cells: per J the fibers over
@@ -29,9 +29,9 @@ from functools import lru_cache
 from operator import add, ge, sub
 from typing import Dict, Optional, Sequence
 
-from .orbits import (CanonicalSplit, _alpha_core, _negative_power, _table, canonical_split,
-                     orbit_size)
-from .posets import OrderIdeal, Partition, Point, lattice
+from .orbits import _alpha_core, _arrays, _negative_power, canonical_split
+from .posets import (OrderIdeal, Partition, Point, boundary, lattice, mobius_terms,
+                     require_context)
 from .qpoly import ONE, QPolynomial, ZERO, monomial
 
 
@@ -103,32 +103,43 @@ def s_count(pts: tuple[Point, ...], a: tuple[int, ...], b: tuple[int, ...]) -> t
 _S_COUNTS: Dict[tuple, tuple[int, ...]] = {}
 
 
-def _mobius_terms(memo: dict, mu: Partition, X: OrderIdeal) -> list:
-    """lattice(mu).mobius_terms(X), listed once per (mu, X) in memo."""
-    terms = memo.get((mu, X))
-    if terms is None:
-        terms = memo[mu, X] = list(lattice(mu).mobius_terms(X))
-    return terms
+def _table(memo: dict, lam: Partition, mu: Partition) -> list:
+    """Per ideal X of lattice(mu), in lattice order, read off orbits._arrays(mu)
+    once per mu in memo: X's boundaries on lambda's rows scaled by lambda's
+    multiplicities, its weighted size, its maximal points as sorted (m_k in
+    mu, row index in lambda, m_k in lambda * v), (-1, 0) on a row outside
+    lambda's, which only an unread quotient point has, and its boundaries on
+    mu's rows with the indices of its points' rows there."""
+    table = memo.get(mu)
+    if table is None:
+        mult, row = dict(lam.pairs), {k: i for i, k in enumerate(lam.rows)}
+        arrays = _arrays(mu)
+        table = memo[mu] = []
+        for vs, ks, ms, w in zip(arrays.v.tolist(), arrays.k.tolist(), arrays.m.tolist(),
+                                 arrays.w.tolist()):
+            pts = [(v, k) for v, k in zip(vs, ks) if k]
+            table.append((tuple(m * boundary(pts, k) for k, m in lam.pairs), w,
+                          sorted((m, row.get(k, -1), mult.get(k, 0) * v)
+                                 for (v, k), m in zip(pts, ms)),
+                          tuple(boundary(pts, k) for k in mu.rows),
+                          tuple(mu.rows.index(k) for _, k in pts)))
+    return table
 
 
-def exact_fiber_count(split: CanonicalSplit, Ls: Sequence[OrderIdeal], J: OrderIdeal,
-                      memo: Optional[dict] = None) -> list[list[int]]:
-    """Per L in Ls, the elements of the distinguished part in L's submodule whose
-    quotient image has invariant exactly J, as coefficients of q**0 .. q**(sum
-    of k_i): s_count Moebius-inverted over the quotient lattice, its values
-    looked up in _S_COUNTS.  memo holds the Moebius terms; pass one dict to
-    share them between calls."""
-    memo = {} if memo is None else memo
-    rows = split.quotient_rows
-    low = split.prime_parts[-1].v if split.prime_parts else 0
-    pts = tuple(Point(v - low, k) for v, k in split.prime_parts)
-    terms = [(mu, tuple(Jp.boundary(r) for r in rows))
-             for Jp, mu in _mobius_terms(memo, split.quotient, J)]
+def exact_fiber_count(pts: tuple[Point, ...], As: Sequence[tuple[int, ...]],
+                      terms: Sequence[tuple[tuple[int, ...], int]]) -> list[list[int]]:
+    """Per a in As, the elements of the distinguished part with prime parts
+    pts whose coordinate i has valuation at least a[i] (a submodule's
+    boundary on row k_i) and whose quotient image has invariant exactly J,
+    as coefficients of q**0 .. q**(sum of k_i): s_count Moebius-inverted
+    over J's terms (boundaries on the split's quotient_rows, mu), its
+    values looked up in _S_COUNTS."""
+    low = pts[-1].v if pts else 0
+    pts = tuple(Point(v - low, k) for v, k in pts)
     fibers = []
-    for L in Ls:
-        a = tuple(L.boundary(p.k) for p in pts)
+    for a in As:
         acc = [0] * (sum(p.k for p in pts) + 1)
-        for mu, b in terms:
+        for b, mu in terms:
             s = _S_COUNTS.get((pts, a, b))
             if s is None:
                 s = _S_COUNTS[pts, a, b] = s_count(pts, a, b)
@@ -148,34 +159,48 @@ def refined_censuses(lam: Partition, I: OrderIdeal, Ls: Sequence[OrderIdeal],
     K.  As in orbits._cells, with s = sum(map(min, bJ, bK)), the cell
     has alpha key (|lambda| - s, m'' of K's points outside J) and Laurent key
     orbit_size(K)/alpha = (wK + s - |lambda|, m'' of K's points inside J),
-    kept with its exponent shifted up by |lambda|.  memo holds the key tables
-    (orbits._table) and the Moebius terms; pass one dict to share them
-    between the rows of one lambda."""
+    kept with its exponent shifted up by |lambda|.  memo holds the per-mu
+    tables (_table) and the Moebius terms, of each L and of each quotient
+    ideal J; pass one dict to share them between the rows of one lambda."""
     memo = {} if memo is None else memo
     split = canonical_split(lam, I)
-    weight = lam.weight
-    terms = [_mobius_terms(memo, lam, L) for L in Ls]
+    weight, row = lam.weight, {k: i for i, k in enumerate(lam.rows)}
+    terms = []
+    for L in Ls:
+        ts = memo.get((lam, L))
+        if ts is None:
+            require_context(lam, L)
+            ts = memo[lam, L] = mobius_terms(tuple(L.boundary(k) for k in lam.rows),
+                                             tuple(row[k] for _, k in L.max_points))
+        terms.append(ts)
     Lps = list(dict.fromkeys(Lp for ts in terms for Lp, _ in ts))
     col = {Lp: i for i, Lp in enumerate(Lps)}
-    js = _table(memo, lam, split.quotient, False)
-    ks = _table(memo, lam, split.lambda_dprime, True)
+    As = [tuple(Lp[row[k]] for _, k in split.prime_parts) for Lp in Lps]
+    # The quotient rows are falling, so only the last can be 0, whose
+    # boundary is 0.
+    pad = (0,) if split.quotient_rows[-1:] == (0,) else ()
+    ks = _table(memo, lam, split.lambda_dprime)
     rows = []
-    for J, (bJ, _, _, _) in zip(lattice(split.quotient).ideals, js):
+    for j, (bJ, _, _, bq, tops) in enumerate(_table(memo, lam, split.quotient)):
         keys = []
-        for bK, wK, _, pK in ks:
+        for bK, wK, pK, _, _ in ks:
             s = sum(map(min, bJ, bK))
             out, ins = [], []
             for m, i, v in pK:
                 (out if bJ[i] > v else ins).append(m)
             keys.append(((weight - s, tuple(out)), (wK + s, tuple(ins))))
-        rows.append((exact_fiber_count(split, Lps, J, memo), keys))
+        jterms = memo.get((split.quotient, j))
+        if jterms is None:
+            jterms = memo[split.quotient, j] = mobius_terms(bq, tops)
+        rows.append((exact_fiber_count(split.prime_parts, As,
+                                       [(b + pad, mu) for b, mu in jterms]), keys))
     # K lies inside L' iff its boundaries are at least L''s on every row.
-    bLs = [tuple(m * Lp.boundary(k) for k, m in lam.pairs) for Lp in Lps]
+    bLs = [tuple(m * b for b, (_, m) in zip(Lp, lam.pairs)) for Lp in Lps]
     censuses = []
     for ts in terms:
         cols = [(col[Lp], mu) for Lp, mu in ts]
         inside = [tuple(t for t, (c, _) in enumerate(cols) if all(map(ge, bK, bLs[c])))
-                  for bK, _, _, _ in ks]
+                  for bK, _, _, _, _ in ks]
         groups: Dict[tuple, dict] = {}
         for fibers, keys in rows:
             signed = [(fibers[c], mu) for c, mu in cols]

@@ -1,17 +1,16 @@
 from itertools import product
 
 import pytest
-from cellcounts import x_count, x_in_submodule
+from cellcounts import mobius_on, x_count, x_in_submodule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from polydiv import exact_div
 from test_orbits import alpha
 
-from orbitpairs import orbits, refined
+from orbitpairs import refined
 from orbitpairs.errors import DegreeMismatch, IdealOutOfContext
 from orbitpairs.orbits import canonical_split, n_lambda, orbit_size, per_ideal_total
-from orbitpairs.posets import (IdealLattice, OrderIdeal, Partition, Point, lattice,
-                               partitions_of)
+from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO
 from orbitpairs.refined import (coset_count, exact_fiber_count, refined_census,
                                 refined_censuses, refined_matrix, refined_total,
@@ -66,12 +65,23 @@ def brute_coset_profile(k, a, b, y, p):
     return counts
 
 
-def s_key(split, L, J):
-    """s_count's arguments for (L, J): the prime parts, L's boundaries on
-    their rows and J's boundaries on the quotient rows."""
+def s_key(split, Lb, Jb, rows):
+    """s_count's arguments for (L, J) given as boundary tuples, L's on the
+    rows and J's on the quotient rows: the prime parts, L's boundaries on
+    their rows and J's."""
     pts = split.prime_parts
-    return (pts, tuple(L.boundary(pt.k) for pt in pts),
-            tuple(J.boundary(r) for r in split.quotient_rows))
+    return pts, tuple(Lb[rows.index(pt.k)] for pt in pts), Jb
+
+
+def bounds(X, rows):
+    return tuple(X.boundary(k) for k in rows)
+
+
+def fiber(split, L, J):
+    """exact_fiber_count for one submodule L and one quotient ideal J."""
+    pts = split.prime_parts
+    return exact_fiber_count(pts, [tuple(L.boundary(pt.k) for pt in pts)],
+                             mobius_on(J, split.quotient_rows))[0]
 
 
 def shifted(pts):
@@ -152,7 +162,8 @@ class TestSCount:
                 for L in lat.ideals:
                     for J in lattice(split.quotient).ideals:
                         expected = brute_s_count(split, L, J, p)
-                        pts, a, b = s_key(split, L, J)
+                        pts, a, b = s_key(split, bounds(L, lam.rows),
+                                          bounds(J, split.quotient_rows), lam.rows)
                         got = s_count(pts, a, b)
                         assert QPolynomial(got)(p) == expected, \
                             (p, str(lam), str(I), str(L), str(J))
@@ -165,10 +176,7 @@ class TestSCount:
         # s_count trusts its callers; the ideals are checked where they enter.
         lam = Partition.parse("2,1")
         I = OrderIdeal.parse("0:2")
-        split = canonical_split(lam, I)
         off_row = OrderIdeal.parse("1:3")
-        with pytest.raises(IdealOutOfContext):
-            exact_fiber_count(split, [OrderIdeal()], off_row)[0]
         with pytest.raises(IdealOutOfContext):
             x_in_submodule(lam, I, OrderIdeal(), OrderIdeal(), off_row)
 
@@ -186,9 +194,9 @@ class TestFiberAndYCount:
                     resummed = ZERO
                     for Jp in qlat.ideals:
                         if Jp.is_subset_of(J):
-                            resummed = resummed + QPolynomial(
-                                exact_fiber_count(split, [L], Jp)[0])
-                    assert resummed == QPolynomial(s_count(*s_key(split, L, J)))
+                            resummed = resummed + QPolynomial(fiber(split, L, Jp))
+                    assert resummed == QPolynomial(s_count(*s_key(
+                        split, bounds(L, lam.rows), bounds(J, split.quotient_rows), lam.rows)))
 
     def test_y_count_at_full_module_is_x_count(self):
         for n in range(1, 6):
@@ -199,9 +207,9 @@ class TestFiberAndYCount:
                     for J in lattice(split.quotient).ideals:
                         # The elements in the full module with invariants
                         # (J, K): the exact fiber times K's orbit size.
-                        fiber = QPolynomial(exact_fiber_count(split, [top], J)[0])
+                        exact = QPolynomial(fiber(split, top, J))
                         for K in lattice(split.lambda_dprime).ideals:
-                            assert fiber * orbit_size(split.lambda_dprime, K) == \
+                            assert exact * orbit_size(split.lambda_dprime, K) == \
                                 x_count(lam, I, J, K)
 
     def test_x_in_submodule_partitions_x_count(self):
@@ -258,13 +266,12 @@ class TestRefinedCensus:
                 [((I, L), refined_total(lam, I, L)) for I in ideals for L in ideals], str(lam)
 
     def test_matrix_builds_tables_and_fibers_once_per_row(self, monkeypatch):
-        # At most one key_table call per (mu, side) over the whole matrix, as
-        # its rows share one memo, and one exact_fiber_count call per (I, J),
+        # One table per mu over the whole matrix, for J and K alike, as its
+        # rows share one memo, and one exact_fiber_count call per (I, J),
         # however many second ideals L the row holds.
         built = []
-        real_table = orbits.key_table
-        monkeypatch.setattr(orbits, "key_table", lambda lam, mu, points: built.append(
-            (mu, points)) or real_table(lam, mu, points))
+        real_arrays = refined._arrays
+        monkeypatch.setattr(refined, "_arrays", lambda mu: built.append(mu) or real_arrays(mu))
         fibers = []
         real_fibers = refined.exact_fiber_count
         monkeypatch.setattr(refined, "exact_fiber_count", lambda *args: fibers.append(
@@ -274,8 +281,7 @@ class TestRefinedCensus:
         refined_matrix(lam)
         splits = [canonical_split(lam, I) for I in ideals]
         assert sorted(built, key=str) == sorted(
-            {(sp.quotient, False) for sp in splits} | {(sp.lambda_dprime, True) for sp in splits},
-            key=str)
+            {sp.quotient for sp in splits} | {sp.lambda_dprime for sp in splits}, key=str)
         assert len(fibers) == sum(len(lattice(sp.quotient).ideals) for sp in splits)
 
     def test_matrix_runs_each_kernel_once(self, monkeypatch):
@@ -286,24 +292,61 @@ class TestRefinedCensus:
         real_s = refined.s_count
         monkeypatch.setattr(refined, "_S_COUNTS", {})
         monkeypatch.setattr(refined, "s_count", lambda *key: keys.append(key) or real_s(*key))
-        real_terms = IdealLattice.mobius_terms
-        monkeypatch.setattr(IdealLattice, "mobius_terms", lambda lat, X: listed.append(
-            (lat.partition, X)) or real_terms(lat, X))
+        real_terms = refined.mobius_terms
+        monkeypatch.setattr(refined, "mobius_terms", lambda b, tops: listed.append(
+            (b, tops)) or real_terms(b, tops))
         lam = Partition.parse("3,2^2,1")
         ideals = lattice(lam).ideals
         refined_matrix(lam)
-        expected_keys, expected_terms = set(), {(lam, L) for L in ideals}
+
+        def args(X, rows):
+            return bounds(X, rows), tuple(rows.index(k) for _, k in X.max_points)
+
+        expected_keys, per_ideal = set(), {(lam, L): args(L, lam.rows) for L in ideals}
         for I in ideals:
             sp = canonical_split(lam, I)
             for J in lattice(sp.quotient).ideals:
-                expected_terms.add((sp.quotient, J))
-                for Jp, _ in real_terms(lattice(sp.quotient), J):
+                per_ideal[sp.quotient, J] = args(J, sp.quotient.rows)
+                for Jb, _ in mobius_on(J, sp.quotient_rows):
                     for L in ideals:
-                        for Lp, _ in real_terms(lattice(lam), L):
-                            pts, a, b = s_key(sp, Lp, Jp)
+                        for Lb, _ in mobius_on(L, lam.rows):
+                            pts, a, b = s_key(sp, Lb, Jb, lam.rows)
                             expected_keys.add((shifted(pts), a, b))
         assert len(keys) == len(set(keys)) and set(keys) == expected_keys
-        assert len(listed) == len(set(listed)) and set(listed) == expected_terms
+        assert sorted(listed) == sorted(per_ideal.values())
+
+    def test_tables_match_ideal_lattices(self):
+        # Every table the matrices with |lambda| <= 8 read equals one built
+        # from lattice(mu).ideals, one OrderIdeal at a time.
+        for lam in (lam for n in range(9) for lam in partitions_of(n)):
+            mult, row = dict(lam.pairs), {k: i for i, k in enumerate(lam.rows)}
+            memo = {}
+            for I in lattice(lam).ideals:
+                sp = canonical_split(lam, I)
+                for mu in (sp.quotient, sp.lambda_dprime):
+                    expected = [(tuple(m * X.boundary(k) for k, m in lam.pairs),
+                                 X.weighted_size(mu),
+                                 sorted((mu.mult(k), row.get(k, -1), mult.get(k, 0) * v)
+                                        for v, k in X.max_points),
+                                 bounds(X, mu.rows),
+                                 tuple(mu.rows.index(k) for _, k in X.max_points))
+                                for X in lattice(mu).ideals]
+                    assert refined._table(memo, lam, mu) == expected, f"{lam}; {mu}"
+
+    def test_matrix_builds_only_its_own_lattice(self, monkeypatch):
+        # Below its API, refined builds no OrderIdeal and no lattice: only
+        # the lattices of the lambdas asked for, whose ideals key the matrix.
+        shapes = partitions_of(6) + [Partition.parse("2^3,1")]
+        lattice.cache_clear()
+        built = []
+        real_init = OrderIdeal.__init__
+        monkeypatch.setattr(OrderIdeal, "__init__", lambda self, *args: built.append(1) or
+                            real_init(self, *args))
+        for lam in shapes:
+            refined_matrix(lam)
+        monkeypatch.undo()
+        assert lattice.cache_info().currsize == len(shapes)
+        assert len(built) == sum(len(lattice(lam).ideals) for lam in shapes)
 
     def test_kernel_values_shared_across_matrices(self, monkeypatch):
         # The kernel cache outlives a matrix: (2^2, 1) needs only keys that
@@ -322,9 +365,9 @@ class TestRefinedCensus:
     def test_negative_power_guard(self, monkeypatch):
         # Every K one point lighter makes every Laurent key orbit_size(K)/alpha
         # one power of q short, and some N_alpha has a constant term.
-        real = orbits.key_table
-        monkeypatch.setattr(orbits, "key_table", lambda lam, mu, points: [
-            (b, w - 1 if points else w, f, p) for b, w, f, p in real(lam, mu, points)])
+        real = refined._table
+        monkeypatch.setattr(refined, "_table", lambda memo, lam, mu: [
+            (b, w - 1, p, bm, tops) for b, w, p, bm, tops in real(memo, lam, mu)])
         with pytest.raises(DegreeMismatch, match="negative power"):
             refined_matrix(Partition.parse("2,1"))
         with pytest.raises(DegreeMismatch, match="negative power"):
