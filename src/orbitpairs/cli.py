@@ -128,8 +128,9 @@ def _emit_with_total(header: list[str], rows: list[list[str]], label: str,
     return f"{_emit_rows(header, rows, args)}\n{label}: {_poly_out(total, args)}"
 
 
-# Miller-Rabin to these bases decides primality for every n < 3.3e24.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to these bases decides primality below 3317044064679887385961981,
+# the least strong pseudoprime to all of them; above it, it is probabilistic.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
@@ -389,6 +390,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return 1
     except OrbitPairsError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)

@@ -71,6 +71,9 @@ class ExplicitModule:
             raise BudgetExceeded(f"p = {p} exceeds budget {ELEMENT_BUDGET}")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not a prime")
+        # p >= 2, so |lambda| past log2 of the budget exceeds it: build no p**|lambda|.
+        if lam.weight >= ELEMENT_BUDGET.bit_length():
+            raise BudgetExceeded(f"|M| = {p}^{lam.weight} exceeds budget {ELEMENT_BUDGET}")
         mod = cls(p, lam.expand())
         if mod.size > ELEMENT_BUDGET:
             raise BudgetExceeded(f"|M| = {mod.size} exceeds budget {ELEMENT_BUDGET}")

@@ -19,39 +19,37 @@ a Laurent polynomial, as its exponent may fall below its factors' sum.
 The census sums these Laurent keys per alpha into N_alpha, with no
 division.  Three guards stand in for the mass check and exact division:
 
-- per I, fiber + |quotient| + |lambda''| = |lambda|, and the orbit sizes of
-  each mu's ideals sum to q**|mu| when its ideal arrays, which refined's
-  tables read too, are built; as the grid sum of x is q**fiber * (sum over
-  J) * (sum over K), together these say that the cells partition the module;
+- per I, fiber + |quotient| + |lambda''| = |lambda|, and lattice(mu) checks
+  that the orbit sizes of mu's ideals sum to q**|mu| as it is built; as the
+  grid sum of x is q**fiber * (sum over J) * (sum over K), together these
+  say that the cells partition the module;
 - every alpha key is a polynomial: its exponent is at least its factors' sum;
 - alpha divides its group total iff N_alpha, the group's Laurent sum, has no
   negative power, as alpha is monic.
 
-One engine runs all three.  ideal_arrays reads a shape's ideals off
-posets' walk of boundary profiles as int rows, once per mu and process,
-checking the mass.  _cells takes first ideals as the rows (v, k) of their
-maximal points, gets all their splits at once from split_arrays, and
-builds the cells in one numpy batch, checking the weight identity per I
-and alpha's exponent and that of x/alpha against their factors' sums per
-cell; _group_sums sums the Laurent keys per (I, alpha) and checks the
-negative powers.  n_lambda passes every row of ideal_arrays(lambda), so it
-builds no OrderIdeal, lattice or canonical_split; it groups only the cells
-whose key reaches below q**0, sums all keys into one total and checks that
-it is monic of degree lambda_1.  orbit_censuses takes OrderIdeals and
-groups every cell; refined reads canonical_split and the ideal arrays.
+One engine runs all three.  _cells takes first ideals as the rows (v, k) of
+their maximal points, gets all their splits at once from split_arrays, and
+builds the cells in one numpy batch from the lattices' int rows, checking
+the weight identity per I and alpha's exponent and that of x/alpha against
+their factors' sums per cell; _group_sums sums the Laurent keys per (I,
+alpha) and checks the negative powers.  n_lambda passes every row of
+lattice(lambda), so it builds no OrderIdeal or canonical_split; it groups
+only the cells whose key reaches below q**0, sums all keys into one total
+and checks that it is monic of degree lambda_1.  orbit_censuses takes
+OrderIdeals and groups every cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add
 from typing import Dict, MutableMapping, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegreeMismatch
-from .posets import OrderIdeal, Partition, Point, _profiles, require_context
+from .errors import DegreeMismatch
+from .posets import (OrderIdeal, Partition, Point, check_int64, lattice, require_context,
+                     row_ideal)
 from .qpoly import QPolynomial, laurent_product
 
 
@@ -110,50 +108,6 @@ def _negative_power(lam: Partition, I: OrderIdeal, akey: tuple) -> DegreeMismatc
                           f" in the census of ({lam}; {I})")
 
 
-class IdealArrays(NamedTuple):
-    """lattice(mu) as arrays, one row per ideal in lattice order: its maximal
-    points (v, k) with their orbit-size factors m_k in mu, padded with zeros
-    to mu's row count, and its weighted size.  A padded point (0, 0) bounds
-    row r by r, which no boundary exceeds, so it changes none."""
-
-    v: np.ndarray
-    k: np.ndarray
-    m: np.ndarray
-    w: np.ndarray
-
-
-def ideal_arrays(mu: Partition) -> IdealArrays:
-    """The arrays of lattice(mu), read off its boundary profiles; its orbit
-    sizes must sum to q**|mu|."""
-    width = len(mu.pairs)
-    vs, ks, ms, ws = [], [], [], []
-    mass = [0] * (mu.weight + 1)
-    for v, k, m, w in _profiles(mu):
-        pad = (0,) * (width - len(v))
-        vs += v + pad
-        ks += k + pad
-        ms += m + pad
-        ws.append(w)
-        mass[:w + 1] = map(add, mass[:w + 1], _alpha_core(w, tuple(sorted(m))).coeffs)
-    if mass != [0] * mu.weight + [1]:
-        raise DegreeMismatch(f"orbit sizes of lattice({mu}) sum to {QPolynomial(mass)}")
-    shape = (len(ws), width)
-    return IdealArrays(*(np.array(a, dtype=np.int64).reshape(shape) for a in (vs, ks, ms)),
-                       np.array(ws, dtype=np.int64))
-
-
-# ideal_arrays(mu) under mu, kept for the process like refined._S_COUNTS, so
-# that the shapes of one process build each mu's arrays once.
-_IDEAL_ARRAYS: Dict[Partition, IdealArrays] = {}
-
-
-def _arrays(mu: Partition) -> IdealArrays:
-    arrays = _IDEAL_ARRAYS.get(mu)
-    if arrays is None:
-        arrays = _IDEAL_ARRAYS[mu] = ideal_arrays(mu)
-    return arrays
-
-
 def split_arrays(lam: Partition, v: np.ndarray, k: np.ndarray) -> tuple:
     """canonical_split of every first ideal given as the rows (v, k) of its
     maximal points, padded with (0, 0): the fibers k_0 - v_0; the quotient
@@ -178,17 +132,12 @@ def _distinct(a: np.ndarray) -> tuple[list, np.ndarray]:
     return list(index), np.array(inverse, dtype=np.int64)
 
 
-def _int64(bound: int, what: str, lam: Partition):
-    if bound > np.iinfo(np.int64).max:
-        raise BudgetExceeded(f"{what} of the cells of {lam} reach {bound}, past int64")
-
-
 class _Cells(NamedTuple):
     """A batch of cells (I, J, K): per cell, I's index, the alpha key (ea,
     a_code) and the Laurent key x/alpha (e shifted up by |lambda|, l_code,
     factors' sum l_sf).  Factor multisets are radix codes: digit r counts
     the factor values[r], values rising, and codes lie below span.  fv and
-    fk are the first ideals' maximal points, as in IdealArrays."""
+    fk are the first ideals' maximal points, padded as in IdealLattice."""
 
     fv: np.ndarray
     fk: np.ndarray
@@ -213,23 +162,17 @@ class _Cells(NamedTuple):
         return int(self.ea[c]), self.factors(int(self.a_code[c]))
 
     def ideal(self, i: int) -> OrderIdeal:
-        return _ideal(self.fv[i], self.fk[i])
-
-
-def _ideal(v: np.ndarray, k: np.ndarray) -> OrderIdeal:
-    """The ideal with maximal points (v, k), padded as in IdealArrays; built
-    for error messages only."""
-    return OrderIdeal(Point(a, b) for a, b in zip(v.tolist(), k.tolist()) if b)
+        return row_ideal(self.fv[i].tolist(), self.fk[i].tolist())
 
 
 def _cells(lam: Partition, fv: np.ndarray, fk: np.ndarray) -> _Cells:
     """The cells of the first ideals with maximal points (fv, fk), padded as
-    in IdealArrays, I outer, then J, then K, in one numpy batch under every
+    in IdealLattice, I outer, then J, then K, in one numpy batch under every
     guard but _group_sums' negative powers.
 
     split_arrays gives every split at once; each distinct quotient and
-    lambda'' row becomes a partition, which contributes its ideal_arrays
-    once, one row per ideal; one broadcast gives their boundaries on
+    lambda'' row becomes a partition mu, which contributes the rows of
+    lattice(mu) once; one broadcast gives their boundaries on
     lambda's rows.  The cells are index arrays into the ideals, and factor
     multisets are radix codes: digit r counts the r-th smallest factor
     value of the shape, and the radix exceeds J's points plus K's, so codes
@@ -241,8 +184,8 @@ def _cells(lam: Partition, fv: np.ndarray, fk: np.ndarray) -> _Cells:
     fiber, qrows, dprime = split_arrays(lam, fv, fk)
     bad = (fiber + qrows.sum(1) + dprime @ rows != weight).nonzero()[0]
     if bad.size:
-        raise DegreeMismatch(f"split of ({lam}; {_ideal(fv[bad[0]], fk[bad[0]])})"
-                             " does not partition the module")
+        I = row_ideal(fv[bad[0]].tolist(), fk[bad[0]].tolist())
+        raise DegreeMismatch(f"split of ({lam}; {I}) does not partition the module")
     index: Dict[Partition, int] = {}
     qkeys, qrow = _distinct(qrows)
     dkeys, drow = _distinct(dprime)
@@ -250,7 +193,7 @@ def _cells(lam: Partition, fv: np.ndarray, fk: np.ndarray) -> _Cells:
                     for row in qkeys])[qrow]
     kmu = np.array([index.setdefault(Partition((p, m) for p, m in zip(lam.rows, row) if m),
                                      len(index)) for row in dkeys])[drow]
-    parts = [_arrays(mu) for mu in index]
+    parts = [lattice(mu) for mu in index]
 
     # One row per ideal of every mu, padded to the widest antichain.
     sizes = np.array([len(a.w) for a in parts])
@@ -272,7 +215,7 @@ def _cells(lam: Partition, fv: np.ndarray, fk: np.ndarray) -> _Cells:
     values, rank = np.unique(pm, return_inverse=True)
     radix, factor_values = 2 * width + 1, values[values > 0].tolist()
     span = radix ** len(factor_values)
-    _int64(span - 1, "factor codes", lam)
+    check_int64(span - 1, f"factor codes of the cells of {lam}")
     digit = np.array([0] * (values.size - len(factor_values)) +
                      [radix ** r for r in range(len(factor_values))], dtype=np.int64)
     point_code = digit[rank.reshape(pm.shape)]
@@ -300,8 +243,9 @@ def _cells(lam: Partition, fv: np.ndarray, fk: np.ndarray) -> _Cells:
     bad = (e < l_sf).nonzero()[0]
     if bad.size:
         raise _negative_power(lam, cells.ideal(first[bad[0]]), cells.alpha(bad[0]))
-    _int64(len(fv) * (weight + 1) * span - 1, "(I, alpha) keys", lam)
-    _int64((int(e.max()) + 1) * span - 1, "packed Laurent keys", lam)
+    check_int64(len(fv) * (weight + 1) * span - 1, f"(I, alpha) keys of the cells of {lam}")
+    check_int64((int(e.max()) + 1) * span - 1,
+                f"packed Laurent keys of the cells of {lam}")
     return cells
 
 
@@ -322,7 +266,8 @@ def _group_sums(lam: Partition, cells: _Cells, sel: np.ndarray,
     heads = sel[seen[order]]
     lcodes, cid = np.unique(cells.l_code[sel], return_inverse=True)
     table = [_alpha_core(sum(f), f).coeffs for f in map(cells.factors, lcodes.tolist())]
-    _int64(sel.size * max(abs(b) for cs in table for b in cs), "N_alpha coefficients", lam)
+    check_int64(sel.size * max(abs(b) for cs in table for b in cs),
+                f"N_alpha coefficients of the cells of {lam}")
     expansions = np.zeros((len(table), max(map(len, table))), dtype=np.int64)
     for row, cs in zip(expansions, table):
         row[:len(cs)] = cs
@@ -348,8 +293,8 @@ def _laurent_total(lam: Partition) -> list[int]:
     reaches below q**0 can leave a negative power in their (I, alpha)
     group, so only those are grouped."""
     weight = lam.weight
-    arrays = _arrays(lam)
-    cells = _cells(lam, arrays.v, arrays.k)
+    lat = lattice(lam)
+    cells = _cells(lam, lat.v, lat.k)
     below = (cells.e - cells.l_sf < weight).nonzero()[0]
     if below.size:
         _group_sums(lam, cells, below, weight)
@@ -371,6 +316,8 @@ def orbit_censuses(lam: Partition, ideals: list) -> list[Dict[QPolynomial, QPoly
     weight, width = lam.weight, len(lam.pairs)
     for I in ideals:
         require_context(lam, I)
+    # No point, part or multiplicity of lambda exceeds |lambda|.
+    check_int64(weight, f"ideal weights of the cells of {lam}")
     points = np.array([I.max_points + ((0, 0),) * (width - len(I.max_points)) for I in ideals],
                       dtype=np.int64).reshape(len(ideals), width, 2)
     cells = _cells(lam, points[:, :, 0], points[:, :, 1])

@@ -8,11 +8,10 @@ so the same ideal object can be evaluated against several partitions (the
 counting pipeline mixes three partition contexts per computation).  Boundary
 valuations are derived on demand from the generators: boundary(k) is the
 least v with (v, k) in the ideal, and k itself when row k misses the ideal
-(row k holds valuations 0..k-1, so k acts as infinity).  One walk of
-boundary profiles, _profiles, enumerates the ideals: enumerate_ideals makes
-OrderIdeals of them, and orbits keeps each shape's as int rows, which its
-census batch and refined's tables read: a per-partition array layout, not
-a stored ideal form, so OrderIdeal stays the one ideal type.
+(row k holds valuations 0..k-1, so k acts as infinity).  lattice(mu) is
+the one per-shape store of ideals: one walk of boundary profiles per mu
+and process gives its int rows, which orbits' census batch and refined's
+tables read.  OrderIdeal is the API form, built from the rows on demand.
 
 The ideals on a partition's rows form a finite distributive lattice, so its
 Moebius function has a closed form: mu(A, B) = (-1)^|B - A| when A is B
@@ -23,11 +22,14 @@ maximal point on a row raises that row's boundary by 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .errors import IdealOutOfContext
+import numpy as np
+
+from .errors import BudgetExceeded, DegreeMismatch, IdealOutOfContext
+from .qpoly import QPolynomial
 
 
 class Point(NamedTuple):
@@ -298,10 +300,14 @@ def _profiles(lam: Partition) -> list[tuple]:
     return out
 
 
-def enumerate_ideals(lam: Partition) -> list[OrderIdeal]:
-    """All ideals of J(P)_lambda, in the order of _profiles, built from
-    their maximal points."""
-    return [OrderIdeal(map(Point, v, k)) for v, k, _, _ in _profiles(lam)]
+def row_ideal(v: Iterable[int], k: Iterable[int]) -> OrderIdeal:
+    """The ideal with maximal points (v, k), padded as in IdealLattice."""
+    return OrderIdeal(Point(a, b) for a, b in zip(v, k) if b)
+
+
+def check_int64(bound: int, what: str):
+    if bound > np.iinfo(np.int64).max:
+        raise BudgetExceeded(f"{what} reach {bound}, past int64")
 
 
 def require_context(lam: Partition, I: OrderIdeal):
@@ -310,14 +316,44 @@ def require_context(lam: Partition, I: OrderIdeal):
 
 
 class IdealLattice:
-    """The lattice J(P)_lambda: every ideal on the rows of lambda."""
+    """The lattice J(P)_mu, one row per ideal in the order of _profiles: its
+    maximal points (v, k) with their orbit-size factors m_k in mu, padded
+    with zeros to mu's row count, and its weighted size w, as int64 arrays.
+    A padded point (0, 0) bounds row r by r, which no boundary exceeds, so
+    it changes none.  The orbit sizes q**w * prod(1 - q**-m) must sum to
+    q**|mu|; each is expanded over the subsets S of its factors, as
+    (-1)**|S| q**(w - sum(S)).  ideals, the rows as OrderIdeals, is built
+    the first time it is read."""
 
-    def __init__(self, lam: Partition):
-        self.partition = lam
-        self.ideals = enumerate_ideals(lam)
+    def __init__(self, mu: Partition):
+        # No v, k, m or w exceeds |mu|.
+        check_int64(mu.weight, f"ideal weights of lattice({mu})")
+        width, vs, ks, ms, ws = len(mu.pairs), [], [], [], []
+        mass = [0] * (mu.weight + 1)
+        for v, k, m, w in _profiles(mu):
+            if sum(m) > w:
+                raise DegreeMismatch(f"orbit size factors {m} of lattice({mu}) outweigh q**{w}")
+            pad = (0,) * (width - len(v))
+            vs += v + pad
+            ks += k + pad
+            ms += m + pad
+            ws.append(w)
+            for r in range(len(m) + 1):
+                for removed in combinations(m, r):
+                    mass[w - sum(removed)] += (-1) ** r
+        if mass != [0] * mu.weight + [1]:
+            raise DegreeMismatch(f"orbit sizes of lattice({mu}) sum to {QPolynomial(mass)}")
+        shape = (len(ws), width)
+        self.partition = mu
+        self.v, self.k, self.m = (np.array(a, dtype=np.int64).reshape(shape) for a in (vs, ks, ms))
+        self.w = np.array(ws, dtype=np.int64)
+
+    @cached_property
+    def ideals(self) -> list[OrderIdeal]:
+        return list(map(row_ideal, self.v.tolist(), self.k.tolist()))
 
 
 @lru_cache(maxsize=None)
 def lattice(lam: Partition) -> IdealLattice:
-    """Shared per-partition lattice of ideals."""
+    """The one store of lam's ideals, built once per lam and process."""
     return IdealLattice(lam)

@@ -29,7 +29,7 @@ from functools import lru_cache
 from operator import add, ge, sub
 from typing import Dict, Optional, Sequence
 
-from .orbits import _alpha_core, _arrays, _negative_power, canonical_split
+from .orbits import _alpha_core, _negative_power, canonical_split
 from .posets import (OrderIdeal, Partition, Point, boundary, lattice, mobius_terms,
                      require_context)
 from .qpoly import ONE, QPolynomial, ZERO, monomial
@@ -104,8 +104,8 @@ _S_COUNTS: Dict[tuple, tuple[int, ...]] = {}
 
 
 def _table(memo: dict, lam: Partition, mu: Partition) -> list:
-    """Per ideal X of lattice(mu), in lattice order, read off orbits._arrays(mu)
-    once per mu in memo: X's boundaries on lambda's rows scaled by lambda's
+    """Per ideal X of lattice(mu), in lattice order, read off its arrays once
+    per mu in memo: X's boundaries on lambda's rows scaled by lambda's
     multiplicities, its weighted size, its maximal points as sorted (m_k in
     mu, row index in lambda, m_k in lambda * v), (-1, 0) on a row outside
     lambda's, which only an unread quotient point has, and its boundaries on
@@ -113,7 +113,7 @@ def _table(memo: dict, lam: Partition, mu: Partition) -> list:
     table = memo.get(mu)
     if table is None:
         mult, row = dict(lam.pairs), {k: i for i, k in enumerate(lam.rows)}
-        arrays = _arrays(mu)
+        arrays = lattice(mu)
         table = memo[mu] = []
         for vs, ks, ms, w in zip(arrays.v.tolist(), arrays.k.tolist(), arrays.m.tolist(),
                                  arrays.w.tolist()):

@@ -43,9 +43,9 @@ class TestPrimePower:
 
     def test_strong_pseudoprimes_are_composite(self):
         # Carmichael numbers and the least strong pseudoprimes to the first
-        # 2, 4, 7 and 9 prime bases.
+        # 2, 4, 7, 9 and 12 prime bases; the last has no factor below 2**16.
         for n in (561, 1729, 1373653, 3215031751, 341550071728321,
-                  3825123056546413051):
+                  3825123056546413051, 318665857834031151167461):
             assert not cli._is_prime_power(n)
 
 
@@ -123,6 +123,43 @@ class TestNLambda:
     def test_entry_raises_system_exit(self, capsys):
         with pytest.raises(SystemExit):
             cli.entry()
+
+
+class TestHugeInputs:
+    """Input far past what any engine can hold exits 1 with a message and no
+    traceback, within seconds.  Subprocesses, so that an escaping exception
+    shows as a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["nlambda", "2,1", "--at", "318665857834031151167461"], "not a prime power"),
+        (["verify", "1^999999999", "2"], "|M| = 2^999999999 exceeds budget"),
+        (["verify", "99999999999999999999999", "2"], "exceeds budget"),
+        (["verify", "4000000", "2"], "|M| = 2^4000000 exceeds budget"),
+        (["nlambda", "99999999999999999999999"], "past int64"),
+        (["census", "2^9999999999999999999999,1", "--max", "0:1"], "past int64")],
+        ids=["at-psi12", "verify-1^999999999", "verify-23-digits", "verify-4000000",
+             "nlambda-23-digits", "census-22-digit-mult"])
+    def test_exit_1_with_message(self, argv, message):
+        src = os.path.dirname(os.path.dirname(orbitpairs.__file__))
+        proc = subprocess.run([sys.executable, "-m", "orbitpairs.cli", *argv],
+                              capture_output=True, text=True, timeout=10,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_out_of_memory_is_exit_1(self, capsys, monkeypatch):
+        # A lattice whose mass list cannot be allocated, as for nlambda
+        # "3000000000", without allocating it.
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "n_lambda", exhausted)
+        monkeypatch.setattr(cli, "orbit_census", exhausted)
+        for argv in (["nlambda", "3000000000"], ["census", "1^99999999999999", "--max", "0:1"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err == "error: out of memory: the input is too large\n"
 
 
 class TestTable:

@@ -1,3 +1,4 @@
+import re
 import signal
 from itertools import product
 
@@ -72,21 +73,27 @@ INVOLUTION_SETS = st.integers(2, 40).flatmap(lambda n: st.tuples(
                                    st.integers(0, n // 2)), min_size=1, max_size=4)))
 
 
-def closure_within(seconds: float, perms, n: int, dims: int, start=None) -> np.ndarray:
-    """`_closure_labels`, raising TimeoutError after `seconds`: a wrong
-    stopping rule loops forever, and a hang should fail, not stall, a test."""
+def call_within(seconds: float, fn, *args):
+    """fn(*args), raising TimeoutError after `seconds`: a hang should fail,
+    not stall, a test."""
     if not hasattr(signal, "setitimer"):
-        return _closure_labels(perms, n, dims, start)
+        return fn(*args)
 
     def expire(signum, frame):
-        raise TimeoutError(f"closure did not terminate within {seconds} s")
+        raise TimeoutError(f"{fn.__name__} did not terminate within {seconds} s")
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        return _closure_labels(perms, n, dims, start)
+        return fn(*args)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def closure_within(seconds: float, perms, n: int, dims: int, start=None) -> np.ndarray:
+    """`_closure_labels` under call_within: a wrong stopping rule loops
+    forever."""
+    return call_within(seconds, _closure_labels, perms, n, dims, start)
 
 
 class TestClosure:
@@ -220,6 +227,14 @@ class TestPrimitives:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             ExplicitModule.from_partition(Partition.parse("7,7"), 2)
+
+    @pytest.mark.parametrize("shape", ["1^999999999", "99999999999999999999999", "4000000"])
+    def test_budget_checked_before_building(self, shape):
+        # |lambda| >= 13 exceeds the budget at any p: neither the part list
+        # nor p**|lambda|, too long to print here, is built.
+        lam = Partition.parse(shape)
+        with pytest.raises(BudgetExceeded, match=re.escape(f"|M| = 2^{lam.weight} exceeds")):
+            call_within(2, verify, lam, 2)
 
     def test_ideal_of(self):
         # Built directly: this shape is only used for invariants, never for

@@ -1,4 +1,6 @@
 import itertools
+import sys
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -7,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from polydiv import exact_div
 
-from orbitpairs import cli, orbits
+from orbitpairs import cli, orbits, posets
 from orbitpairs.errors import BudgetExceeded, DegreeMismatch, IdealOutOfContext
-from orbitpairs.orbits import (canonical_split, n_lambda, orbit_census,
+from orbitpairs.oracle import verify
+from orbitpairs.orbits import (canonical_split, n_lambda, orbit_census, orbit_censuses,
                                orbit_size, per_ideal_total)
 from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, laurent_product, monomial
+from orbitpairs.refined import refined_matrix
 
 # Published reference values for the number of orbits of pairs, one row per
 # partition of n = 1..5.
@@ -366,12 +370,35 @@ def n_lambda_by_cells(lam) -> QPolynomial:
                ZERO)
 
 
+Arrays = namedtuple("Arrays", "v k m w")
+
+
 def patch_ideal_arrays(monkeypatch, change):
-    """Pass the census cells' ideal arrays through change, kept in a fresh
-    per-mu dict that the test's end discards."""
-    monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
-    real = orbits.ideal_arrays
-    monkeypatch.setattr(orbits, "ideal_arrays", lambda mu: change(real(mu)))
+    """Pass the arrays of the lattices that the census cells read through
+    change, as an Arrays copy, leaving the lattices themselves as they are."""
+    real = orbits.lattice
+    monkeypatch.setattr(orbits, "lattice", lambda mu: change(Arrays(
+        *(getattr(real(mu), f) for f in Arrays._fields))))
+
+
+@pytest.fixture
+def fresh_lattices():
+    """An empty lattice cache, emptied again at the end, so that lattices
+    built under a patch stay in the test."""
+    lattice.cache_clear()
+    yield
+    lattice.cache_clear()
+
+
+def profiles_spy(monkeypatch) -> list:
+    """The shapes that posets._profiles walks from now on, in order, through
+    every orbitpairs module that holds it."""
+    walked = []
+    real = posets._profiles
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbitpairs.") and getattr(module, "_profiles", None) is real:
+            monkeypatch.setattr(module, "_profiles", lambda mu: walked.append(mu) or real(mu))
+    return walked
 
 
 # Both readings of the cell batch, n_lambda and a census at the empty first
@@ -406,13 +433,10 @@ class TestCensusGroups:
             assert n_lambda(lam, cap=False) == grouped(lam), str(lam)
         assert n_lambda(Partition(), {}) == grouped(Partition()) == ONE
 
-    def test_tables_built_once_per_context(self, monkeypatch):
-        # n_lambda builds the ideal arrays of each quotient and lambda'' once
-        # per process, over all its first ideals and later calls.
-        monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
-        built = []
-        real = orbits.ideal_arrays
-        monkeypatch.setattr(orbits, "ideal_arrays", lambda mu: built.append(mu) or real(mu))
+    def test_tables_built_once_per_context(self, monkeypatch, fresh_lattices):
+        # n_lambda builds the lattice of each quotient and lambda'' once per
+        # process, over all its first ideals and later calls.
+        built = profiles_spy(monkeypatch)
         lam = Partition.parse("4,3^2,2,1")
         n_lambda(lam, {})
         # lambda's own arrays give its first ideals and their splits.
@@ -434,14 +458,19 @@ class TestCensusGroups:
             with pytest.raises(DegreeMismatch, match="does not partition"):
                 engine(Partition.parse("2,1"))
 
-    def test_table_mass_guard(self, monkeypatch):
+    def test_table_mass_guard(self, monkeypatch, fresh_lattices):
         # Profiles missing their last ideal leave the orbit sizes short of
         # q**|mu|.
-        monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
-        real = orbits._profiles
-        monkeypatch.setattr(orbits, "_profiles", lambda mu: real(mu)[:-1])
+        real = posets._profiles
+        monkeypatch.setattr(posets, "_profiles", lambda mu: real(mu)[:-1])
         for engine in ENGINES:
             with pytest.raises(DegreeMismatch, match="orbit sizes"):
+                engine(Partition.parse("2,1"))
+        # Orbit-size factors outweighing q**w are caught before they expand
+        # below q**0.
+        monkeypatch.setattr(posets, "_profiles", lambda mu: [p[:3] + (0,) for p in real(mu)])
+        for engine in ENGINES:
+            with pytest.raises(DegreeMismatch, match="orbit size factors"):
                 engine(Partition.parse("2,1"))
 
     def test_negative_power_guard(self, monkeypatch):
@@ -495,7 +524,7 @@ def arrays_from_lattice(mu: Partition) -> tuple:
     """(v, k, m, w) of every ideal of lattice(mu), in lattice order, read
     through OrderIdeal's own max_points and weighted_size, with the maximal
     points padded with zeros to mu's row count: the reference for
-    ideal_arrays' int rows."""
+    the lattice's int rows."""
     ideals = lattice(mu).ideals
 
     def padded(field):
@@ -510,23 +539,27 @@ CAPPED_TO_12 = sorted({lam.cap(2) for n in range(13) for lam in partitions_of(n)
 
 
 class TestIdealArrays:
-    def test_profiles_match_lattice(self, monkeypatch):
+    def test_profiles_match_lattice(self, monkeypatch, fresh_lattices):
         # Every mu met by n_lambda with |lambda| <= 12: the shapes, their
         # quotients and their lambda''s, which are capped shapes again.
-        monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
+        # The points of .ideals are read off the same rows, but m and w are
+        # checked against mu.mult and weighted_size, and the ideal set
+        # against an antichain brute force in test_posets.
+        walked = profiles_spy(monkeypatch)
         for lam in CAPPED_TO_12:
             n_lambda(lam, {})
-        met = dict(orbits._IDEAL_ARRAYS)
-        assert set(met) == set(CAPPED_TO_12)
-        for mu, arrays in met.items():
-            assert tuple(a.tolist() for a in arrays) == arrays_from_lattice(mu), str(mu)
-            assert arrays.v.shape == (len(lattice(mu).ideals), len(mu.pairs))
+        assert sorted(walked, key=str) == CAPPED_TO_12
+        for mu in walked:
+            lat = lattice(mu)
+            assert tuple(getattr(lat, f).tolist() for f in Arrays._fields) == \
+                arrays_from_lattice(mu), str(mu)
+            assert lat.v.shape == (len(lat.ideals), len(mu.pairs))
 
     def test_splits_match_canonical_split(self):
         for lam in CAPPED_TO_12:
-            arrays = orbits.ideal_arrays(lam)
-            fiber, quotient, dprime = orbits.split_arrays(lam, arrays.v, arrays.k)
-            for i, I in enumerate(lattice(lam).ideals):
+            lat = lattice(lam)
+            fiber, quotient, dprime = orbits.split_arrays(lam, lat.v, lat.k)
+            for i, I in enumerate(lat.ideals):
                 sp = canonical_split(lam, I)
                 assert fiber[i] == sp.fiber, (str(lam), str(I))
                 rows = quotient[i].tolist()
@@ -535,10 +568,22 @@ class TestIdealArrays:
                 assert Partition((p, m) for p, m in zip(lam.rows, dprime[i].tolist())
                                  if m) == sp.lambda_dprime, (str(lam), str(I))
 
-    def test_n_lambda_builds_no_ideal_objects(self, monkeypatch):
-        monkeypatch.setattr(orbits, "_IDEAL_ARRAYS", {})
-        lattice.cache_clear()
+    def test_each_shape_walked_once(self, monkeypatch, fresh_lattices):
+        # One lattice per mu serves every engine in a process: n_lambda and
+        # the census batch, refined's tables and verify's orbit labels.
+        walked = profiles_spy(monkeypatch)
+        shapes = [Partition.parse(t) for t in ("3,2,1", "2^2,1", "4,1", "1^3")]
+        for lam in shapes:
+            n_lambda(lam, {})
+            orbit_censuses(lam, lattice(lam).ideals)
+            refined_matrix(lam)
+            assert verify(lam, 2)["pass"]
+        assert set(shapes) < set(walked)
+        assert len(walked) == len(set(walked))
+
+    def test_n_lambda_builds_no_ideal_objects(self, monkeypatch, fresh_lattices):
         canonical_split.cache_clear()
+        walked = profiles_spy(monkeypatch)
         made = []
         real = OrderIdeal.__init__
         monkeypatch.setattr(OrderIdeal, "__init__",
@@ -546,7 +591,8 @@ class TestIdealArrays:
         store = {}
         for lam in partitions_of(8):
             n_lambda(lam, store)
-        assert len(orbits._IDEAL_ARRAYS) > len(store) == 21
-        assert lattice.cache_info().currsize == 0
+        assert len(walked) > len(store) == 21
+        # No lattice below the API has built its OrderIdeals.
+        assert not any("ideals" in vars(lattice(mu)) for mu in walked)
         assert canonical_split.cache_info().currsize == 0
         assert made == []

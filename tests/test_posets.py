@@ -5,8 +5,8 @@ from cellcounts import mobius_on
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitpairs.posets import (OrderIdeal, Partition, Point, enumerate_ideals,
-                               lattice, partitions_of, point, point_leq)
+from orbitpairs.posets import (OrderIdeal, Partition, Point, lattice, partitions_of, point,
+                               point_leq)
 
 
 def all_points(max_row):
@@ -179,21 +179,21 @@ class TestOrderIdeal:
 class TestEnumeration:
     def test_small_examples(self):
         lam = Partition.parse("2,1")
-        got = {str(I) for I in enumerate_ideals(lam)}
+        got = {str(I) for I in lattice(lam).ideals}
         assert got == {"", "1:2", "0:1", "0:2"}
-        assert {str(I) for I in enumerate_ideals(Partition.parse("2"))} == \
+        assert {str(I) for I in lattice(Partition.parse("2")).ideals} == \
             {"", "1:2", "0:2"}
-        assert enumerate_ideals(Partition()) == [OrderIdeal()]
+        assert lattice(Partition()).ideals == [OrderIdeal()]
 
     def test_multiplicity_invariance(self):
-        a = {str(I) for I in enumerate_ideals(Partition.parse("3,1"))}
-        b = {str(I) for I in enumerate_ideals(Partition.parse("3^2,1^3"))}
+        a = {str(I) for I in lattice(Partition.parse("3,1")).ideals}
+        b = {str(I) for I in lattice(Partition.parse("3^2,1^3")).ideals}
         assert a == b
 
     def test_matches_antichain_enumeration(self):
         for n in range(0, 9):
             for lam in partitions_of(n):
-                fast = enumerate_ideals(lam)
+                fast = lattice(lam).ideals
                 slow = ideals_by_antichains(lam)
                 assert len(fast) == len(set(fast))
                 assert set(fast) == set(slow), str(lam)

@@ -5,7 +5,7 @@ from cellcounts import mobius_on, x_count, x_in_submodule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from polydiv import exact_div
-from test_orbits import alpha
+from test_orbits import alpha, profiles_spy
 
 from orbitpairs import refined
 from orbitpairs.errors import DegreeMismatch, IdealOutOfContext
@@ -270,8 +270,8 @@ class TestRefinedCensus:
         # rows share one memo, and one exact_fiber_count call per (I, J),
         # however many second ideals L the row holds.
         built = []
-        real_arrays = refined._arrays
-        monkeypatch.setattr(refined, "_arrays", lambda mu: built.append(mu) or real_arrays(mu))
+        real_lattice = refined.lattice
+        monkeypatch.setattr(refined, "lattice", lambda mu: built.append(mu) or real_lattice(mu))
         fibers = []
         real_fibers = refined.exact_fiber_count
         monkeypatch.setattr(refined, "exact_fiber_count", lambda *args: fibers.append(
@@ -280,7 +280,9 @@ class TestRefinedCensus:
         ideals = lattice(lam).ideals
         refined_matrix(lam)
         splits = [canonical_split(lam, I) for I in ideals]
-        assert sorted(built, key=str) == sorted(
+        # The first lattice read is lambda's own, for the matrix keys.
+        assert built[0] == lam
+        assert sorted(built[1:], key=str) == sorted(
             {sp.quotient for sp in splits} | {sp.lambda_dprime for sp in splits}, key=str)
         assert len(fibers) == sum(len(lattice(sp.quotient).ideals) for sp in splits)
 
@@ -334,10 +336,12 @@ class TestRefinedCensus:
                     assert refined._table(memo, lam, mu) == expected, f"{lam}; {mu}"
 
     def test_matrix_builds_only_its_own_lattice(self, monkeypatch):
-        # Below its API, refined builds no OrderIdeal and no lattice: only
-        # the lattices of the lambdas asked for, whose ideals key the matrix.
+        # Below its API, refined builds no OrderIdeal: only the ideals of
+        # the lambdas asked for, which key the matrix.  The lattices below
+        # it keep their arrays only.
         shapes = partitions_of(6) + [Partition.parse("2^3,1")]
         lattice.cache_clear()
+        walked = profiles_spy(monkeypatch)
         built = []
         real_init = OrderIdeal.__init__
         monkeypatch.setattr(OrderIdeal, "__init__", lambda self, *args: built.append(1) or
@@ -345,7 +349,7 @@ class TestRefinedCensus:
         for lam in shapes:
             refined_matrix(lam)
         monkeypatch.undo()
-        assert lattice.cache_info().currsize == len(shapes)
+        assert {mu for mu in walked if "ideals" in vars(lattice(mu))} == set(shapes)
         assert len(built) == sum(len(lattice(lam).ideals) for lam in shapes)
 
     def test_kernel_values_shared_across_matrices(self, monkeypatch):
