@@ -3,7 +3,15 @@
 Builds the module of a given shape over Z/p^k coordinates, closes elements
 (or pairs, diagonally) under a generating set of the automorphism group, and
 compares every orbit statistic against the polynomial formulas evaluated at
-q = p.  The closure works on element permutations only: pairs carry an
+q = p.  With the coordinates sorted by decreasing exponent, the generating
+set is the unit multiplications of the first coordinate of each block of
+equal exponents and the adjacent transvections e_{r,r+1}(p^(k_r - k_{r+1}))
+and e_{r+1,r}(1): sum over blocks of |units| + 2(n - 1) generators.
+Commutators [e_rs(a), e_st(b)] = e_rt(ab) of adjacent transvections give
+every transvection e_rs(p^max(0, k_r - k_s)), and the signed swaps
+e_rs(1) e_sr(-1) e_rs(1) conjugate a block's units onto each of its
+coordinates, so the set generates all of Aut(M) (see aut_generators).
+The closure works on element permutations only: pairs carry an
 |M| x |M| label array, and no pair permutation is built.  The pair closure
 starts from a seed: an element-orbit transversal (a group element per
 element, taking it to its orbit minimum r) and, per orbit, the orbits on M of
@@ -21,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator, List, Literal
+from typing import Callable, Iterable, Iterator, List, Literal
 
 import numpy as np
 
@@ -131,24 +139,36 @@ def _unit_generators(p: int, k: int) -> tuple[int, ...]:
 
 
 def aut_generators(module: ExplicitModule) -> List[np.ndarray]:
-    """Generating set for the automorphism group, as coordinate matrices:
-    per-coordinate unit multiplications plus, for each ordered coordinate
-    pair (r, s), the transvection adding p**max(0, k_r - k_s) * x_s to x_r."""
+    """Generating set for the automorphism group, as coordinate matrices.
+    Aut(M) is the invertible integer matrices whose (r, s) entry is divisible
+    by p**max(0, k_r - k_s) (Hillar and Rhea), generated by the unit
+    multiplications of every coordinate and the transvections e_rs(p**max(0,
+    k_r - k_s)), which add that multiple of x_s to x_r.  With the coordinates
+    sorted by decreasing exponent, this set keeps the unit multiplications of
+    the first coordinate of each block of equal exponents, and the adjacent
+    transvections e_{r,r+1}(p**(k_r - k_{r+1})) and e_{r+1,r}(1): that is
+    sum over blocks of |_unit_generators(p, k)| + 2(n - 1) matrices.
+    - The commutator [e_rs(a), e_st(b)] = e_rt(ab) of adjacent transvections
+      gives every other transvection with its coefficient above.
+    - The signed swap e_rs(1) e_sr(-1) e_rs(1) of two coordinates of one
+      block conjugates the block's unit multiplications onto both."""
     p, ks = module.p, module.exponents
     n = len(ks)
+    order = sorted(range(n), key=lambda i: -ks[i])
     gens = []
-    for i, k in enumerate(ks):
+
+    def gen(r: int, s: int, c: int) -> None:
+        m = np.eye(n, dtype=np.int64)
+        m[r, s] = c
+        gens.append(m)
+
+    for k in sorted(set(ks), reverse=True):
+        i = ks.index(k)
         for u in _unit_generators(p, k):
-            m = np.eye(n, dtype=np.int64)
-            m[i, i] = u
-            gens.append(m)
-    for r in range(n):
-        for s in range(n):
-            if r == s:
-                continue
-            m = np.eye(n, dtype=np.int64)
-            m[r, s] = p ** max(0, ks[r] - ks[s])
-            gens.append(m)
+            gen(i, i, u)
+    for r, s in zip(order, order[1:]):
+        gen(r, s, p ** (ks[r] - ks[s]))
+        gen(s, r, 1)
     return gens
 
 
@@ -210,7 +230,8 @@ def _closure_labels(perms: List[np.ndarray], n: int, dims: int,
         start = np.arange(n ** dims, dtype=np.int32)
     labels = start.reshape((n,) * dims)
     while True:
-        prev = labels
+        # Labels only fall, so a round that reassigns them changed them.
+        changed = False
         for step in perms:
             while True:
                 pulled = labels
@@ -218,13 +239,13 @@ def _closure_labels(perms: List[np.ndarray], n: int, dims: int,
                     pulled = pulled.take(step, axis)
                 if (pulled >= labels).all():
                     break
-                labels, step = np.minimum(labels, pulled), step[step]
+                labels, step, changed = np.minimum(labels, pulled), step[step], True
         while True:
             jumped = labels.ravel()[labels]
             if np.array_equal(jumped, labels):
                 break
-            labels = jumped
-        if np.array_equal(labels, prev):
+            labels, changed = jumped, True
+        if not changed:
             return labels.ravel()
 
 
@@ -329,6 +350,25 @@ def _group_perms(module: ExplicitModule, mode: str) -> List[np.ndarray]:
     return [endo_permutation(module, g, elements) for g in aut_generators(module)]
 
 
+def _element_ideals(module: ExplicitModule, elements: np.ndarray) -> Callable[[int], OrderIdeal]:
+    """ideal(i): the invariant ideal of element i.  ideal_of depends only on
+    the valuation profile (one valuation per coordinate), so it runs once per
+    profile read, on the first element with that profile."""
+    p = module.p
+    code = np.zeros(len(elements), dtype=np.int64)
+    for column, k in zip(elements.T, module.exponents):
+        code = code * (k + 1) + sum(column % p ** e == 0 for e in range(1, k + 1))
+    _, first, profile = np.unique(code, return_index=True, return_inverse=True)
+    ideals: dict[int, OrderIdeal] = {}
+
+    def ideal(i: int) -> OrderIdeal:
+        j = profile[i]
+        if j not in ideals:
+            ideals[j] = module.ideal_of(elements[first[j]].tolist())
+        return ideals[j]
+    return ideal
+
+
 def _check_pair_budget(module: ExplicitModule):
     if module.size ** 2 > PAIR_BUDGET:
         raise BudgetExceeded(f"pair space {module.size ** 2} exceeds budget {PAIR_BUDGET}")
@@ -353,14 +393,11 @@ def orbits(module: ExplicitModule, space: Literal["elements", "pairs"] = "elemen
         labels = _closure_labels(perms, n, 2, _pair_seed(perms, n, transversal))
     else:
         raise ValueError(f"unknown space {space!r}")
-    reps, counts = np.unique(labels, return_counts=True)
-    ideals: dict[int, OrderIdeal] = {}
-
-    def ideal(i: int) -> OrderIdeal:
-        if i not in ideals:
-            ideals[i] = module.ideal_of(elements[i].tolist())
-        return ideals[i]
-
+    # Labels are orbit minima: the distinct labels are the representatives.
+    counts = np.bincount(labels)
+    reps = counts.nonzero()[0]
+    counts = counts[reps]
+    ideal = _element_ideals(module, elements)
     out = []
     for rep, size in zip(reps.tolist(), counts.tolist()):
         if space == "elements":

@@ -12,10 +12,10 @@ from orbitpairs import oracle
 from orbitpairs import orbits as orbits_module
 from orbitpairs.errors import BudgetExceeded
 from orbitpairs.oracle import (PAIR_BUDGET, ExplicitModule, _closure_labels,
-                               _group_perms, _pair_seed, _transversal,
-                               aut_generators, endo_permutation,
-                               invertible_endomorphisms, orbits, valuation,
-                               verify)
+                               _element_ideals, _group_perms, _pair_seed,
+                               _transversal, _unit_generators, aut_generators,
+                               endo_permutation, invertible_endomorphisms,
+                               orbits, valuation, verify)
 from orbitpairs.orbits import n_lambda, orbit_size
 from orbitpairs.posets import (OrderIdeal, Partition, lattice, partitions_of,
                                require_context)
@@ -30,6 +30,35 @@ def sum_orbit_orbit(lam: Partition, I: OrderIdeal, J: OrderIdeal) -> list[OrderI
     req = set(max_minus(I, J)) | set(max_minus(J, I))
     return [K for K in lattice(lam).ideals
             if K.is_subset_of(IJ) and req <= set(K.max_points)]
+
+
+def all_coordinate_generators(module: ExplicitModule) -> list[np.ndarray]:
+    """A larger generating set of the same group, as reference: the unit
+    multiplications of every coordinate and all n(n - 1) transvections
+    e_rs(p**max(0, k_r - k_s))."""
+    p, ks = module.p, module.exponents
+    n = len(ks)
+    gens = []
+    for i, k in enumerate(ks):
+        for u in _unit_generators(p, k):
+            m = np.eye(n, dtype=np.int64)
+            m[i, i] = u
+            gens.append(m)
+    for r in range(n):
+        for s in range(n):
+            if r != s:
+                m = np.eye(n, dtype=np.int64)
+                m[r, s] = p ** max(0, ks[r] - ks[s])
+                gens.append(m)
+    return gens
+
+
+def generator_count(module: ExplicitModule) -> int:
+    """Size of aut_generators(module): the unit generators of one coordinate
+    per block of equal exponents, and 2(n - 1) adjacent transvections."""
+    ks = module.exponents
+    return (sum(len(_unit_generators(module.p, k)) for k in set(ks))
+            + 2 * max(len(ks) - 1, 0))
 
 
 def union_find_labels(perms, n: int, dims: int) -> list[int]:
@@ -258,6 +287,34 @@ class TestPrimitives:
                     perm = endo_permutation(m, g, els)
                     assert len(np.unique(perm)) == m.size, (str(lam), p)
 
+    def test_generators_generate_the_same_group(self):
+        # The adjacent transvections and one block's units close elements
+        # and pairs into the orbits of the full coordinate set, on every
+        # module of the benchmark's verify grid and p = 2 up to |lambda| = 6.
+        for p, top in [(3, 5), (5, 4), (2, 6)]:
+            for lam in (lam for m in range(1, top + 1) for lam in partitions_of(m)):
+                m = ExplicitModule.from_partition(lam, p)
+                assert m.size ** 2 <= PAIR_BUDGET
+                gens = aut_generators(m)
+                assert len(gens) == generator_count(m), (str(lam), p)
+                els = m.elements()
+                new = [endo_permutation(m, g, els) for g in gens]
+                old = [endo_permutation(m, g, els) for g in all_coordinate_generators(m)]
+                for dims in (1, 2):
+                    assert np.array_equal(_closure_labels(old, m.size, dims),
+                                          _closure_labels(new, m.size, dims)), (str(lam), p, dims)
+
+    def test_generators_of_unsorted_exponents(self):
+        # Blocks and adjacency follow the exponents' order, not the
+        # coordinates' order.
+        m = ExplicitModule(3, (1, 2, 1))
+        els = m.elements()
+        gens = aut_generators(m)
+        assert len(gens) == generator_count(m) == 2 + 4
+        new = [endo_permutation(m, g, els) for g in gens]
+        old = [endo_permutation(m, g, els) for g in all_coordinate_generators(m)]
+        assert np.array_equal(_closure_labels(old, m.size, 2), _closure_labels(new, m.size, 2))
+
     def test_full_endo_count(self):
         # Automorphisms of Z/p^2 + Z/p number p^3 * (1-1/p)^2 * p.
         m = ExplicitModule.from_partition(Partition.parse("2,1"), 2)
@@ -299,21 +356,23 @@ class TestOrbits:
         assert sum(o.size for o in pairs) == m.size ** 2
 
     def test_pair_orbits_at_budget(self):
-        # |M|^2 = PAIR_BUDGET, closed under 25 generators.
+        # |M|^2 = PAIR_BUDGET, closed under 9 generators: one block's units
+        # and 2(n - 1) adjacent transvections.
         lam = Partition.parse("2^5")
         m = ExplicitModule.from_partition(lam, 2)
         assert m.size ** 2 == PAIR_BUDGET
-        assert len(aut_generators(m)) == 25
+        assert len(aut_generators(m)) == generator_count(m) == 9
         pairs = orbits(m, "pairs")
         assert len(pairs) == int(n_lambda(lam)(2))
         assert sum(o.size for o in pairs) == PAIR_BUDGET
 
     def test_quick_and_full_endos_agree(self):
-        for text, p in [("2,1", 2), ("1,1", 3), ("3", 2)]:
-            m = ExplicitModule.from_partition(Partition.parse(text), p)
-            quick = sorted(o.size for o in orbits(m, "pairs", "quick"))
-            full = sorted(o.size for o in orbits(m, "pairs", "full-endos"))
-            assert quick == full, (text, p)
+        for p, top in [(2, 4), (3, 3), (5, 2)]:
+            for lam in (lam for m in range(1, top + 1) for lam in partitions_of(m)):
+                m = ExplicitModule.from_partition(lam, p)
+                quick = sorted(o.size for o in orbits(m, "pairs", "quick"))
+                full = sorted(o.size for o in orbits(m, "pairs", "full-endos"))
+                assert quick == full, (str(lam), p)
 
 
 class TestSumOfOrbits:
@@ -405,16 +464,32 @@ class TestVerify:
             verify(Partition.parse("2^6"), 2)
 
     def test_ideal_read_once_per_element(self, monkeypatch):
-        # Pair orbit representatives share their members: each element's
-        # ideal is read once per closure.
+        # Pair orbit representatives share valuation profiles: ideal_of runs
+        # once per profile, on the first element that has it.
         read = []
         real = ExplicitModule.ideal_of
         monkeypatch.setattr(ExplicitModule, "ideal_of",
                             lambda module, coords: read.append(tuple(coords))
                             or real(module, coords))
         module = ExplicitModule.from_partition(Partition.parse("2,1"), 2)
-        pair_orbits = orbits(module, "pairs")
-        assert len(read) == len(set(read)) < 2 * len(pair_orbits)
+        orbits(module, "pairs")
+
+        def profile(coords):
+            return tuple(valuation(c, k, module.p) for c, k in zip(coords, module.exponents))
+        first = {}
+        for coords in map(tuple, module.elements().tolist()):
+            first.setdefault(profile(coords), coords)
+        assert len(first) == (2 + 1) * (1 + 1)
+        assert sorted(read) == sorted(first.values())
+
+    @pytest.mark.parametrize("text, p", [("3,2,1", 2), ("2^2,1", 3), ("4", 5)])
+    def test_ideal_per_profile(self, text, p):
+        # Every element's looked-up ideal is ideal_of of its own coordinates.
+        m = ExplicitModule.from_partition(Partition.parse(text), p)
+        els = m.elements()
+        ideal = _element_ideals(m, els)
+        for i, coords in enumerate(els.tolist()):
+            assert ideal(i) == m.ideal_of(coords), (text, p, coords)
 
     def test_odd_characteristic(self):
         assert verify(Partition.parse("2,1"), 3)["pass"]
