@@ -15,7 +15,7 @@ import sys
 from itertools import chain
 
 from .errors import OrbitPairsError
-from .oracle import verify
+from .oracle import _is_prime, verify
 from .orbits import n_lambda, orbit_census
 from .posets import OrderIdeal, Partition, lattice, partitions_of
 from .qpoly import QPolynomial, format_poly, latex_poly
@@ -126,28 +126,6 @@ def _emit_with_total(header: list[str], rows: list[list[str]], label: str,
         return json.dumps({"rows": _json_rows(header, rows),
                            label: format_poly(total)}, indent=1)
     return f"{_emit_rows(header, rows, args)}\n{label}: {_poly_out(total, args)}"
-
-
-# Miller-Rabin to these bases decides primality below 3317044064679887385961981,
-# the least strong pseudoprime to all of them; above it, it is probabilistic.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2 or any(n % a == 0 for a in _WITNESSES):
-        return n in _WITNESSES
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
-    for a in _WITNESSES:
-        x = pow(a, (n - 1) >> s, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # Trial division tries every divisor below 2**_TRIAL_BITS.

@@ -11,14 +11,8 @@ Commutators [e_rs(a), e_st(b)] = e_rt(ab) of adjacent transvections give
 every transvection e_rs(p^max(0, k_r - k_s)), and the signed swaps
 e_rs(1) e_sr(-1) e_rs(1) conjugate a block's units onto each of its
 coordinates, so the set generates all of Aut(M) (see aut_generators).
-The closure works on element permutations only: pairs carry an
-|M| x |M| label array, and no pair permutation is built.  The pair closure
-starts from a seed: an element-orbit transversal (a group element per
-element, taking it to its orbit minimum r) and, per orbit, the orbits on M of
-Schreier generators of Stab(r) (Schreier's lemma) give every pair a label in
-its orbit and no larger than its index.  The closure then only certifies
-the seed, so exactness never rests on which Schreier generators were taken.
-verify builds the transversal once: its labels are also the element orbits.
+Orbits of elements and pairs are computed on the element permutations of
+the generators (see permgroups); no pair permutation is built.
 The generator set is an engineering construction, so a full-endos mode that
 enumerates every invertible endomorphism acts as the authority on any
 disagreement.
@@ -28,23 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
-from typing import Callable, Iterable, Iterator, List, Literal
+from typing import Callable, Iterable, List, Literal
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, OrbitPairsError
 from .orbits import n_lambda, orbit_censuses, orbit_size
+from .permgroups import closure_labels, pair_labels
 from .posets import OrderIdeal, Partition, Point, lattice
 from .refined import refined_matrix
 
 ELEMENT_BUDGET = 2 ** 12
 PAIR_BUDGET = 2 ** 20
-assert PAIR_BUDGET <= 2 ** 31, "closure labels are int32 flat indices"
-assert PAIR_BUDGET <= 2 ** 30, "transversal rows are int16 element indices"
-# Entries per block of the (rows, n) arrays that the pair seed gathers, so
-# that the intp copy of a gather's index stays near 8 * _CHUNK bytes.
-_CHUNK = 2 ** 14
+assert PAIR_BUDGET <= 2 ** 30, "pair label rows are int16 element indices"
 ENDO_BUDGET = 2 ** 24
 
 
@@ -61,8 +51,21 @@ def valuation(x: int, k: int, p: int) -> int:
     return e
 
 
+# Miller-Rabin to these bases decides primality below 3317044064679887385961981,
+# the least strong pseudoprime to all of them; above it, it is probabilistic.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for a in _WITNESSES:
+        # a witnesses n composite unless some x^(2^i), i < s, is 1 (at i = 0) or -1.
+        x = pow(a, (n - 1) >> s, n)
+        if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -216,122 +219,17 @@ def invertible_endomorphisms(module: ExplicitModule) -> List[np.ndarray]:
     return perms
 
 
-def _closure_labels(perms: List[np.ndarray], n: int, dims: int,
-                    start: np.ndarray = None) -> np.ndarray:
-    """Orbit labels (minimum flat index per orbit) of {0..n-1}^dims under the
-    diagonal action of the element permutations, which must be bijections:
-    labels are only pulled forward, along g, g^2, g^4, ... (pointer doubling),
-    until constant on each cycle of g.  Pointer jumping follows labels to
-    their labels, and whole rounds repeat until one changes nothing.  start,
-    if given, holds int32 labels to begin from instead of the flat indices:
-    each in its point's orbit and at most the point's flat index, so that
-    the loop still ends at the orbit minima."""
-    if start is None:
-        start = np.arange(n ** dims, dtype=np.int32)
-    labels = start.reshape((n,) * dims)
-    while True:
-        # Labels only fall, so a round that reassigns them changed them.
-        changed = False
-        for step in perms:
-            while True:
-                pulled = labels
-                for axis in range(dims):
-                    pulled = pulled.take(step, axis)
-                if (pulled >= labels).all():
-                    break
-                labels, step, changed = np.minimum(labels, pulled), step[step], True
-        while True:
-            jumped = labels.ravel()[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels, changed = jumped, True
-        if not changed:
-            return labels.ravel()
-
-
-def _blocks(perms: List[np.ndarray], n: int) -> Iterator[np.ndarray]:
-    """The permutations of {0..n-1} stacked into arrays of at most _CHUNK
-    entries each (one row at least), built one at a time."""
-    rows = max(1, _CHUNK // n)
-    for i in range(0, len(perms), rows):
-        yield np.array(perms[i:i + rows], dtype=np.intp)
-
-
-def _transversal(perms: List[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Element orbit minima, pulled and jumped as in _closure_labels(perms,
-    n, 1), with a witness per element: row x of the (n, n) int16 array V is
-    a group element, as an element permutation, taking x to its label.  A
-    pull of x's label along step sets V[x] = V[step(x)] o step; a pointer
-    jump from x to its label z sets V[x] = V[z] o V[x].  Rounds repeat until
-    the labels are constant along every generator, checked a block of
-    generators at a time."""
-    labels = np.arange(n)
-    V = np.tile(np.arange(n, dtype=np.int16), (n, 1))
-    chunk = max(1, _CHUNK // n)
-    while True:
-        for step in perms:
-            while True:
-                xs = (labels[step] < labels).nonzero()[0]
-                if not xs.size:
-                    break
-                ys = step[xs]
-                labels[xs] = labels[ys]
-                V[xs] = V[ys][:, step]
-                step = step[step]
-        # Each chunk of rows reads labels and V of one state.
-        xs = (labels[labels] != labels).nonzero()[0]
-        while xs.size:
-            for i in range(0, xs.size, chunk):
-                rows = xs[i:i + chunk]
-                zs = labels[rows]
-                V[rows] = np.take_along_axis(V[zs], V[rows], 1)
-                labels[rows] = labels[zs]
-            xs = (labels[labels] != labels).nonzero()[0]
-        if all((labels[P] == labels).all() for P in _blocks(perms, n)):
-            return labels, V
-
-
-def _pair_seed(perms: List[np.ndarray], n: int,
-               transversal: tuple[np.ndarray, np.ndarray] = None) -> np.ndarray:
-    """Start labels for _closure_labels(perms, n, 2), as flat int32 pair
-    indices, from transversal = _transversal(perms, n), built here if not
-    given.  Per element orbit with minimum r, lab_r labels M by the orbits
-    of the subgroup of Stab(r) that the Schreier generators V[g(x)] o g o
-    V[x]^-1, at x = r and at the orbit's largest element, generate for every
-    generator g (Schreier's lemma; every such orbit lies in one orbit of
-    Stab(r)).  The pair (x, y) then gets r*n + lab_r[V[x][y]]: V[x] takes it
-    to (r, V[x][y]), in its orbit, and the label is at most x*n + y, since V[x]
-    is the identity when x = r.  The closure started there only certifies the
-    seed, or finishes it if the sampled generators miss part of Stab(r)."""
-    labels, V = _transversal(perms, n) if transversal is None else transversal
-    reps, orbit = np.unique(labels, return_inverse=True)
-    tops = np.zeros(reps.size, dtype=np.intp)
-    np.maximum.at(tops, orbit, np.arange(n))
-    lab = np.empty((reps.size, n), dtype=np.int32)
-    for o, (r, top) in enumerate(zip(reps.tolist(), tops.tolist())):
-        if r == top:
-            # A fixed point's stabilizer is the whole group.
-            lab[o] = labels
-            continue
-        schreier = np.empty((0, n), dtype=np.int16)
-        for x in (r, top):
-            w = np.empty(n, dtype=np.intp)
-            w[V[x]] = np.arange(n)
-            for P in _blocks(perms, n):
-                # Row g is V[g(x)] o g o w, w being V[x]^-1.  Distinct rows
-                # are found by sorting each row's bytes as one key.
-                rows = np.concatenate([schreier, V[P[:, x, None], P[:, w]]])
-                rows = np.ascontiguousarray(rows)
-                _, first = np.unique(rows.view(np.dtype((np.void, rows.itemsize * n))),
-                                     return_index=True)
-                schreier = rows[first]
-        lab[o] = _closure_labels(list(schreier), n, 1)
-    seed = np.empty((n, n), dtype=np.int32)
-    chunk = max(1, _CHUNK // n)
-    for i in range(0, n, chunk):
-        rows = slice(i, i + chunk)
-        seed[rows] = np.take_along_axis(lab[orbit[rows]], V[rows], 1) + labels[rows, None] * n
-    return seed.ravel()
+def aut_order(module: ExplicitModule) -> int:
+    """|Aut M| by the closed form of Hillar and Rhea (Automorphisms of finite
+    abelian groups, 2007): with exponents e_1 <= ... <= e_n and c_k, d_k the
+    first and last index of e_k's block, the product over k of
+    (p^d_k - p^(k-1)) p^(e_k (n - d_k)) p^((e_k - 1)(n - c_k + 1))."""
+    p, es = module.p, sorted(module.exponents)
+    n, total = len(es), 1
+    for k, e in enumerate(es, 1):
+        c, d = es.index(e) + 1, n - es[::-1].index(e)
+        total *= (p ** d - p ** (k - 1)) * p ** (e * (n - d) + (e - 1) * (n - c + 1))
+    return total
 
 
 @dataclass
@@ -345,7 +243,10 @@ def _group_perms(module: ExplicitModule, mode: str) -> List[np.ndarray]:
     if mode not in ("quick", "full-endos"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "full-endos":
-        return invertible_endomorphisms(module)
+        perms = invertible_endomorphisms(module)
+        if len(perms) != aut_order(module):
+            raise OrbitPairsError(f"{len(perms)} automorphisms, but |Aut M| = {aut_order(module)}")
+        return perms
     elements = module.elements()
     return [endo_permutation(module, g, elements) for g in aut_generators(module)]
 
@@ -375,35 +276,31 @@ def _check_pair_budget(module: ExplicitModule):
 
 
 def orbits(module: ExplicitModule, space: Literal["elements", "pairs"] = "elements",
-           mode: str = "quick", perms: List[np.ndarray] = None,
-           transversal: tuple[np.ndarray, np.ndarray] = None) -> List[OrbitDescriptor]:
+           mode: str = "quick", perms: List[np.ndarray] = None, labels: np.ndarray = None,
+           ideal: Callable[[int], OrderIdeal] = None) -> List[OrbitDescriptor]:
     """Orbit decomposition of the module (or of pairs under the diagonal
     action, closed on the element permutations), annotated with the
-    invariant ideal(s) of the orbit's smallest index.  perms, if given, are
-    _group_perms(module, mode), and transversal _transversal(perms, |M|),
-    built once for several calls: its labels are the element orbits."""
-    n = module.size
-    if perms is None:
-        perms = _group_perms(module, mode)
-    elements = module.elements()
-    if space == "elements":
-        labels = _closure_labels(perms, n, 1) if transversal is None else transversal[0]
-    elif space == "pairs":
-        _check_pair_budget(module)
-        labels = _closure_labels(perms, n, 2, _pair_seed(perms, n, transversal))
-    else:
+    invariant ideal(s) of the orbit's smallest index.  perms, labels and
+    ideal, if given, are _group_perms(module, mode), closure_labels(perms,
+    |M|) and _element_ideals(module, module.elements()), shared by calls."""
+    if space not in ("elements", "pairs"):
         raise ValueError(f"unknown space {space!r}")
+    perms = _group_perms(module, mode) if perms is None else perms
+    if space == "pairs":
+        _check_pair_budget(module)
+    labels = closure_labels(perms, module.size) if labels is None else labels
+    ideal = ideal or _element_ideals(module, module.elements())
     # Labels are orbit minima: the distinct labels are the representatives.
     counts = np.bincount(labels)
-    reps = counts.nonzero()[0]
-    counts = counts[reps]
-    ideal = _element_ideals(module, elements)
-    out = []
-    for rep, size in zip(reps.tolist(), counts.tolist()):
-        if space == "elements":
-            out.append(OrbitDescriptor(size, ideal(rep)))
-        else:
-            out.append(OrbitDescriptor(size, ideal(rep // n), ideal(rep % n)))
+    reps = counts.nonzero()[0].tolist()
+    if space == "elements":
+        return [OrbitDescriptor(int(counts[r]), ideal(r)) for r in reps]
+    # The pair orbit of (r, c) is r's orbit times c's orbit under Stab(r).
+    F, out = pair_labels(perms, labels), []
+    for r in reps:
+        second = np.bincount(F[r])
+        out += [OrbitDescriptor(int(counts[r] * second[c]), ideal(r), ideal(c))
+                for c in second.nonzero()[0].tolist()]
     return out
 
 
@@ -420,10 +317,11 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
     checks = []
 
     perms = _group_perms(module, mode)
-    # One transversal serves both calls; the pair budget bounds its (n, n) V.
+    # Element orbits and profiles serve both calls, after the pair budget.
     _check_pair_budget(module)
-    transversal = _transversal(perms, module.size)
-    element_orbits = orbits(module, "elements", mode, perms, transversal)
+    labels = closure_labels(perms, module.size)
+    ideal = _element_ideals(module, module.elements())
+    element_orbits = orbits(module, "elements", mode, perms, labels, ideal)
     checks.append(_check("element orbit count vs ideal count",
                          len(ideals), len(element_orbits)))
     sizes_by_ideal = {o.ideal: o.size for o in element_orbits}
@@ -431,7 +329,7 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
     checks.append(_check("element orbit sizes vs orbit size formula",
                          _render_map(expected_sizes), _render_map(sizes_by_ideal)))
 
-    pair_orbits = orbits(module, "pairs", mode, perms, transversal)
+    pair_orbits = orbits(module, "pairs", mode, perms, labels, ideal)
     checks.append(_check("pair orbit count vs n_lambda",
                          int(n_lambda(lam)(p)), len(pair_orbits)))
 

@@ -1,6 +1,7 @@
 import re
 import signal
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_orbits import max_minus, union
 
-from orbitpairs import oracle
+from orbitpairs import cli, oracle, permgroups
 from orbitpairs import orbits as orbits_module
 from orbitpairs.errors import BudgetExceeded
-from orbitpairs.oracle import (PAIR_BUDGET, ExplicitModule, _closure_labels,
-                               _element_ideals, _group_perms, _pair_seed,
-                               _transversal, _unit_generators, aut_generators,
-                               endo_permutation, invertible_endomorphisms,
-                               orbits, valuation, verify)
+from orbitpairs.oracle import (PAIR_BUDGET, ExplicitModule, _element_ideals, _group_perms,
+                               _unit_generators, aut_generators, aut_order,
+                               endo_permutation, invertible_endomorphisms, orbits,
+                               valuation, verify)
+from orbitpairs.permgroups import _forest, _schreier, _unwind, closure_labels, pair_labels
 from orbitpairs.orbits import n_lambda, orbit_size
 from orbitpairs.posets import (OrderIdeal, Partition, lattice, partitions_of,
                                require_context)
@@ -119,14 +120,21 @@ def call_within(seconds: float, fn, *args):
         signal.signal(signal.SIGALRM, previous)
 
 
-def closure_within(seconds: float, perms, n: int, dims: int, start=None) -> np.ndarray:
-    """`_closure_labels` under call_within: a wrong stopping rule loops
-    forever."""
-    return call_within(seconds, _closure_labels, perms, n, dims, start)
+def flat_pair_labels(perms, n: int) -> np.ndarray:
+    """Flat pair orbit minima from the pair path: labels[x] * n + F[x, y]."""
+    labels = closure_labels(perms, n)
+    return (labels[:, None] * n + pair_labels(perms, labels)).ravel()
+
+
+def closure_within(seconds: float, perms, n: int, dims: int) -> np.ndarray:
+    """`closure_labels` (dims 1) or the pair path (dims 2) under
+    call_within: a wrong stopping rule loops forever."""
+    return call_within(seconds, closure_labels if dims == 1 else flat_pair_labels, perms, n)
 
 
 class TestClosure:
-    """`_closure_labels` against a union-find over the generator edges."""
+    """`closure_labels` on elements and the pair path on pairs against a
+    union-find over the generator edges."""
 
     def check(self, perms, n, dims):
         got = closure_within(5, perms, n, dims)
@@ -174,26 +182,40 @@ class TestClosure:
         self.check([], 5, 2)
 
     def test_label_dtype_holds_pair_budget(self):
-        # Labels are flat pair indices, all below PAIR_BUDGET.
-        labels = _closure_labels([], 2, 2)
-        assert np.iinfo(labels.dtype).max >= PAIR_BUDGET - 1
+        # Pair label rows hold element indices, all below the square root of
+        # PAIR_BUDGET.
+        assert np.iinfo(np.int16).max >= isqrt(PAIR_BUDGET) - 1
+        assert pair_labels([], np.arange(2)).dtype == np.int16
 
 
 class TestPairSeed:
-    """`_pair_seed` against a union-find over the generator edges: every seed
-    label lies in its pair's orbit and is at most the pair's flat index, so
-    the closure started there ends at the same minima."""
+    """The pair path's parts against their definitions: the witness forest
+    reaches every element from its orbit minimum, inverse witnesses take
+    their element to the minimum, Schreier generators fix the minimum, and the
+    certified row labels F give every pair its orbit minimum, as a
+    union-find over the generator edges does."""
 
     def check(self, perms, n):
-        expected = union_find_labels(perms, n, 2)
-        seed = _pair_seed(perms, n)
-        assert seed.shape == (n * n,) and seed.dtype == np.int32
-        for i, s in enumerate(seed.tolist()):
-            assert s <= i and expected[s] == expected[i], (i, s)
-        labels, V = _transversal(perms, n)
+        labels = closure_labels(perms, n)
         assert labels.tolist() == union_find_labels(perms, n, 1)
-        assert V[np.arange(n), np.arange(n)].tolist() == labels.tolist()
-        assert closure_within(5, perms, n, 2, seed).tolist() == expected
+        forest = _forest(perms, labels)
+        parent, edge, steps, inverses, levels = forest
+        assert (np.take_along_axis(steps, inverses, 1) == np.arange(n)).all()
+        assert sorted(np.concatenate(levels).tolist()) == list(range(n))
+        assert (parent[levels[0]] == -1).all() and (labels[levels[0]] == levels[0]).all()
+        for above, level in zip(levels, levels[1:]):
+            assert np.isin(parent[level], above).all()
+            assert (steps[edge[level], parent[level]] == level).all()
+        # Row x of U is t_x^-1, which takes x to its root.
+        U = _unwind(forest, range(n), np.tile(np.arange(n, dtype=np.int16), (n, 1)))
+        assert (U[np.arange(n), np.arange(n)] == labels).all()
+        for r in np.unique(labels).tolist():
+            schreier = _schreier(perms, forest, (labels == r).nonzero()[0][[0, -1]])
+            assert (schreier[:, r] == r).all()
+            assert all(sorted(s) == list(range(n)) for s in schreier.tolist())
+        F = call_within(5, pair_labels, perms, labels)
+        assert F.shape == (n, n) and F.dtype == np.int16
+        assert (labels[:, None] * n + F).ravel().tolist() == union_find_labels(perms, n, 2)
 
     @settings(deadline=None, max_examples=60)
     @given(PERM_SETS)
@@ -207,32 +229,47 @@ class TestPairSeed:
 
     def test_no_generators(self):
         self.check([], 5)
-        assert _pair_seed([], 5).tolist() == list(range(25))
+        assert flat_pair_labels([], 5).tolist() == list(range(25))
 
     def test_one_long_cycle(self):
-        self.check([np.roll(np.arange(40), 1)], 40)
+        # The powers g^2, g^4, ... reach distance d in popcount(d) edges.
+        cycle = np.roll(np.arange(40), 1)
+        self.check([cycle], 40)
+        assert len(_forest([cycle], np.zeros(40, dtype=np.intp))[4]) <= 1 + (40).bit_length()
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_blocks_of_one_row(self, chunk, monkeypatch):
-        # Generator blocks, pointer-jump chunks and seed chunks of one or a
-        # few rows give the same labels as whole arrays.
-        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        # Generator blocks, forest blocks and row blocks of one or a few rows
+        # give the same labels as whole arrays.
+        monkeypatch.setattr(permgroups, "_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
         for n, k in [(6, 9), (12, 5), (20, 3)]:
             self.check([rng.permutation(n) for _ in range(k)], n)
         m = ExplicitModule.from_partition(Partition.parse("2,1"), 2)
         self.check(_group_perms(m, "full-endos"), m.size)
 
-    def test_seed_is_final_on_verify_grid(self):
-        # On every module of the benchmark's verify grid, the Schreier
-        # generators at each orbit's smallest and largest element already
-        # give every pair its orbit minimum: the closure only certifies.
-        for p, top in [(3, 5), (5, 4)]:
-            for lam in (lam for m in range(1, top + 1) for lam in partitions_of(m)):
-                m = ExplicitModule.from_partition(lam, p)
-                perms = _group_perms(m, "quick")
-                seed = _pair_seed(perms, m.size)
-                assert np.array_equal(seed, _closure_labels(perms, m.size, 2)), (str(lam), p)
+    @pytest.mark.parametrize("text, p, sample", [("4,2", 2, True), ("2,1", 3, False),
+                                                 ("1^2", 5, False)])
+    def test_repair_stays_exact(self, text, p, sample, monkeypatch):
+        # A row that fails the certificate adds its Schreier generators to
+        # its orbit's sample.  On 4,2@2 the sample at each orbit's smallest
+        # and largest element misses part of a stabilizer; with that sample
+        # emptied (the seed's sample is taken at two rows, a repair's at
+        # one), the repairs alone find every stabilizer.
+        repairs = []
+        real = permgroups._schreier
+
+        def schreier(perms, forest, xs):
+            if len(xs) == 1:
+                repairs.append(xs[0])
+            rows = real(perms, forest, xs)
+            return rows if sample or len(xs) == 1 else rows[:0]
+        monkeypatch.setattr(permgroups, "_schreier", schreier)
+        m = ExplicitModule.from_partition(Partition.parse(text), p)
+        perms = _group_perms(m, "quick")
+        got = call_within(10, flat_pair_labels, perms, m.size)
+        assert repairs
+        assert got.tolist() == union_find_labels(perms, m.size, 2)
 
 
 class TestPrimitives:
@@ -300,9 +337,9 @@ class TestPrimitives:
                 els = m.elements()
                 new = [endo_permutation(m, g, els) for g in gens]
                 old = [endo_permutation(m, g, els) for g in all_coordinate_generators(m)]
-                for dims in (1, 2):
-                    assert np.array_equal(_closure_labels(old, m.size, dims),
-                                          _closure_labels(new, m.size, dims)), (str(lam), p, dims)
+                assert np.array_equal(closure_labels(old, m.size), closure_labels(new, m.size))
+                assert np.array_equal(flat_pair_labels(old, m.size),
+                                      flat_pair_labels(new, m.size)), (str(lam), p)
 
     def test_generators_of_unsorted_exponents(self):
         # Blocks and adjacency follow the exponents' order, not the
@@ -313,7 +350,7 @@ class TestPrimitives:
         assert len(gens) == generator_count(m) == 2 + 4
         new = [endo_permutation(m, g, els) for g in gens]
         old = [endo_permutation(m, g, els) for g in all_coordinate_generators(m)]
-        assert np.array_equal(_closure_labels(old, m.size, 2), _closure_labels(new, m.size, 2))
+        assert np.array_equal(flat_pair_labels(old, m.size), flat_pair_labels(new, m.size))
 
     def test_full_endo_count(self):
         # Automorphisms of Z/p^2 + Z/p number p^3 * (1-1/p)^2 * p.
@@ -321,6 +358,24 @@ class TestPrimitives:
         assert len(invertible_endomorphisms(m)) == 8
         m = ExplicitModule.from_partition(Partition.parse("1,1"), 2)
         assert len(invertible_endomorphisms(m)) == 6  # |GL_2(F_2)|
+
+    def test_aut_order_matches_enumeration(self):
+        # Hillar and Rhea's closed form, on every shape whose quick and
+        # full-endos pair orbits are compared below.
+        for p, top in [(2, 4), (3, 3), (5, 2)]:
+            for lam in (lam for m in range(1, top + 1) for lam in partitions_of(m)):
+                m = ExplicitModule.from_partition(lam, p)
+                assert aut_order(m) == len(invertible_endomorphisms(m)), (str(lam), p)
+
+    def test_short_enumeration_is_exit_2(self, capsys, monkeypatch):
+        # An enumeration that misses an automorphism fails the full-endos
+        # job as an internal inconsistency, with no report.
+        real = oracle.invertible_endomorphisms
+        monkeypatch.setattr(oracle, "invertible_endomorphisms", lambda m: real(m)[1:])
+        assert cli.main(["verify", "2,1", "3", "--full-endos"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "internal consistency failure: 107 automorphisms, but |Aut M| = 108" in err
 
 
 class TestOrbits:
@@ -440,28 +495,38 @@ class TestVerify:
 
     @pytest.mark.parametrize("mode", ["quick", "full-endos"])
     def test_element_labels_computed_once(self, mode, monkeypatch):
-        # One transversal gives the element orbits and seeds the pairs; the
-        # group's own closure then runs once, on pairs.
-        groups, transversals, closures = [], [], []
-        real_group, real_transversal = oracle._group_perms, oracle._transversal
-        real_closure = oracle._closure_labels
+        # One closure of the group gives the element orbits, and the pair
+        # path reads those labels instead of closing the group again.
+        groups, closures, pair_paths = [], [], []
+        real_group, real_pairs = oracle._group_perms, oracle.pair_labels
+        real_closure = oracle.closure_labels
         monkeypatch.setattr(oracle, "_group_perms",
                             lambda module, m: groups.append(real_group(module, m)) or groups[-1])
-        monkeypatch.setattr(oracle, "_transversal", lambda perms, n: transversals.append(
-            perms is groups[0]) or real_transversal(perms, n))
-        monkeypatch.setattr(oracle, "_closure_labels", lambda perms, n, dims, start=None: (
-            perms is groups[0] and closures.append(dims)) or real_closure(perms, n, dims, start))
-        assert verify(Partition.parse("2,1"), 3, mode)["pass"]
-        assert transversals == [True]
-        assert closures == [2]
 
-    def test_pair_budget_checked_before_transversal(self, monkeypatch):
-        # |M| = 4096 fits the element budget, but its (|M|, |M|) transversal
-        # table is not built: the pair space is over budget.
-        monkeypatch.setattr(oracle, "_transversal",
-                            lambda perms, n: pytest.fail("transversal built"))
+        def closure(perms, n):
+            labels = real_closure(perms, n)
+            if perms is groups[0]:
+                closures.append(labels)
+            return labels
+        monkeypatch.setattr(oracle, "closure_labels", closure)
+        monkeypatch.setattr(oracle, "pair_labels", lambda perms, labels: pair_paths.append(
+            perms is groups[0] and labels is closures[0]) or real_pairs(perms, labels))
+        assert verify(Partition.parse("2,1"), 3, mode)["pass"]
+        assert len(closures) == 1
+        assert pair_paths == [True]
+
+    def test_pair_budget_checked_before_pair_labels(self, monkeypatch):
+        # |M| = 4096 fits the element budget, but neither its element orbits
+        # nor its (|M|, |M|) pair labels are computed: the pair space is over
+        # budget.
+        monkeypatch.setattr(oracle, "closure_labels",
+                            lambda perms, n: pytest.fail("element orbits closed"))
+        monkeypatch.setattr(oracle, "pair_labels",
+                            lambda perms, labels: pytest.fail("pair labels built"))
         with pytest.raises(BudgetExceeded, match="pair space"):
             verify(Partition.parse("2^6"), 2)
+        with pytest.raises(BudgetExceeded, match="pair space"):
+            orbits(ExplicitModule.from_partition(Partition.parse("2^6"), 2), "pairs")
 
     def test_ideal_read_once_per_element(self, monkeypatch):
         # Pair orbit representatives share valuation profiles: ideal_of runs
@@ -481,6 +546,16 @@ class TestVerify:
             first.setdefault(profile(coords), coords)
         assert len(first) == (2 + 1) * (1 + 1)
         assert sorted(read) == sorted(first.values())
+
+    def test_ideal_read_once_per_job(self, monkeypatch):
+        # Both orbit calls of a verify job share one valuation-profile table.
+        read = []
+        real = ExplicitModule.ideal_of
+        monkeypatch.setattr(ExplicitModule, "ideal_of",
+                            lambda module, coords: read.append(tuple(coords))
+                            or real(module, coords))
+        assert verify(Partition.parse("2,1"), 2)["pass"]
+        assert len(read) == len(set(read)) == (2 + 1) * (1 + 1)
 
     @pytest.mark.parametrize("text, p", [("3,2,1", 2), ("2^2,1", 3), ("4", 5)])
     def test_ideal_per_profile(self, text, p):
