@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 user/input error, 2 internal consistency failure
-(or a failed verification report).
+Exit codes: 0 success, 1 user/input error (usage errors included), 2 internal
+consistency failure (or a failed verification report).
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from itertools import chain
 
@@ -23,65 +22,6 @@ from .quiver import r_n1, type_sum
 from .refined import refined_matrix
 
 REFINED_LIMIT = 8
-
-
-class ResultStore:
-    """File-backed cache of computed orbit-pair counts, keyed by the
-    canonical (capped) partition string, read on opening and written once
-    by save().  A corrupt file, or an entry whose value is not monic of
-    degree lambda_1 with integer coefficients, is dropped with a warning."""
-
-    def __init__(self, path=None):
-        self.path = path
-        self.entries: dict[str, list] = {}
-        self._added = False
-        if path is None:
-            return
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ValueError("cache root must be an object")
-        except FileNotFoundError:
-            return
-        except (ValueError, OSError) as exc:
-            print(f"warning: ignoring corrupt cache {path}: {exc}", file=sys.stderr)
-            return
-        for key, coeffs in data.items():
-            try:
-                lam = Partition.parse(key)
-                if not (isinstance(coeffs, list) and all(type(c) is int for c in coeffs)
-                        and coeffs[-1:] == [1] and len(coeffs) == lam.largest + 1):
-                    raise ValueError(f"not a monic integer polynomial of degree {lam.largest}")
-                self.entries[str(lam)] = coeffs
-            except ValueError as exc:
-                print(f"warning: dropping cache entry {key!r}: {exc}", file=sys.stderr)
-
-    def get(self, lam: Partition):
-        entry = self.entries.get(str(lam))
-        if entry is None:
-            return None
-        return QPolynomial.from_json({"coeffs": entry})
-
-    def __setitem__(self, lam: Partition, poly: QPolynomial):
-        self.entries[str(lam)] = poly.to_json()["coeffs"]
-        self._added = True
-
-    def save(self):
-        """Write the entries, if any were added, to a temporary file renamed
-        over the cache, so an interrupted write leaves the old file intact."""
-        if self.path is None or not self._added:
-            return
-        tmp = f"{self.path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                json.dump(self.entries, fh, indent=1, sort_keys=True)
-            os.replace(tmp, self.path)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, self.path) from exc
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
 
 
 def _poly_out(p: QPolynomial, args, den: int = 1) -> str:
@@ -178,11 +118,7 @@ def cmd_nlambda(args) -> int:
         raise ValueError(f"Q = {args.at} is not a prime power, so no ring has residue field"
                          " of that size")
     lam = Partition.parse(args.partition)
-    store = ResultStore(args.cache)
-    try:
-        poly = n_lambda(lam, store)
-    finally:
-        store.save()
+    poly = n_lambda(lam)
     # Rendered in full before printing, so that a value too long to render
     # leaves no partial output.
     if args.json:
@@ -199,18 +135,14 @@ def cmd_nlambda(args) -> int:
 
 
 def cmd_table(args) -> int:
-    store = ResultStore(args.cache)
     rows = []
-    try:
-        for lam in partitions_of(args.n):
-            poly = n_lambda(lam, store)
-            name = "(" + ", ".join(str(p) for p in lam.expand()) + ")"
-            if args.json:
-                rows.append([str(lam), poly.to_json()["coeffs"]])
-            else:
-                rows.append([name, _poly_out(poly, args)])
-    finally:
-        store.save()
+    for lam in partitions_of(args.n):
+        poly = n_lambda(lam)
+        name = "(" + ", ".join(str(p) for p in lam.expand()) + ")"
+        if args.json:
+            rows.append([str(lam), poly.to_json()["coeffs"]])
+        else:
+            rows.append([name, _poly_out(poly, args)])
     header = ["partition", "coeffs" if args.json else "orbit count"]
     print(_emit_rows(header, rows, args))
     return 0
@@ -302,8 +234,18 @@ def cmd_conjecture(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with usage errors exiting 1 like any other bad
+    input rather than 2, which is kept for internal consistency failures.
+    Subparsers are made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbitpairs",
         description="Exact orbit counting for pairs in finite modules over "
                     "discrete valuation rings.")
@@ -318,13 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nlambda", help="number of orbits of pairs for one shape")
     p.add_argument("partition")
     p.add_argument("--at", type=int, metavar="Q")
-    p.add_argument("--cache", metavar="FILE")
     add_formats(p)
     p.set_defaults(func=cmd_nlambda)
 
     p = sub.add_parser("table", help="orbit counts for all partitions of n")
     p.add_argument("n", type=int)
-    p.add_argument("--cache", metavar="FILE")
     add_formats(p)
     p.set_defaults(func=cmd_table)
 

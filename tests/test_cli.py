@@ -22,6 +22,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """The CLI in a subprocess, so that an escaping exception shows as a
+    traceback on its stderr."""
+    src = os.path.dirname(os.path.dirname(orbitpairs.__file__))
+    return subprocess.run([sys.executable, "-m", "orbitpairs.cli", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
 class TestPrimePower:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(-10, 10 ** 12) | st.builds(pow, st.integers(2, 10 ** 4),
@@ -127,8 +136,7 @@ class TestNLambda:
 
 class TestHugeInputs:
     """Input far past what any engine can hold exits 1 with a message and no
-    traceback, within seconds.  Subprocesses, so that an escaping exception
-    shows as a traceback."""
+    traceback, within seconds."""
 
     @pytest.mark.parametrize("argv, message", [
         (["nlambda", "2,1", "--at", "318665857834031151167461"], "not a prime power"),
@@ -140,10 +148,7 @@ class TestHugeInputs:
         ids=["at-psi12", "verify-1^999999999", "verify-23-digits", "verify-4000000",
              "nlambda-23-digits", "census-22-digit-mult"])
     def test_exit_1_with_message(self, argv, message):
-        src = os.path.dirname(os.path.dirname(orbitpairs.__file__))
-        proc = subprocess.run([sys.executable, "-m", "orbitpairs.cli", *argv],
-                              capture_output=True, text=True, timeout=10,
-                              env={**os.environ, "PYTHONPATH": src})
+        proc = run_module(*argv)
         assert proc.returncode == 1 and proc.stdout == ""
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -353,102 +358,36 @@ class TestQuiverVerifyConjecture:
             assert "error:" in err and out == ""
 
 
-class TestCache:
-    def test_warm_equals_cold(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache.json")
-        _, cold, _ = run(capsys, "table", "4", "--cache", cache)
-        data = json.loads(open(cache).read())
-        assert "3,1" in data
-        _, warm, _ = run(capsys, "table", "4", "--cache", cache)
-        assert warm == cold
+class TestUsageErrors:
+    """A usage error (unknown option, missing or ill-typed argument) exits 1
+    like any other bad input, with argparse's message and no traceback.  No
+    option reads or writes a result file, so a file holding a wrong count
+    can change no output: `--cache` is an unknown option."""
 
-    def test_cache_content_is_trusted(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text(json.dumps({"2": [9, 9, 1]}))
-        _, out, _ = run(capsys, "nlambda", "2", "--cache", str(cache))
-        assert out.strip() == "q^2 + 9q + 9"
-
-    def test_corrupt_cache_warns_and_recomputes(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text("{not json")
-        code, out, err = run(capsys, "nlambda", "2", "--cache", str(cache))
-        assert code == 0
-        assert "warning" in err
-        assert out.strip() == "q^2 + 2q + 2"
-
-    def test_invalid_entries_rejected(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text(json.dumps({"not a partition": [1]}))
-        code, out, err = run(capsys, "nlambda", "2", "--cache", str(cache))
-        assert code == 0
-        assert "warning" in err
-        assert out.strip() == "q^2 + 2q + 2"
-
-    def test_written_once_atomically(self, capsys, tmp_path, monkeypatch):
-        replaced = []
-        real_replace = cli.os.replace
-
-        def counting_replace(src, dst):
-            replaced.append(dst)
-            real_replace(src, dst)
-
-        monkeypatch.setattr(cli.os, "replace", counting_replace)
-        cache = tmp_path / "cache.json"
-        _, cold, _ = run(capsys, "table", "5", "--cache", str(cache))
-        assert replaced == [str(cache)]
-        assert [f.name for f in tmp_path.iterdir()] == ["cache.json"]
-        assert len(json.loads(cache.read_text())) == 7
-        _, warm, _ = run(capsys, "table", "5", "--cache", str(cache))
-        assert warm == cold
-        assert replaced == [str(cache)]
-        assert [f.name for f in tmp_path.iterdir()] == ["cache.json"]
-
-    def test_interrupted_write_keeps_old_cache(self, capsys, tmp_path, monkeypatch):
-        cache = tmp_path / "cache.json"
-        cache.write_text(json.dumps({"2": [2, 2, 1]}))
-
-        def dump_then_die(obj, fh, **kw):
-            fh.write("{")
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(cli.json, "dump", dump_then_die)
-        with pytest.raises(KeyboardInterrupt):
-            run(capsys, "table", "3", "--cache", str(cache))
-        assert json.loads(cache.read_text()) == {"2": [2, 2, 1]}
-        assert [f.name for f in tmp_path.iterdir()] == ["cache.json"]
-
-    def test_key_is_canonicalised(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text(json.dumps({"1,1": [5, 1]}))
-        code, out, err = run(capsys, "nlambda", "1^2", "--cache", str(cache))
-        assert code == 0 and err == ""
-        assert out.strip() == "q + 5"
-
-    def test_bad_entries_dropped_one_by_one(self, capsys, tmp_path):
-        cache = tmp_path / "cache.json"
-        cache.write_text(json.dumps({"2": [9, 9, 2], "1": [3, 0, 1],
-                                     "3": ["1/2", 0, 0, 1], "1,1": [5, 1]}))
-        code, out, err = run(capsys, "table", "2", "--cache", str(cache))
-        assert code == 0
-        dropped = [line.split("'")[1] for line in err.splitlines()
-                   if line.startswith("warning: dropping cache entry")]
-        assert dropped == ["2", "1", "3"]
-        assert "q^2 + 2q + 2" in out
-        assert "q + 5" in out
-        assert json.loads(cache.read_text()) == {"1^2": [5, 1], "2": [2, 2, 1]}
-
-    def test_unwritable_cache_is_exit_1(self, tmp_path):
-        # A subprocess, so that an escaping exception shows as a traceback.
-        src = os.path.dirname(os.path.dirname(orbitpairs.__file__))
-        cache = str(tmp_path / "missing" / "x.json")
-        proc = subprocess.run(
-            [sys.executable, "-m", "orbitpairs.cli", "nlambda", "2", "--cache", cache],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 1
-        assert "error:" in proc.stderr
+    @pytest.mark.parametrize("argv, message", [
+        (["nlambda", "2,1", "--cache", "CACHE"], "unrecognized arguments: --cache"),
+        (["table", "x"], "orbitpairs table: error: argument n: invalid int value: 'x'"),
+        ([], "orbitpairs: error: the following arguments are required: command"),
+        (["verify", "2,1"], "orbitpairs verify: error: the following arguments are required: p")],
+        ids=["nlambda-cache", "table-x", "no-command", "verify-missing-p"])
+    def test_exit_1(self, tmp_path, argv, message):
+        cache = tmp_path / "nl.json"
+        cache.write_text(json.dumps({"2,1": [7, 0, 1]}))
+        before = cache.read_bytes()
+        proc = run_module(*[str(cache) if a == "CACHE" else a for a in argv])
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: orbitpairs")
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr
-        assert repr(cache) in proc.stderr
-        assert ".tmp" not in proc.stderr
+        assert cache.read_bytes() == before
+
+    @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]])
+    def test_help_is_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: orbitpairs") and "--cache" not in out
 
 
 def test_import_graph_has_no_fractions():
