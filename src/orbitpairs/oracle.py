@@ -11,8 +11,10 @@ Commutators [e_rs(a), e_st(b)] = e_rt(ab) of adjacent transvections give
 every transvection e_rs(p^max(0, k_r - k_s)), and the signed swaps
 e_rs(1) e_sr(-1) e_rs(1) conjugate a block's units onto each of its
 coordinates, so the set generates all of Aut(M) (see aut_generators).
-Orbits of elements and pairs are computed on the element permutations of
-the generators (see permgroups); no pair permutation is built.
+One call of orbits(module, mode) gives the element and pair orbits from
+one list of generator permutations, one element closure and one
+valuation-profile table; pairs are closed on the element permutations of
+the generators (see permgroups), and no pair permutation is built.
 The generator set is an engineering construction, so a full-endos mode that
 enumerates every invertible endomorphism acts as the authority on any
 disagreement.
@@ -20,9 +22,11 @@ disagreement.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, List, Literal
+from itertools import product
+from typing import Callable, List
 
 import numpy as np
 
@@ -36,19 +40,6 @@ ELEMENT_BUDGET = 2 ** 12
 PAIR_BUDGET = 2 ** 20
 assert PAIR_BUDGET <= 2 ** 30, "pair label rows are int16 element indices"
 ENDO_BUDGET = 2 ** 24
-
-
-def valuation(x: int, k: int, p: int) -> int:
-    """Largest e <= k with p**e dividing x; k for x = 0."""
-    if not 0 <= x < p ** k:
-        raise ValueError(f"residue {x} out of range for p^{k}")
-    if x == 0:
-        return k
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e
 
 
 # Miller-Rabin to these bases decides primality below 3317044064679887385961981,
@@ -109,15 +100,6 @@ class ExplicitModule:
             out[:, i] = idx % sizes[i]
             idx //= sizes[i]
         return out
-
-    def ideal_of(self, coords: Iterable[int]) -> OrderIdeal:
-        """Invariant ideal of an element: generated by one point
-        (valuation, exponent) per nonzero coordinate."""
-        gens = []
-        for c, k in zip(coords, self.exponents):
-            if c:
-                gens.append(Point(valuation(c, k, self.p), k))
-        return OrderIdeal.from_generators(gens)
 
 
 @lru_cache(maxsize=None)
@@ -198,24 +180,15 @@ def invertible_endomorphisms(module: ExplicitModule) -> List[np.ndarray]:
     if total > ENDO_BUDGET:
         raise BudgetExceeded(f"{total} endomorphisms exceed budget {ENDO_BUDGET}")
     elements = module.elements()
-    slots = [(i, j, p ** max(0, ks[i] - ks[j]), p ** min(ks[i], ks[j]))
-             for i in range(n) for j in range(n)]
+    # Entry (i, j) runs over the multiples of p**max(0, k_i - k_j) below p**k_i.
+    entries = [range(0, p ** ks[i], p ** max(0, ks[i] - ks[j]))
+               for i in range(n) for j in range(n)]
     perms = []
-    m = np.zeros((n, n), dtype=np.int64)
-
-    def rec(t: int):
-        if t == len(slots):
-            perm = endo_permutation(module, m, elements)
-            if len(np.unique(perm)) == module.size:
-                perms.append(perm)
-            return
-        i, j, scale, count = slots[t]
-        for c in range(count):
-            m[i, j] = scale * c
-            rec(t + 1)
-        m[i, j] = 0
-
-    rec(0)
+    for values in product(*entries):
+        m = np.array(values, dtype=np.int64).reshape(n, n)
+        perm = endo_permutation(module, m, elements)
+        if len(np.unique(perm)) == module.size:
+            perms.append(perm)
     return perms
 
 
@@ -252,56 +225,50 @@ def _group_perms(module: ExplicitModule, mode: str) -> List[np.ndarray]:
 
 
 def _element_ideals(module: ExplicitModule, elements: np.ndarray) -> Callable[[int], OrderIdeal]:
-    """ideal(i): the invariant ideal of element i.  ideal_of depends only on
-    the valuation profile (one valuation per coordinate), so it runs once per
-    profile read, on the first element with that profile."""
-    p = module.p
+    """ideal(i): the invariant ideal of the coordinate row elements[i],
+    generated by the points (v, k) of its coordinates of valuation v below
+    their exponent k.  It depends only on the valuation profile (one
+    valuation per coordinate), so it is built once per profile read."""
+    p, ks = module.p, module.exponents
+    # A coordinate's valuation is the number of e in 1..k with p**e dividing it.
+    vals = np.zeros(elements.shape, dtype=np.int64)
     code = np.zeros(len(elements), dtype=np.int64)
-    for column, k in zip(elements.T, module.exponents):
-        code = code * (k + 1) + sum(column % p ** e == 0 for e in range(1, k + 1))
+    for i, k in enumerate(ks):
+        vals[:, i] = sum(elements[:, i] % p ** e == 0 for e in range(1, k + 1))
+        code = code * (k + 1) + vals[:, i]
     _, first, profile = np.unique(code, return_index=True, return_inverse=True)
     ideals: dict[int, OrderIdeal] = {}
 
     def ideal(i: int) -> OrderIdeal:
         j = profile[i]
         if j not in ideals:
-            ideals[j] = module.ideal_of(elements[first[j]].tolist())
+            ideals[j] = OrderIdeal.from_generators(
+                Point(v, k) for v, k in zip(vals[first[j]].tolist(), ks) if v < k)
         return ideals[j]
     return ideal
 
 
-def _check_pair_budget(module: ExplicitModule):
+def orbits(module: ExplicitModule,
+           mode: str = "quick") -> tuple[List[OrbitDescriptor], List[OrbitDescriptor]]:
+    """(element orbits, pair orbits) of the module, pairs under the diagonal
+    action, each annotated with the invariant ideal(s) of its smallest
+    index."""
+    perms = _group_perms(module, mode)
     if module.size ** 2 > PAIR_BUDGET:
         raise BudgetExceeded(f"pair space {module.size ** 2} exceeds budget {PAIR_BUDGET}")
-
-
-def orbits(module: ExplicitModule, space: Literal["elements", "pairs"] = "elements",
-           mode: str = "quick", perms: List[np.ndarray] = None, labels: np.ndarray = None,
-           ideal: Callable[[int], OrderIdeal] = None) -> List[OrbitDescriptor]:
-    """Orbit decomposition of the module (or of pairs under the diagonal
-    action, closed on the element permutations), annotated with the
-    invariant ideal(s) of the orbit's smallest index.  perms, labels and
-    ideal, if given, are _group_perms(module, mode), closure_labels(perms,
-    |M|) and _element_ideals(module, module.elements()), shared by calls."""
-    if space not in ("elements", "pairs"):
-        raise ValueError(f"unknown space {space!r}")
-    perms = _group_perms(module, mode) if perms is None else perms
-    if space == "pairs":
-        _check_pair_budget(module)
-    labels = closure_labels(perms, module.size) if labels is None else labels
-    ideal = ideal or _element_ideals(module, module.elements())
+    labels = closure_labels(perms, module.size)
+    ideal = _element_ideals(module, module.elements())
     # Labels are orbit minima: the distinct labels are the representatives.
     counts = np.bincount(labels)
     reps = counts.nonzero()[0].tolist()
-    if space == "elements":
-        return [OrbitDescriptor(int(counts[r]), ideal(r)) for r in reps]
+    elements = [OrbitDescriptor(int(counts[r]), ideal(r)) for r in reps]
     # The pair orbit of (r, c) is r's orbit times c's orbit under Stab(r).
-    F, out = pair_labels(perms, labels), []
+    F, pairs = pair_labels(perms, labels), []
     for r in reps:
         second = np.bincount(F[r])
-        out += [OrbitDescriptor(int(counts[r] * second[c]), ideal(r), ideal(c))
-                for c in second.nonzero()[0].tolist()]
-    return out
+        pairs += [OrbitDescriptor(int(counts[r] * second[c]), ideal(r), ideal(c))
+                  for c in second.nonzero()[0].tolist()]
+    return elements, pairs
 
 
 def _check(name, expected, actual):
@@ -314,41 +281,26 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
     q = p.  Returns a JSON-ready report with one entry per check."""
     module = ExplicitModule.from_partition(lam, p)
     ideals = lattice(lam).ideals
-    checks = []
-
-    perms = _group_perms(module, mode)
-    # Element orbits and profiles serve both calls, after the pair budget.
-    _check_pair_budget(module)
-    labels = closure_labels(perms, module.size)
-    ideal = _element_ideals(module, module.elements())
-    element_orbits = orbits(module, "elements", mode, perms, labels, ideal)
-    checks.append(_check("element orbit count vs ideal count",
-                         len(ideals), len(element_orbits)))
+    element_orbits, pair_orbits = orbits(module, mode)
+    checks = [_check("element orbit count vs ideal count",
+                     len(ideals), len(element_orbits))]
     sizes_by_ideal = {o.ideal: o.size for o in element_orbits}
     expected_sizes = {I: orbit_size(lam, I)(p) for I in ideals}
     checks.append(_check("element orbit sizes vs orbit size formula",
                          _render_map(expected_sizes), _render_map(sizes_by_ideal)))
-
-    pair_orbits = orbits(module, "pairs", mode, perms, labels, ideal)
     checks.append(_check("pair orbit count vs n_lambda",
                          int(n_lambda(lam)(p)), len(pair_orbits)))
 
-    expected_multiset: dict[int, int] = {}
+    expected_multiset = Counter()
     for I, census in zip(ideals, orbit_censuses(lam, ideals)):
         scale = orbit_size(lam, I)(p)
         for a, cnt in census.items():
-            size = int(a(p)) * int(scale)
-            expected_multiset[size] = expected_multiset.get(size, 0) + int(cnt(p))
-    actual_multiset: dict[int, int] = {}
-    for o in pair_orbits:
-        actual_multiset[o.size] = actual_multiset.get(o.size, 0) + 1
+            expected_multiset[int(a(p)) * int(scale)] += int(cnt(p))
+    actual_multiset = Counter(o.size for o in pair_orbits)
     checks.append(_check("pair orbit size multiset vs census",
                          _render_map(expected_multiset), _render_map(actual_multiset)))
 
-    actual_refined: dict[tuple, int] = {}
-    for o in pair_orbits:
-        key = (o.ideal, o.second_ideal)
-        actual_refined[key] = actual_refined.get(key, 0) + 1
+    actual_refined = Counter((o.ideal, o.second_ideal) for o in pair_orbits)
     expected_refined = {}
     for key, total in refined_matrix(lam).items():
         c = int(total(p))

@@ -4,7 +4,9 @@
 
 The corpus holds n_lambda of every capped shape with |lambda| <= 16, the
 orbit census of every first ideal with |lambda| <= 8, the refined matrix of
-every shape with |lambda| <= 6 and R_{n,1} for n <= 12; tests/test_golden.py
+every shape with |lambda| <= 6, R_{n,1} for n <= 12 and the checks of every
+quick-mode verify report for p = 2 up to |lambda| = 5, p = 3 up to 3 and
+p = 5 up to 2, each grid from the empty partition; tests/test_golden.py
 compares every entry with the code under test.  Regenerate it only when a
 result is meant to change, and say why in the commit.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from orbitpairs.oracle import verify
 from orbitpairs.orbits import n_lambda, orbit_census
 from orbitpairs.posets import lattice, partitions_of
 from orbitpairs.quiver import r_n1
@@ -21,6 +24,7 @@ from orbitpairs.refined import refined_matrix
 
 PATH = Path(__file__).resolve().parent / "data" / "golden.json"
 N_LAMBDA_MAX, CENSUS_MAX, REFINED_MAX, R_N1_MAX = 16, 8, 6, 12
+VERIFY_GRID = ((2, 5), (3, 3), (5, 2))  # (p, largest |lambda|)
 
 
 def capped_shapes(n_max: int) -> list:
@@ -53,9 +57,15 @@ def _r_n1() -> dict:
     return {str(n): list(r_n1(n).coeffs) for n in range(1, R_N1_MAX + 1)}
 
 
+def _verify() -> dict:
+    return {f"{lam}@{p}": verify(lam, p)["checks"]
+            for p, top in VERIFY_GRID for n in range(top + 1) for lam in partitions_of(n)}
+
+
 # Section name -> its entries as computed by the code under test, in order.
 SECTIONS = {"n_lambda": _n_lambda, "orbit_census": _orbit_census,
-            "refined_matrix": _refined_matrix, "r_n1": _r_n1}
+            "refined_matrix": _refined_matrix, "r_n1": _r_n1,
+            "verify": _verify}
 
 
 def dump(data: dict) -> str:

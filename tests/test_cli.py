@@ -325,6 +325,11 @@ class TestQuiverVerifyConjecture:
         assert out.count("PASS") == 5
         assert "FAIL" not in out
 
+    def test_verify_empty_partition(self, capsys):
+        code, out, _ = run(capsys, "verify", "", "2")
+        assert code == 0
+        assert out.count("PASS") == 5
+
     def test_verify_composite_p_is_exit_1(self, capsys):
         code, out, err = run(capsys, "verify", "2,1", "4")
         assert code == 1

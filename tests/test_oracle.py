@@ -15,11 +15,44 @@ from orbitpairs.errors import BudgetExceeded
 from orbitpairs.oracle import (PAIR_BUDGET, ExplicitModule, _element_ideals, _group_perms,
                                _unit_generators, aut_generators, aut_order,
                                endo_permutation, invertible_endomorphisms, orbits,
-                               valuation, verify)
+                               verify)
 from orbitpairs.permgroups import _forest, _schreier, _unwind, closure_labels, pair_labels
 from orbitpairs.orbits import n_lambda, orbit_size
-from orbitpairs.posets import (OrderIdeal, Partition, lattice, partitions_of,
+from orbitpairs.posets import (OrderIdeal, Partition, Point, lattice, partitions_of,
                                require_context)
+
+
+def valuation(x: int, k: int, p: int) -> int:
+    """Largest e <= k with p**e dividing x; k for x = 0."""
+    if not 0 <= x < p ** k:
+        raise ValueError(f"residue {x} out of range for p^{k}")
+    if x == 0:
+        return k
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e
+
+
+def ideal_of(module: ExplicitModule, coords) -> OrderIdeal:
+    """Invariant ideal of an element, as reference: generated by one point
+    (valuation, exponent) per nonzero coordinate."""
+    return OrderIdeal.from_generators(Point(valuation(c, k, module.p), k)
+                                      for c, k in zip(coords, module.exponents) if c)
+
+
+def spy_ideals(monkeypatch) -> list:
+    """The generator lists of every ideal the oracle builds, in order."""
+    built = []
+
+    class Spy:
+        @staticmethod
+        def from_generators(gens):
+            built.append(sorted(gens))
+            return OrderIdeal.from_generators(built[-1])
+    monkeypatch.setattr(oracle, "OrderIdeal", Spy)
+    return built
 
 
 def sum_orbit_orbit(lam: Partition, I: OrderIdeal, J: OrderIdeal) -> list[OrderIdeal]:
@@ -307,11 +340,13 @@ class TestPrimitives:
         # a full orbit enumeration, so the element budget does not apply.
         m = ExplicitModule(2, (5, 4, 4, 2, 1))
         # Representative with coordinates (0, 2u, 4, 2v, 1) for units u, v.
-        assert str(m.ideal_of((0, 2, 4, 2, 1))) == "1:4,0:1"
-        assert str(m.ideal_of((0, 6, 4, 2, 1))) == "1:4,0:1"
-        assert str(m.ideal_of((0, 0, 0, 0, 0))) == ""
         # (4,5) and (3,4) are both below (1,2), which alone stays maximal.
-        assert str(m.ideal_of((16, 8, 8, 2, 0))) == "1:2"
+        cases = {(0, 2, 4, 2, 1): "1:4,0:1", (0, 6, 4, 2, 1): "1:4,0:1",
+                 (0, 0, 0, 0, 0): "", (16, 8, 8, 2, 0): "1:2"}
+        ideal = _element_ideals(m, np.array(list(cases), dtype=np.int64))
+        for i, (coords, expected) in enumerate(cases.items()):
+            assert str(ideal_of(m, coords)) == expected
+            assert str(ideal(i)) == expected
 
     def test_generators_are_invertible(self):
         # The orbit closure needs bijective generators.  Covers every shape of
@@ -381,14 +416,14 @@ class TestPrimitives:
 class TestOrbits:
     def test_single_coordinate(self):
         m = ExplicitModule.from_partition(Partition.parse("1"), 3)
-        got = sorted(o.size for o in orbits(m))
+        got = sorted(o.size for o in orbits(m)[0])
         assert got == [1, 2]
 
     def test_element_orbit_sizes_match_formula(self):
         for text, p in [("2,1", 2), ("3,1", 2), ("2,2,1", 2), ("2,1", 3)]:
             lam = Partition.parse(text)
             m = ExplicitModule.from_partition(lam, p)
-            by_ideal = {o.ideal: o.size for o in orbits(m)}
+            by_ideal = {o.ideal: o.size for o in orbits(m)[0]}
             assert set(by_ideal) == set(lattice(lam).ideals)
             for I, size in by_ideal.items():
                 assert size == orbit_size(lam, I)(p)
@@ -400,12 +435,11 @@ class TestOrbits:
         perms = [endo_permutation(m, g, els) for g in aut_generators(m)]
         for perm in perms:
             for i in range(m.size):
-                assert m.ideal_of(els[i].tolist()) == \
-                    m.ideal_of(els[perm[i]].tolist())
+                assert ideal_of(m, els[i].tolist()) == ideal_of(m, els[perm[i]].tolist())
 
     def test_pair_orbit_count(self):
         m = ExplicitModule.from_partition(Partition.parse("2"), 2)
-        pairs = orbits(m, "pairs")
+        pairs = orbits(m)[1]
         # Published count at q=2 for the shape (2): q^2+2q+2 evaluates to 10.
         assert len(pairs) == 10
         assert sum(o.size for o in pairs) == m.size ** 2
@@ -417,7 +451,7 @@ class TestOrbits:
         m = ExplicitModule.from_partition(lam, 2)
         assert m.size ** 2 == PAIR_BUDGET
         assert len(aut_generators(m)) == generator_count(m) == 9
-        pairs = orbits(m, "pairs")
+        pairs = orbits(m)[1]
         assert len(pairs) == int(n_lambda(lam)(2))
         assert sum(o.size for o in pairs) == PAIR_BUDGET
 
@@ -425,8 +459,8 @@ class TestOrbits:
         for p, top in [(2, 4), (3, 3), (5, 2)]:
             for lam in (lam for m in range(1, top + 1) for lam in partitions_of(m)):
                 m = ExplicitModule.from_partition(lam, p)
-                quick = sorted(o.size for o in orbits(m, "pairs", "quick"))
-                full = sorted(o.size for o in orbits(m, "pairs", "full-endos"))
+                quick = sorted(o.size for o in orbits(m, "quick")[1])
+                full = sorted(o.size for o in orbits(m, "full-endos")[1])
                 assert quick == full, (str(lam), p)
 
 
@@ -442,13 +476,13 @@ class TestSumOfOrbits:
             sizes = np.array(m.coordinate_sizes)
             by_ideal = {}
             for row in els:
-                by_ideal.setdefault(m.ideal_of(row.tolist()), []).append(row)
+                by_ideal.setdefault(ideal_of(m, row.tolist()), []).append(row)
             for I in lattice(lam).ideals:
                 for J in lattice(lam).ideals:
                     got = set()
                     for a in by_ideal[I]:
                         for b in by_ideal[J]:
-                            got.add(m.ideal_of(((a + b) % sizes).tolist()))
+                            got.add(ideal_of(m, ((a + b) % sizes).tolist()))
                     expected = set(sum_orbit_orbit(lam, I, J))
                     assert got == expected, (text, str(I), str(J))
 
@@ -469,7 +503,7 @@ class TestVerify:
         with pytest.raises(ValueError, match="unknown mode"):
             verify(Partition.parse("2,1"), 2, mode)
         with pytest.raises(ValueError, match="unknown mode"):
-            orbits(ExplicitModule.from_partition(Partition.parse("2,1"), 2), "pairs", mode)
+            orbits(ExplicitModule.from_partition(Partition.parse("2,1"), 2), mode)
 
     def test_one_cell_batch_per_shape(self, monkeypatch):
         # The census check reads every first ideal's census from one batch;
@@ -526,45 +560,47 @@ class TestVerify:
         with pytest.raises(BudgetExceeded, match="pair space"):
             verify(Partition.parse("2^6"), 2)
         with pytest.raises(BudgetExceeded, match="pair space"):
-            orbits(ExplicitModule.from_partition(Partition.parse("2^6"), 2), "pairs")
+            orbits(ExplicitModule.from_partition(Partition.parse("2^6"), 2))
 
     def test_ideal_read_once_per_element(self, monkeypatch):
-        # Pair orbit representatives share valuation profiles: ideal_of runs
-        # once per profile, on the first element that has it.
-        read = []
-        real = ExplicitModule.ideal_of
-        monkeypatch.setattr(ExplicitModule, "ideal_of",
-                            lambda module, coords: read.append(tuple(coords))
-                            or real(module, coords))
+        # Pair orbit representatives share valuation profiles: one ideal is
+        # built per profile, from that profile's generators.
+        built = spy_ideals(monkeypatch)
         module = ExplicitModule.from_partition(Partition.parse("2,1"), 2)
-        orbits(module, "pairs")
-
-        def profile(coords):
-            return tuple(valuation(c, k, module.p) for c, k in zip(coords, module.exponents))
-        first = {}
-        for coords in map(tuple, module.elements().tolist()):
-            first.setdefault(profile(coords), coords)
-        assert len(first) == (2 + 1) * (1 + 1)
-        assert sorted(read) == sorted(first.values())
+        orbits(module)
+        profiles = {tuple(sorted(Point(valuation(c, k, module.p), k)
+                                 for c, k in zip(coords, module.exponents) if c))
+                    for coords in module.elements().tolist()}
+        assert len(profiles) == (2 + 1) * (1 + 1)
+        assert sorted(map(tuple, built)) == sorted(profiles)
 
     def test_ideal_read_once_per_job(self, monkeypatch):
-        # Both orbit calls of a verify job share one valuation-profile table.
-        read = []
-        real = ExplicitModule.ideal_of
-        monkeypatch.setattr(ExplicitModule, "ideal_of",
-                            lambda module, coords: read.append(tuple(coords))
-                            or real(module, coords))
+        # Element and pair orbits of a verify job share one valuation-profile
+        # table.
+        built = spy_ideals(monkeypatch)
         assert verify(Partition.parse("2,1"), 2)["pass"]
-        assert len(read) == len(set(read)) == (2 + 1) * (1 + 1)
+        assert len(built) == len(set(map(tuple, built))) == (2 + 1) * (1 + 1)
 
     @pytest.mark.parametrize("text, p", [("3,2,1", 2), ("2^2,1", 3), ("4", 5)])
     def test_ideal_per_profile(self, text, p):
-        # Every element's looked-up ideal is ideal_of of its own coordinates.
+        # Every element's looked-up ideal is the reference ideal_of of its
+        # own coordinates.
         m = ExplicitModule.from_partition(Partition.parse(text), p)
         els = m.elements()
         ideal = _element_ideals(m, els)
         for i, coords in enumerate(els.tolist()):
-            assert ideal(i) == m.ideal_of(coords), (text, p, coords)
+            assert ideal(i) == ideal_of(m, coords), (text, p, coords)
+
+    @pytest.mark.parametrize("mode", ["quick", "full-endos"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_empty_module(self, p, mode):
+        # The zero module: one element, one pair, and the one automorphism
+        # of the 0 x 0 matrix.
+        report = verify(Partition(), p, mode)
+        assert report["pass"] and len(report["checks"]) == 5
+        elements, pairs = orbits(ExplicitModule.from_partition(Partition(), p), mode)
+        assert [o.size for o in elements] == [o.size for o in pairs] == [1]
+        assert elements[0].ideal == pairs[0].second_ideal == OrderIdeal.from_generators([])
 
     def test_odd_characteristic(self):
         assert verify(Partition.parse("2,1"), 3)["pass"]
