@@ -31,7 +31,7 @@ from typing import Callable, List
 import numpy as np
 
 from .errors import BudgetExceeded, OrbitPairsError
-from .orbits import n_lambda, orbit_censuses, orbit_size
+from .orbits import census_batch, n_lambda, orbit_size
 from .permgroups import closure_labels, pair_labels
 from .posets import OrderIdeal, Partition, Point, lattice
 from .refined import refined_matrix
@@ -187,7 +187,8 @@ def invertible_endomorphisms(module: ExplicitModule) -> List[np.ndarray]:
     for values in product(*entries):
         m = np.array(values, dtype=np.int64).reshape(n, n)
         perm = endo_permutation(module, m, elements)
-        if len(np.unique(perm)) == module.size:
+        # Index 0 is the zero element: the map is bijective iff only 0 maps to 0.
+        if np.count_nonzero(perm == 0) == 1:
             perms.append(perm)
     return perms
 
@@ -288,11 +289,13 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
     expected_sizes = {I: orbit_size(lam, I)(p) for I in ideals}
     checks.append(_check("element orbit sizes vs orbit size formula",
                          _render_map(expected_sizes), _render_map(sizes_by_ideal)))
-    checks.append(_check("pair orbit count vs n_lambda",
-                         int(n_lambda(lam)(p)), len(pair_orbits)))
+    uncapped, censuses = census_batch(lam)
+    if lam != lam.cap(2) and uncapped != n_lambda(lam):  # the cap invariance
+        raise OrbitPairsError(f"n_lambda({lam}) = {n_lambda(lam)}, but uncapped {uncapped}")
+    checks.append(_check("pair orbit count vs n_lambda", int(uncapped(p)), len(pair_orbits)))
 
     expected_multiset = Counter()
-    for I, census in zip(ideals, orbit_censuses(lam, ideals)):
+    for I, census in zip(ideals, censuses):
         scale = orbit_size(lam, I)(p)
         for a, cnt in census.items():
             expected_multiset[int(a(p)) * int(scale)] += int(cnt(p))
@@ -314,4 +317,4 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
 
 
 def _render_map(d: dict) -> dict:
-    return {str(k): str(v) for k, v in sorted(d.items(), key=lambda e: str(e[0]))}
+    return dict(sorted((str(k), str(v)) for k, v in d.items()))

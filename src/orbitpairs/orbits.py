@@ -32,11 +32,10 @@ their maximal points, gets all their splits at once from split_arrays, and
 builds the cells in one numpy batch from the lattices' int rows, checking
 the weight identity per I and alpha's exponent and that of x/alpha against
 their factors' sums per cell; _group_sums sums the Laurent keys per (I,
-alpha) and checks the negative powers.  n_lambda passes every row of
-lattice(lambda), so it builds no OrderIdeal or canonical_split; it groups
-only the cells whose key reaches below q**0, sums all keys into one total
-and checks that it is monic of degree lambda_1.  orbit_censuses takes
-OrderIdeals and groups every cell.
+alpha) and checks the negative powers.  _laurent_total groups only the
+cells whose key reaches below q**0, sums all keys into one total and checks
+that it is monic of degree lambda_1; _censuses groups every cell.  n_lambda
+and census_batch batch every row of lattice(lambda), building no OrderIdeal.
 """
 
 from __future__ import annotations
@@ -85,7 +84,8 @@ def orbit_size(lam: Partition, I: OrderIdeal) -> QPolynomial:
 def canonical_split(lam: Partition, I: OrderIdeal) -> CanonicalSplit:
     require_context(lam, I)
     pts = I.max_points
-    lam_dprime = lam.remove_one_of_each(p.k for p in pts)
+    rows = {p.k for p in pts}
+    lam_dprime = Partition((k, m - (k in rows)) for k, m in lam.pairs if m > (k in rows))
     qparts = [pts[j].v + pts[j + 1].k - pts[j + 1].v for j in range(len(pts) - 1)]
     if pts:
         qparts.append(pts[-1].v)
@@ -287,14 +287,12 @@ def _group_sums(lam: Partition, cells: _Cells, sel: np.ndarray,
     return heads, acc
 
 
-def _laurent_total(lam: Partition) -> list[int]:
-    """Coefficients of n_lambda: the Laurent keys x/alpha of every cell of
-    lambda's first ideals, summed as Python ints.  Only the cells whose key
-    reaches below q**0 can leave a negative power in their (I, alpha)
-    group, so only those are grouped."""
+def _laurent_total(lam: Partition, cells: _Cells) -> QPolynomial:
+    """n_lambda on lambda itself, checked monic of degree lambda_1: the Laurent
+    keys x/alpha of a batch of every first ideal, summed as Python ints.  Only
+    the cells whose key reaches below q**0 can leave a negative power in their
+    (I, alpha) group, so only those are grouped."""
     weight = lam.weight
-    lat = lattice(lam)
-    cells = _cells(lam, lat.v, lat.k)
     below = (cells.e - cells.l_sf < weight).nonzero()[0]
     if below.size:
         _group_sums(lam, cells, below, weight)
@@ -306,26 +304,29 @@ def _laurent_total(lam: Partition) -> list[int]:
         lo = hi - sum(f)
         total[lo:hi + 1] = [a + c * b for a, b in zip(total[lo:hi + 1],
                                                        _alpha_core(sum(f), f).coeffs)]
-    return total[weight:]
+    poly = QPolynomial(total[weight:])
+    if lam and (not poly.is_monic() or poly.degree != lam.largest):
+        raise DegreeMismatch(f"n_lambda({lam}) = {poly} fails monic/degree check")
+    return poly
 
 
-def orbit_censuses(lam: Partition, ideals: list) -> list[Dict[QPolynomial, QPolynomial]]:
-    """orbit_census(lam, I) for every I in ideals, from one cell batch.  A
-    shifted exponent e is at most 2 |lambda|, so 2 |lambda| + 1 columns
-    hold every group."""
-    weight, width = lam.weight, len(lam.pairs)
-    for I in ideals:
-        require_context(lam, I)
-    # No point, part or multiplicity of lambda exceeds |lambda|.
-    check_int64(weight, f"ideal weights of the cells of {lam}")
-    points = np.array([I.max_points + ((0, 0),) * (width - len(I.max_points)) for I in ideals],
-                      dtype=np.int64).reshape(len(ideals), width, 2)
-    cells = _cells(lam, points[:, :, 0], points[:, :, 1])
+def _censuses(lam: Partition, cells: _Cells) -> list[Dict[QPolynomial, QPolynomial]]:
+    """The census of each first ideal of the batch; a shifted exponent e is
+    at most 2 |lambda|, so 2 |lambda| + 1 columns hold every group."""
+    weight = lam.weight
     heads, acc = _group_sums(lam, cells, np.arange(cells.first.size), 2 * weight + 1)
-    censuses: list = [{} for _ in ideals]
+    censuses: list = [{} for _ in range(len(cells.fv))]
     for c, row in zip(heads.tolist(), acc[:, weight:].tolist()):
         censuses[cells.first[c]][_alpha_core(*cells.alpha(c))] = QPolynomial(row)
     return censuses
+
+
+def census_batch(lam: Partition) -> tuple[QPolynomial, list[Dict[QPolynomial, QPolynomial]]]:
+    """n_lambda's own sum on lambda, uncapped, and the census of every
+    ideal of lattice(lambda), in lattice order, from one cell batch."""
+    lat = lattice(lam)
+    cells = _cells(lam, lat.v, lat.k)
+    return _laurent_total(lam, cells), _censuses(lam, cells)
 
 
 def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
@@ -333,7 +334,12 @@ def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial
     cardinality, in order of first appearance over the grid, J outer and K
     inner.  Grouping by alpha key is grouping by alpha, as
     q**(e - sum m) * prod(q**m - 1) factors uniquely into cyclotomics."""
-    return orbit_censuses(lam, [I])[0]
+    require_context(lam, I)
+    # No point, part or multiplicity of lambda exceeds |lambda|.
+    check_int64(lam.weight, f"ideal weights of the cells of {lam}")
+    v, k = np.array(I.max_points + ((0, 0),) * (len(lam.pairs) - len(I.max_points)),
+                    dtype=np.int64).reshape(-1, 2).T
+    return _censuses(lam, _cells(lam, v[None], k[None]))[0]
 
 
 def per_ideal_total(lam: Partition, I: OrderIdeal) -> QPolynomial:
@@ -345,25 +351,19 @@ _N_LAMBDA: Dict[Partition, QPolynomial] = {}
 
 
 def n_lambda(lam: Partition,
-             store: Optional[MutableMapping[Partition, QPolynomial]] = None,
-             cap: bool = True) -> QPolynomial:
+             store: Optional[MutableMapping[Partition, QPolynomial]] = None) -> QPolynomial:
     """Number of automorphism orbits of pairs in the module of shape lambda,
     monic of degree lambda_1 with integer coefficients.
 
-    Multiplicities are capped at 2 first (the count is invariant under the
-    cap); pass cap=False to run the full computation, e.g. to check that
-    invariance.  Results are memoized in `store` (module-level by default).
+    Multiplicities are capped at 2 first: the count is invariant under the
+    cap, which verify checks on every shape past its cap.  Results are
+    memoized in `store` (module-level by default).
     """
     if store is None:
         store = _N_LAMBDA
-    capped = lam.cap(2) if cap else lam
-    if cap:
-        cached = store.get(capped)
-        if cached is not None:
-            return cached
-    total = QPolynomial(_laurent_total(capped))
-    if capped and (not total.is_monic() or total.degree != capped.largest):
-        raise DegreeMismatch(f"n_lambda({lam}) = {total} fails monic/degree check")
-    if cap:
-        store[capped] = total
+    capped = lam.cap(2)
+    total = store.get(capped)
+    if total is None:
+        lat = lattice(capped)
+        total = store[capped] = _laurent_total(capped, _cells(capped, lat.v, lat.k))
     return total

@@ -120,16 +120,6 @@ class Partition:
             raise ValueError("cap must be positive")
         return Partition((p, min(mu, m)) for p, mu in self.pairs)
 
-    def remove_one_of_each(self, parts: Iterable[int]) -> "Partition":
-        """Delete one copy of each given part (each must be present)."""
-        counts = dict(self.pairs)
-        for p in parts:
-            if counts.get(p, 0) < 1:
-                raise ValueError(f"part {p} not available in {self}")
-            counts[p] -= 1
-        return Partition(sorted(((p, m) for p, m in counts.items() if m > 0),
-                                reverse=True))
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.pairs == other.pairs
 

@@ -11,7 +11,7 @@ from test_orbits import max_minus, union
 
 from orbitpairs import cli, oracle, permgroups
 from orbitpairs import orbits as orbits_module
-from orbitpairs.errors import BudgetExceeded
+from orbitpairs.errors import BudgetExceeded, OrbitPairsError
 from orbitpairs.oracle import (PAIR_BUDGET, ExplicitModule, _element_ideals, _group_perms,
                                _unit_generators, aut_generators, aut_order,
                                endo_permutation, invertible_endomorphisms, orbits,
@@ -506,16 +506,33 @@ class TestVerify:
             orbits(ExplicitModule.from_partition(Partition.parse("2,1"), 2), mode)
 
     def test_one_cell_batch_per_shape(self, monkeypatch):
-        # The census check reads every first ideal's census from one batch;
-        # n_lambda's own batch is warmed and memoized beforehand.
-        lam = Partition.parse("2^2,1")
-        n_lambda(lam)
+        # The pair count and census checks read one batch of every first
+        # ideal, even on a cold n_lambda memo.  Past the cap, n_lambda's
+        # batch of the capped shape runs too, unless it is memoized.
+        monkeypatch.setattr(orbits_module, "_N_LAMBDA", {})
         built = []
         real = orbits_module._cells
         monkeypatch.setattr(orbits_module, "_cells",
-                            lambda lam, fv, fk: built.append(len(fv)) or real(lam, fv, fk))
+                            lambda lam, fv, fk: built.append((str(lam), len(fv))) or
+                            real(lam, fv, fk))
+        lam = Partition.parse("2^2,1")
         assert verify(lam, 2)["pass"]
-        assert built == [len(lattice(lam).ideals)]
+        assert built == [("2^2,1", len(lattice(lam).ideals))]
+        for expected in ([("1^3", 2), ("1^2", 2)], [("1^3", 2)]):
+            built.clear()
+            assert verify(Partition.parse("1^3"), 2)["pass"]
+            assert built == expected
+
+    def test_cap_invariance_checked(self, monkeypatch, capsys):
+        # Past its cap, a shape's own sum must equal the capped n_lambda: a
+        # disagreement is an internal error (exit 2) and prints no report.
+        # An own-cap shape's pair count does not read n_lambda at all.
+        monkeypatch.setattr(oracle, "n_lambda", lambda lam: n_lambda(lam) + 1)
+        with pytest.raises(OrbitPairsError, match="uncapped"):
+            verify(Partition.parse("1^3"), 2)
+        assert cli.main(["verify", "1^3", "2"]) == 2
+        assert capsys.readouterr().out == ""
+        assert verify(Partition.parse("2,1"), 2)["pass"]
 
     @pytest.mark.parametrize("mode", ["quick", "full-endos"])
     def test_group_built_once(self, mode, monkeypatch):

@@ -12,7 +12,7 @@ from polydiv import exact_div
 from orbitpairs import cli, orbits, posets
 from orbitpairs.errors import BudgetExceeded, DegreeMismatch, IdealOutOfContext
 from orbitpairs.oracle import verify
-from orbitpairs.orbits import (canonical_split, n_lambda, orbit_census, orbit_censuses,
+from orbitpairs.orbits import (canonical_split, census_batch, n_lambda, orbit_census,
                                orbit_size, per_ideal_total)
 from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, laurent_product, monomial
@@ -344,14 +344,14 @@ class TestNLambda:
                 capped = lam.cap(2)
                 if capped == lam:
                     continue
-                assert n_lambda(lam, cap=False) == n_lambda(capped, cap=False), str(lam)
+                assert census_batch(lam)[0] == census_batch(capped)[0], str(lam)
                 checked += 1
         assert checked > 10
 
     @settings(deadline=None, max_examples=25)
     @given(SHAPES)
     def test_capping_invariance_random_shapes(self, lam):
-        assert n_lambda(lam, cap=False) == n_lambda(lam.cap(2), cap=False), str(lam)
+        assert census_batch(lam)[0] == census_batch(lam.cap(2))[0], str(lam)
 
     def test_store_protocol(self):
         store: dict[Partition, QPolynomial] = {}
@@ -416,21 +416,21 @@ class TestCensusGroups:
         shapes = [lam for n in range(3, 8) for lam in partitions_of(n) if lam.cap(2) != lam]
         assert len(shapes) > 10
         for lam in shapes:
-            assert n_lambda(lam, cap=False) == n_lambda_by_cells(lam), str(lam)
+            assert census_batch(lam)[0] == n_lambda_by_cells(lam), str(lam)
 
     def test_batch_matches_grouped_census(self):
         # n_lambda sums every cell's Laurent key at once; the census rows
         # sum them per (I, alpha), so the two readings of one batch must
         # agree (census_by_cells is the independent reference).  Criterion 7
-        # runs cap=False with multiplicities above two, which the factor
-        # codes must hold.
+        # and verify sum shapes with multiplicities above two through
+        # census_batch, which the factor codes must hold.
         def grouped(lam):
             return sum((per_ideal_total(lam, I) for I in lattice(lam).ideals), ZERO)
 
         for lam in {lam.cap(2) for n in range(1, 13) for lam in partitions_of(n)}:
             assert n_lambda(lam, {}) == grouped(lam), str(lam)
         for lam in (lam for n in range(1, 9) for lam in partitions_of(n)):
-            assert n_lambda(lam, cap=False) == grouped(lam), str(lam)
+            assert census_batch(lam)[0] == grouped(lam), str(lam)
         assert n_lambda(Partition(), {}) == grouped(Partition()) == ONE
 
     def test_tables_built_once_per_context(self, monkeypatch, fresh_lattices):
@@ -504,7 +504,7 @@ class TestCensusGroups:
         # A radix digit per factor value present: 1^70's factors 69 and 70
         # take two digits, not seventy.
         lam = Partition([(1, 70)])
-        assert n_lambda(lam, cap=False) == Q + 3
+        assert census_batch(lam)[0] == Q + 3
         I = OrderIdeal.parse("0:1")
         assert list(orbit_census(lam, I).items()) == list(census_by_cells(lam, I).items())
         # One factor value per point: too many digits for int64 is an error,
@@ -575,7 +575,7 @@ class TestIdealArrays:
         shapes = [Partition.parse(t) for t in ("3,2,1", "2^2,1", "4,1", "1^3")]
         for lam in shapes:
             n_lambda(lam, {})
-            orbit_censuses(lam, lattice(lam).ideals)
+            census_batch(lam)
             refined_matrix(lam)
             assert verify(lam, 2)["pass"]
         assert set(shapes) < set(walked)

@@ -86,13 +86,6 @@ class TestPartition:
         assert lam.cap(2) == Partition.parse("3^2,2,1^2")
         assert lam.cap(1) == Partition.parse("3,2,1")
 
-    def test_remove_one_of_each(self):
-        lam = Partition.parse("4^2,2,1")
-        assert lam.remove_one_of_each([4, 2]) == Partition.parse("4,1")
-        assert lam.remove_one_of_each([4, 2, 1]) == Partition.parse("4")
-        with pytest.raises(ValueError):
-            lam.remove_one_of_each([3])
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Partition([(2, 1), (2, 1)])
