@@ -158,11 +158,10 @@ def aut_generators(module: ExplicitModule) -> List[np.ndarray]:
 
 
 def endo_permutation(module: ExplicitModule, matrix: np.ndarray,
-                     elements: np.ndarray = None) -> np.ndarray:
+                     elements: np.ndarray) -> np.ndarray:
     """Index permutation (or non-bijective map) induced by a coordinate
-    matrix acting as y_i = sum_j m[i, j] * x_j mod p^{k_i}."""
-    if elements is None:
-        elements = module.elements()
+    matrix acting as y_i = sum_j m[i, j] * x_j mod p^{k_i} on the module's
+    elements."""
     mods = np.array(module.coordinate_sizes, dtype=np.int64)
     images = (elements @ matrix.T) % mods
     weights = np.ones(len(mods), dtype=np.int64)
@@ -296,9 +295,8 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
 
     expected_multiset = Counter()
     for I, census in zip(ideals, censuses):
-        scale = orbit_size(lam, I)(p)
         for a, cnt in census.items():
-            expected_multiset[int(a(p)) * int(scale)] += int(cnt(p))
+            expected_multiset[int(a(p)) * expected_sizes[I]] += int(cnt(p))
     actual_multiset = Counter(o.size for o in pair_orbits)
     checks.append(_check("pair orbit size multiset vs census",
                          _render_map(expected_multiset), _render_map(actual_multiset)))

@@ -13,14 +13,15 @@ lattice) then sharpen "at least" constraints to "exactly"; each sums only
 over the nonzero closed-form Moebius terms of its lattice, boundary tuples
 from posets.mobius_terms, listed once per (mu, ideal).
 
-refined_censuses computes one row, a first ideal I with a sequence of second
-ideals L, on the census grid (J, K) of orbits._cells: per J the fibers over
-every L' among the row's Moebius terms, and per L the cells (J, K).  A cell
-counts the elements of L's orbit with invariants (J, K); divided by alpha it
-is the cell's fiber times the Laurent key orbit_size(K)/alpha, whose
-factors are the m'' of K's points inside J.  These products are summed per
-alpha key into N_alpha, with no division, and a negative power left in
-N_alpha means alpha does not divide its group total.
+refined_censuses computes the rows of first ideals I over second ideals L in
+one pass on the census grid (J, K) of orbits._cells: the Ls' Moebius terms
+once, per (I, J) the fibers over every L' among them, and per (I, L) the
+cells (J, K).  A cell counts the elements of L's orbit with invariants
+(J, K); divided by alpha it is the cell's fiber times the Laurent key
+orbit_size(K)/alpha, whose factors are the m'' of K's points inside J.
+These products are summed per alpha key into N_alpha, with no division, and
+a negative power left in N_alpha means alpha does not divide its group
+total.
 """
 
 from __future__ import annotations
@@ -103,26 +104,24 @@ def s_count(pts: tuple[Point, ...], a: tuple[int, ...], b: tuple[int, ...]) -> t
 _S_COUNTS: Dict[tuple, tuple[int, ...]] = {}
 
 
-def _table(memo: dict, lam: Partition, mu: Partition) -> list:
-    """Per ideal X of lattice(mu), in lattice order, read off its arrays once
-    per mu in memo: X's boundaries on lambda's rows scaled by lambda's
-    multiplicities, its weighted size, its maximal points as sorted (m_k in
-    mu, row index in lambda, m_k in lambda * v), (-1, 0) on a row outside
-    lambda's, which only an unread quotient point has, and its boundaries on
-    mu's rows with the indices of its points' rows there."""
-    table = memo.get(mu)
-    if table is None:
-        mult, row = dict(lam.pairs), {k: i for i, k in enumerate(lam.rows)}
-        arrays = lattice(mu)
-        table = memo[mu] = []
-        for vs, ks, ms, w in zip(arrays.v.tolist(), arrays.k.tolist(), arrays.m.tolist(),
-                                 arrays.w.tolist()):
-            pts = [(v, k) for v, k in zip(vs, ks) if k]
-            table.append((tuple(m * boundary(pts, k) for k, m in lam.pairs), w,
-                          sorted((m, row.get(k, -1), mult.get(k, 0) * v)
-                                 for (v, k), m in zip(pts, ms)),
-                          tuple(boundary(pts, k) for k in mu.rows),
-                          tuple(mu.rows.index(k) for _, k in pts)))
+def _table(lam: Partition, mu: Partition) -> list:
+    """Per ideal X of lattice(mu), in lattice order, its arrays: X's
+    boundaries on lambda's rows scaled by lambda's multiplicities, its
+    weighted size, its maximal points as sorted (m_k in mu, row index in
+    lambda, m_k in lambda * v), (-1, 0) on a row outside lambda's, which only
+    an unread quotient point has, and its boundaries on mu's rows with the
+    indices of its points' rows there."""
+    mult, row = dict(lam.pairs), {k: i for i, k in enumerate(lam.rows)}
+    arrays = lattice(mu)
+    table = []
+    for vs, ks, ms, w in zip(arrays.v.tolist(), arrays.k.tolist(), arrays.m.tolist(),
+                             arrays.w.tolist()):
+        pts = [(v, k) for v, k in zip(vs, ks) if k]
+        table.append((tuple(m * boundary(pts, k) for k, m in lam.pairs), w,
+                       sorted((m, row.get(k, -1), mult.get(k, 0) * v)
+                              for (v, k), m in zip(pts, ms)),
+                       tuple(boundary(pts, k) for k in mu.rows),
+                       tuple(mu.rows.index(k) for _, k in pts)))
     return table
 
 
@@ -148,78 +147,78 @@ def exact_fiber_count(pts: tuple[Point, ...], As: Sequence[tuple[int, ...]],
     return fibers
 
 
-def refined_censuses(lam: Partition, I: OrderIdeal, Ls: Sequence[OrderIdeal],
-                     memo: Optional[dict] = None) -> list[Dict[QPolynomial, QPolynomial]]:
-    """Per L in Ls, map cardinality -> number of orbits of pairs with first
-    member in the orbit of I and second member in the orbit of L, with the
-    alpha rows in order of first nonzero cell, J outer and K inner.
+def refined_censuses(lam: Partition, Is: Sequence[OrderIdeal], Ls: Sequence[OrderIdeal]
+                     ) -> list[list[Dict[QPolynomial, QPolynomial]]]:
+    """Per I in Is and L in Ls, map cardinality -> number of orbits of pairs
+    with first member in the orbit of I and second member in the orbit of L,
+    with the alpha rows in order of first nonzero cell, J outer and K inner.
 
-    Per J, the fibers over every L' among the Ls' Moebius terms are computed
-    once; cell (J, K) of L sums mu * fiber over L's terms whose L' contains
-    K.  As in orbits._cells, with s = sum(map(min, bJ, bK)), the cell
+    The Ls' Moebius terms, their L' and the L''s scaled boundaries are
+    listed once per call, and per mu its table (_table) and, for a quotient,
+    its ideals' Moebius terms.  Per (I, J), the fibers over every L' are
+    computed once; cell (J, K) of L sums mu * fiber over L's terms whose L'
+    contains K.  As in orbits._cells, with s = sum(map(min, bJ, bK)), the cell
     has alpha key (|lambda| - s, m'' of K's points outside J) and Laurent key
     orbit_size(K)/alpha = (wK + s - |lambda|, m'' of K's points inside J),
-    kept with its exponent shifted up by |lambda|.  memo holds the per-mu
-    tables (_table) and the Moebius terms, of each L and of each quotient
-    ideal J; pass one dict to share them between the rows of one lambda."""
-    memo = {} if memo is None else memo
-    split = canonical_split(lam, I)
+    kept with its exponent shifted up by |lambda|."""
+    splits = [canonical_split(lam, I) for I in Is]
     weight, row = lam.weight, {k: i for i, k in enumerate(lam.rows)}
     terms = []
     for L in Ls:
-        ts = memo.get((lam, L))
-        if ts is None:
-            require_context(lam, L)
-            ts = memo[lam, L] = mobius_terms(tuple(L.boundary(k) for k in lam.rows),
-                                             tuple(row[k] for _, k in L.max_points))
-        terms.append(ts)
+        require_context(lam, L)
+        terms.append(mobius_terms(tuple(L.boundary(k) for k in lam.rows),
+                                  tuple(row[k] for _, k in L.max_points)))
     Lps = list(dict.fromkeys(Lp for ts in terms for Lp, _ in ts))
     col = {Lp: i for i, Lp in enumerate(Lps)}
-    As = [tuple(Lp[row[k]] for _, k in split.prime_parts) for Lp in Lps]
-    # The quotient rows are falling, so only the last can be 0, whose
-    # boundary is 0.
-    pad = (0,) if split.quotient_rows[-1:] == (0,) else ()
-    ks = _table(memo, lam, split.lambda_dprime)
-    rows = []
-    for j, (bJ, _, _, bq, tops) in enumerate(_table(memo, lam, split.quotient)):
-        keys = []
-        for bK, wK, pK, _, _ in ks:
-            s = sum(map(min, bJ, bK))
-            out, ins = [], []
-            for m, i, v in pK:
-                (out if bJ[i] > v else ins).append(m)
-            keys.append(((weight - s, tuple(out)), (wK + s, tuple(ins))))
-        jterms = memo.get((split.quotient, j))
-        if jterms is None:
-            jterms = memo[split.quotient, j] = mobius_terms(bq, tops)
-        rows.append((exact_fiber_count(split.prime_parts, As,
-                                       [(b + pad, mu) for b, mu in jterms]), keys))
+    cols = [[(col[Lp], mu) for Lp, mu in ts] for ts in terms]
     # K lies inside L' iff its boundaries are at least L''s on every row.
     bLs = [tuple(m * b for b, (_, m) in zip(Lp, lam.pairs)) for Lp in Lps]
-    censuses = []
-    for ts in terms:
-        cols = [(col[Lp], mu) for Lp, mu in ts]
-        inside = [tuple(t for t, (c, _) in enumerate(cols) if all(map(ge, bK, bLs[c])))
-                  for bK, _, _, _, _ in ks]
-        groups: Dict[tuple, dict] = {}
-        for fibers, keys in rows:
-            signed = [(fibers[c], mu) for c, mu in cols]
-            cells: dict = {}
-            for (akey, lkey), its in zip(keys, inside):
-                cell = cells.get(its)
-                if cell is None:
-                    cell = [0] * len(signed[0][0])
-                    for t in its:
-                        fiber, mu = signed[t]
-                        cell = list(map(add if mu > 0 else sub, cell, fiber))
-                    cell = cells[its] = cell if any(cell) else ()
-                if cell:
-                    group = groups.setdefault(akey, {})
-                    prev = group.get(lkey)
-                    group[lkey] = cell if prev is None else list(map(add, prev, cell))
-        censuses.append({_alpha_core(*akey): QPolynomial(_laurent_sum(lam, I, akey, group))
-                         for akey, group in groups.items()})
-    return censuses
+    tables = {mu: _table(lam, mu) for mu in dict.fromkeys(
+        mu for sp in splits for mu in (sp.quotient, sp.lambda_dprime))}
+    jterms = {mu: [mobius_terms(bq, tops) for _, _, _, bq, tops in tables[mu]]
+              for mu in dict.fromkeys(sp.quotient for sp in splits)}
+    matrix = []
+    for I, split in zip(Is, splits):
+        As = [tuple(Lp[row[k]] for _, k in split.prime_parts) for Lp in Lps]
+        # The quotient rows are falling, so only the last can be 0, whose
+        # boundary is 0.
+        pad = (0,) if split.quotient_rows[-1:] == (0,) else ()
+        ks = tables[split.lambda_dprime]
+        rows = []
+        for (bJ, _, _, _, _), ts in zip(tables[split.quotient], jterms[split.quotient]):
+            keys = []
+            for bK, wK, pK, _, _ in ks:
+                s = sum(map(min, bJ, bK))
+                out, ins = [], []
+                for m, i, v in pK:
+                    (out if bJ[i] > v else ins).append(m)
+                keys.append(((weight - s, tuple(out)), (wK + s, tuple(ins))))
+            rows.append((exact_fiber_count(split.prime_parts, As,
+                                           [(b + pad, mu) for b, mu in ts]), keys))
+        censuses = []
+        for cs in cols:
+            inside = [tuple(t for t, (c, _) in enumerate(cs) if all(map(ge, bK, bLs[c])))
+                      for bK, _, _, _, _ in ks]
+            groups: Dict[tuple, dict] = {}
+            for fibers, keys in rows:
+                signed = [(fibers[c], mu) for c, mu in cs]
+                cells: dict = {}
+                for (akey, lkey), its in zip(keys, inside):
+                    cell = cells.get(its)
+                    if cell is None:
+                        cell = [0] * len(signed[0][0])
+                        for t in its:
+                            fiber, mu = signed[t]
+                            cell = list(map(add if mu > 0 else sub, cell, fiber))
+                        cell = cells[its] = cell if any(cell) else ()
+                    if cell:
+                        group = groups.setdefault(akey, {})
+                        prev = group.get(lkey)
+                        group[lkey] = cell if prev is None else list(map(add, prev, cell))
+            censuses.append({_alpha_core(*akey): QPolynomial(_laurent_sum(lam, I, akey, group))
+                             for akey, group in groups.items()})
+        matrix.append(censuses)
+    return matrix
 
 
 def _laurent_sum(lam: Partition, I: OrderIdeal, akey: tuple, group: dict) -> list[int]:
@@ -241,9 +240,8 @@ def _laurent_sum(lam: Partition, I: OrderIdeal, akey: tuple, group: dict) -> lis
 
 def refined_census(lam: Partition, I: OrderIdeal,
                    L: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
-    """The census of orbit(I) x orbit(L): the row of refined_censuses that
-    holds L alone."""
-    return refined_censuses(lam, I, [L])[0]
+    """The census of orbit(I) x orbit(L): refined_censuses of I and L alone."""
+    return refined_censuses(lam, [I], [L])[0][0]
 
 
 def _total(census: Dict[QPolynomial, QPolynomial]) -> QPolynomial:
@@ -256,9 +254,9 @@ def refined_total(lam: Partition, I: OrderIdeal, L: OrderIdeal) -> QPolynomial:
 
 
 def refined_matrix(lam: Partition) -> Dict[tuple[OrderIdeal, OrderIdeal], QPolynomial]:
-    """Totals for every ordered pair of element orbits: one refined_censuses
-    row per first ideal I, over every L, all rows sharing one memo."""
+    """Totals for every ordered pair of element orbits, from one
+    refined_censuses call over every first ideal I and every second L."""
     ideals = lattice(lam).ideals
-    memo: dict = {}
-    return {(I, L): _total(census) for I in ideals
-            for L, census in zip(ideals, refined_censuses(lam, I, ideals, memo))}
+    return {(I, L): _total(census)
+            for I, row in zip(ideals, refined_censuses(lam, ideals, ideals))
+            for L, census in zip(ideals, row)}

@@ -321,7 +321,7 @@ class TestPrimitives:
         els = m.elements()
         assert els.shape == (8, 2)
         identity = np.eye(len(m.exponents), dtype=np.int64)
-        assert np.array_equal(endo_permutation(m, identity), np.arange(m.size))
+        assert np.array_equal(endo_permutation(m, identity, els), np.arange(m.size))
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

@@ -255,9 +255,19 @@ class TestRefinedCensus:
         for lam in CENSUS_SHAPES:
             ideals = lattice(lam).ideals
             for I in ideals:
-                rows = refined_censuses(lam, I, ideals)
+                rows = refined_censuses(lam, [I], ideals)[0]
                 assert [list(c.items()) for c in rows] == \
                     [list(refined_census(lam, I, L).items()) for L in ideals], f"{lam}; {I}"
+
+    def test_matrix_call_matches_row_calls(self):
+        # One call over every first ideal gives the rows of one call per first
+        # ideal, in order.
+        for lam in CENSUS_SHAPES:
+            ideals = lattice(lam).ideals
+            rows = refined_censuses(lam, ideals, ideals)
+            assert [[list(c.items()) for c in row] for row in rows] == \
+                [[list(c.items()) for c in refined_censuses(lam, [I], ideals)[0]]
+                 for I in ideals], str(lam)
 
     def test_matrix_matches_totals(self):
         for lam in CENSUS_SHAPES:
@@ -266,8 +276,8 @@ class TestRefinedCensus:
                 [((I, L), refined_total(lam, I, L)) for I in ideals for L in ideals], str(lam)
 
     def test_matrix_builds_tables_and_fibers_once_per_row(self, monkeypatch):
-        # One table per mu over the whole matrix, for J and K alike, as its
-        # rows share one memo, and one exact_fiber_count call per (I, J),
+        # One table per mu over the whole matrix, for J and K alike, as the
+        # matrix is one call, and one exact_fiber_count call per (I, J),
         # however many second ideals L the row holds.
         built = []
         real_lattice = refined.lattice
@@ -322,7 +332,6 @@ class TestRefinedCensus:
         # from lattice(mu).ideals, one OrderIdeal at a time.
         for lam in (lam for n in range(9) for lam in partitions_of(n)):
             mult, row = dict(lam.pairs), {k: i for i, k in enumerate(lam.rows)}
-            memo = {}
             for I in lattice(lam).ideals:
                 sp = canonical_split(lam, I)
                 for mu in (sp.quotient, sp.lambda_dprime):
@@ -333,7 +342,7 @@ class TestRefinedCensus:
                                  bounds(X, mu.rows),
                                  tuple(mu.rows.index(k) for _, k in X.max_points))
                                 for X in lattice(mu).ideals]
-                    assert refined._table(memo, lam, mu) == expected, f"{lam}; {mu}"
+                    assert refined._table(lam, mu) == expected, f"{lam}; {mu}"
 
     def test_matrix_builds_only_its_own_lattice(self, monkeypatch):
         # Below its API, refined builds no OrderIdeal: only the ideals of
@@ -370,8 +379,8 @@ class TestRefinedCensus:
         # Every K one point lighter makes every Laurent key orbit_size(K)/alpha
         # one power of q short, and some N_alpha has a constant term.
         real = refined._table
-        monkeypatch.setattr(refined, "_table", lambda memo, lam, mu: [
-            (b, w - 1, p, bm, tops) for b, w, p, bm, tops in real(memo, lam, mu)])
+        monkeypatch.setattr(refined, "_table", lambda lam, mu: [
+            (b, w - 1, p, bm, tops) for b, w, p, bm, tops in real(lam, mu)])
         with pytest.raises(DegreeMismatch, match="negative power"):
             refined_matrix(Partition.parse("2,1"))
         with pytest.raises(DegreeMismatch, match="negative power"):
