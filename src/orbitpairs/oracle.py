@@ -172,12 +172,19 @@ def endo_permutation(module: ExplicitModule, matrix: np.ndarray,
 
 def invertible_endomorphisms(module: ExplicitModule) -> List[np.ndarray]:
     """Every invertible endomorphism, as an element-index permutation.
-    Safety net for the generator-set construction."""
+    Safety net for the generator-set construction.  Both the matrices walked
+    and the permutation entries kept are bounded by ENDO_BUDGET before
+    anything is built."""
     p, ks = module.p, module.exponents
     n = len(ks)
     total = p ** sum(min(ki, kj) for ki in ks for kj in ks)
     if total > ENDO_BUDGET:
         raise BudgetExceeded(f"{total} endomorphisms exceed budget {ENDO_BUDGET}")
+    # The automorphisms are kept as |Aut M| permutations of |M| entries each.
+    kept = aut_order(module) * module.size
+    if kept > ENDO_BUDGET:
+        raise BudgetExceeded(f"|Aut M| * |M| = {kept} permutation entries exceed budget "
+                             f"{ENDO_BUDGET}")
     elements = module.elements()
     # Entry (i, j) runs over the multiples of p**max(0, k_i - k_j) below p**k_i.
     entries = [range(0, p ** ks[i], p ** max(0, ks[i] - ks[j]))
@@ -253,9 +260,9 @@ def orbits(module: ExplicitModule,
     """(element orbits, pair orbits) of the module, pairs under the diagonal
     action, each annotated with the invariant ideal(s) of its smallest
     index."""
-    perms = _group_perms(module, mode)
     if module.size ** 2 > PAIR_BUDGET:
         raise BudgetExceeded(f"pair space {module.size ** 2} exceeds budget {PAIR_BUDGET}")
+    perms = _group_perms(module, mode)
     labels = closure_labels(perms, module.size)
     ideal = _element_ideals(module, module.elements())
     # Labels are orbit minima: the distinct labels are the representatives.

@@ -1,13 +1,13 @@
 """Counts of orbits of pairs restricted to a pair of element orbits.
 
-The fiber count over the distinguished part is mechanized as a dynamic
-program over the exact valuation class of each coordinate: every coordinate
-contributes the solutions of one coset condition (v(x) >= a and
-v(x - y) >= b with v(y) known), whose valuation distribution depends only
-on (k, a, b, v(y)).  The program (s_count) reads the submodule L and the
-quotient ideal J only through their boundaries on the coordinates' rows, so
-it runs once per (prime parts, a, b) key in a process, on integer
-coefficient lists.
+The fiber count over the distinguished part is a closed form: the elements
+whose coordinate i has valuation at least a_i and whose quotient image lies
+in the ideal with boundaries b_i solve R-linear conditions (v(x_i) >= a_i,
+and x_i = pi**(v_i - v_{i+1}) x_{i+1} mod P**b_i with x_n = 0), so they form
+a submodule, which has q**l elements (coset_count gives l by a recurrence
+down the prime parts).  The kernel reads the submodule L and the quotient
+ideal J only through their boundaries on the coordinates' rows, so it runs
+once per (prime parts, a, b) key in a process.
 Two Moebius inversions (one on the quotient context, one on the source
 lattice) then sharpen "at least" constraints to "exactly"; each sums only
 over the nonzero closed-form Moebius terms of its lattice, boundary tuples
@@ -28,80 +28,43 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, ge, sub
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from .orbits import _alpha_core, _negative_power, canonical_split
 from .posets import (OrderIdeal, Partition, Point, boundary, lattice, mobius_terms,
                      require_context)
-from .qpoly import ONE, QPolynomial, ZERO, monomial
+from .qpoly import QPolynomial, ZERO
 
 
 @lru_cache(maxsize=None)
-def coset_count(k: int, a: int, b: int, vy: Optional[int]) -> tuple[QPolynomial, ...]:
-    """Valuation distribution of {x in R/P^k : v(x) >= a, v(x - y) >= b}
-    when v(y) = vy (vy=None encodes y = 0, i.e. valuation infinity): the
-    number of solutions per exact valuation w in 0..k (w = k is zero)."""
-    a = max(0, min(a, k))
-    b = max(0, min(b, k))
-    counts = [ZERO] * (k + 1)
-    if vy is None or vy >= b:
-        lvl = max(a, b)
-        for w in range(lvl, k):
-            counts[w] = monomial(k - w) - monomial(k - w - 1)
-        counts[k] = ONE
-    elif vy >= a:
-        # v(x - y) >= b > vy forces v(x) = vy exactly; solutions form a
-        # coset of P^b.
-        counts[vy] = monomial(k - b)
-    return tuple(counts)
+def coset_count(pts: tuple[Point, ...], a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """The exponent l of the q**l elements of the distinguished part with
+    prime parts pts whose coordinate i has valuation at least a[i] (the
+    submodule L, a[i] being L's boundary on row k_i) and whose image in the
+    quotient has coordinate i of valuation at least b[i] (J's boundary on the
+    split's quotient_rows[i], below k_i).
+
+    These elements solve v(x_i) >= a_i and x_i = pi**d_i x_{i+1} mod P**b_i,
+    with d_i = v_i - v_{i+1} and x_n = 0, so they form a submodule.  Walking
+    down the prime parts with a bound A (at most k_i) on v(x_i) passed from
+    above, 0 at the top: the x_i with v(x_i) >= A_i = max(A, a_i) and the
+    congruence form a coset of P**max(A_i, b_i), and one exists iff
+    v(pi**d_i x_{i+1}) >= min(A_i, b_i).  So x_i adds k_i - max(A_i, b_i) to
+    l and passes A = min(A_i, b_i) - d_i on to x_{i+1}."""
+    ell, A = 0, 0
+    for (v, k), ai, bi, (v_next, _) in zip(pts, a, b, pts[1:] + pts[-1:]):
+        A = max(A, ai)
+        ell += k - max(A, bi)
+        A = min(A, bi) - (v - v_next)
+    return ell
 
 
-def _mul_into(acc: list, x: Sequence[int], y: Sequence[int], shift: int = 0):
+def _mul_into(acc: list, x: Sequence[int], y: Sequence[int], shift: int):
     """Add x * y, shifted up by shift powers, into the coefficient list acc."""
     for i, xi in enumerate(x, shift):
         if xi:
             for t, yj in enumerate(y, i):
                 acc[t] += xi * yj
-
-
-def s_count(pts: tuple[Point, ...], a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Number of elements of the distinguished part with prime parts pts whose
-    coordinate i has valuation at least a[i] (the submodule L, a[i] being
-    L's boundary on row k_i) and whose image in the quotient has coordinate i
-    of valuation at least b[i] (J's boundary on the split's quotient_rows[i]).
-    Coefficients of q**0 .. q**(sum of k_i), untrimmed.  The count reads the
-    v's only through their differences."""
-    if not pts:
-        return (1,)
-    size = sum(p.k for p in pts) + 1
-    # Bottom coordinate: both constraints are plain valuation bounds.  An
-    # entry of state after coordinate i has degree at most the sum of k_j
-    # over j >= i, below size.
-    state = [c.coeffs for c in coset_count(pts[-1].k, a[-1], b[-1], None)]
-    for i in range(len(pts) - 2, -1, -1):
-        (v_i, k_i), (v_n, k_n) = pts[i], pts[i + 1]
-        new_state: list = [None] * (k_i + 1)
-        for w_next, c in enumerate(state):
-            if not c:
-                continue
-            vy = None if w_next == k_n else w_next + v_i - v_n
-            for w, cnt in enumerate(coset_count(k_i, a[i], b[i], vy)):
-                if cnt:
-                    if new_state[w] is None:
-                        new_state[w] = [0] * size
-                    _mul_into(new_state[w], c, cnt.coeffs)
-        state = new_state
-    total = [0] * size
-    for c in state:
-        if c:
-            total[:len(c)] = map(add, total, c)
-    return tuple(total)
-
-
-# s_count's values under their (pts, a, b) keys, the v's of pts shifted down
-# to a last v of 0: kept for the process, so that shapes sharing prime parts
-# share them.
-_S_COUNTS: Dict[tuple, tuple[int, ...]] = {}
 
 
 def _table(lam: Partition, mu: Partition) -> list:
@@ -130,19 +93,14 @@ def exact_fiber_count(pts: tuple[Point, ...], As: Sequence[tuple[int, ...]],
     """Per a in As, the elements of the distinguished part with prime parts
     pts whose coordinate i has valuation at least a[i] (a submodule's
     boundary on row k_i) and whose quotient image has invariant exactly J,
-    as coefficients of q**0 .. q**(sum of k_i): s_count Moebius-inverted
-    over J's terms (boundaries on the split's quotient_rows, mu), its
-    values looked up in _S_COUNTS."""
-    low = pts[-1].v if pts else 0
-    pts = tuple(Point(v - low, k) for v, k in pts)
+    as coefficients of q**0 .. q**(sum of k_i): the monomials q**coset_count
+    Moebius-inverted over J's terms (boundaries on the split's
+    quotient_rows, mu)."""
     fibers = []
     for a in As:
         acc = [0] * (sum(p.k for p in pts) + 1)
         for b, mu in terms:
-            s = _S_COUNTS.get((pts, a, b))
-            if s is None:
-                s = _S_COUNTS[pts, a, b] = s_count(pts, a, b)
-            acc = list(map(add if mu > 0 else sub, acc, s))
+            acc[coset_count(pts, a, b)] += mu
         fibers.append(acc)
     return fibers
 

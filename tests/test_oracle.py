@@ -394,6 +394,20 @@ class TestPrimitives:
         m = ExplicitModule.from_partition(Partition.parse("1,1"), 2)
         assert len(invertible_endomorphisms(m)) == 6  # |GL_2(F_2)|
 
+    @pytest.mark.parametrize("text, p, entries", [("2,1^2", 5, 3750000000),
+                                                   ("5,3,2", 2, 2147483648)])
+    def test_kept_permutations_checked_before_enumerating(self, text, p, entries,
+                                                          monkeypatch):
+        # Both modules fit the pair budget and enumerate at most ENDO_BUDGET
+        # matrices, but keeping |Aut M| permutations of |M| entries each
+        # would not fit it: no matrix is mapped.
+        monkeypatch.setattr(oracle, "endo_permutation",
+                            lambda *args: pytest.fail("endomorphism enumerated"))
+        m = ExplicitModule.from_partition(Partition.parse(text), p)
+        assert aut_order(m) * m.size == entries
+        with pytest.raises(BudgetExceeded, match=re.escape(f"|Aut M| * |M| = {entries} ")):
+            call_within(2, verify, Partition.parse(text), p, "full-endos")
+
     def test_aut_order_matches_enumeration(self):
         # Hillar and Rhea's closed form, on every shape whose quick and
         # full-endos pair orbits are compared below.
@@ -567,17 +581,23 @@ class TestVerify:
         assert pair_paths == [True]
 
     def test_pair_budget_checked_before_pair_labels(self, monkeypatch):
-        # |M| = 4096 fits the element budget, but neither its element orbits
-        # nor its (|M|, |M|) pair labels are computed: the pair space is over
-        # budget.
+        # |M| = 4096 fits the element budget, but neither its group, its
+        # element orbits nor its (|M|, |M|) pair labels are computed: the
+        # pair space is over budget.  In full-endos mode, 8,3@2 would
+        # otherwise enumerate 131 072 matrices first.
+        monkeypatch.setattr(oracle, "_group_perms",
+                            lambda module, mode: pytest.fail("group built"))
         monkeypatch.setattr(oracle, "closure_labels",
                             lambda perms, n: pytest.fail("element orbits closed"))
         monkeypatch.setattr(oracle, "pair_labels",
                             lambda perms, labels: pytest.fail("pair labels built"))
-        with pytest.raises(BudgetExceeded, match="pair space"):
-            verify(Partition.parse("2^6"), 2)
-        with pytest.raises(BudgetExceeded, match="pair space"):
-            orbits(ExplicitModule.from_partition(Partition.parse("2^6"), 2))
+        for mode in ("quick", "full-endos"):
+            with pytest.raises(BudgetExceeded, match="pair space"):
+                verify(Partition.parse("2^6"), 2, mode)
+            with pytest.raises(BudgetExceeded, match="pair space"):
+                orbits(ExplicitModule.from_partition(Partition.parse("2^6"), 2), mode)
+            with pytest.raises(BudgetExceeded, match="pair space 4194304"):
+                verify(Partition.parse("8,3"), 2, mode)
 
     def test_ideal_read_once_per_element(self, monkeypatch):
         # Pair orbit representatives share valuation profiles: one ideal is

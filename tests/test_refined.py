@@ -11,10 +11,9 @@ from orbitpairs import refined
 from orbitpairs.errors import DegreeMismatch, IdealOutOfContext
 from orbitpairs.orbits import canonical_split, n_lambda, orbit_size, per_ideal_total
 from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
-from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO
+from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, monomial
 from orbitpairs.refined import (coset_count, exact_fiber_count, refined_census,
-                                refined_censuses, refined_matrix, refined_total,
-                                s_count)
+                                refined_censuses, refined_matrix, refined_total)
 
 
 def refined_by_cells(lam, I, L):
@@ -54,6 +53,60 @@ def val(x, k, p):
         x //= p
         e += 1
     return e
+
+
+def coset_profile(k, a, b, vy):
+    """Symbolic reference: the valuation distribution of {x in R/P^k :
+    v(x) >= a, v(x - y) >= b} when v(y) = vy (None for y = 0), as the number
+    of solutions per exact valuation w in 0..k (w = k is zero)."""
+    a = max(0, min(a, k))
+    b = max(0, min(b, k))
+    counts = [ZERO] * (k + 1)
+    if vy is None or vy >= b:
+        for w in range(max(a, b), k):
+            counts[w] = monomial(k - w) - monomial(k - w - 1)
+        counts[k] = ONE
+    elif vy >= a:
+        # v(x - y) >= b > vy forces v(x) = vy exactly; solutions form a
+        # coset of P^b.
+        counts[vy] = monomial(k - b)
+    return counts
+
+
+def s_count(pts, a, b):
+    """Symbolic reference for q**coset_count(pts, a, b): a dynamic program
+    over the exact valuation of each coordinate, from the last up, each
+    coordinate solving one coset condition given the valuation of the next."""
+    if not pts:
+        return ONE
+    state = coset_profile(pts[-1].k, a[-1], b[-1], None)
+    for i in range(len(pts) - 2, -1, -1):
+        (v_i, k_i), (v_n, k_n) = pts[i], pts[i + 1]
+        new_state = [ZERO] * (k_i + 1)
+        for w_next, c in enumerate(state):
+            vy = None if w_next == k_n else w_next + v_i - v_n
+            for w, cnt in enumerate(coset_profile(k_i, a[i], b[i], vy)):
+                new_state[w] = new_state[w] + c * cnt
+        state = new_state
+    return sum(state, ZERO)
+
+
+@st.composite
+def kernel_keys(draw):
+    """A random antichain of prime parts, sorted by descending k (so both v
+    and k - v fall strictly), with a[i] in [0, k_i] and b[i] in [0, quotient
+    row i]."""
+    n = draw(st.integers(0, 4))
+    v, h, pts = draw(st.integers(0, 3)), draw(st.integers(1, 3)), []
+    for _ in range(n):
+        pts.insert(0, Point(v, v + h))
+        v, h = v + draw(st.integers(1, 3)), h + draw(st.integers(1, 3))
+    pts = tuple(pts)
+    rows = [v_i + k_n - v_n for (v_i, _), (v_n, k_n) in zip(pts, pts[1:])] + [
+        pt.v for pt in pts[-1:]]
+    a = tuple(draw(st.integers(0, pt.k)) for pt in pts)
+    b = tuple(draw(st.integers(0, row)) for row in rows)
+    return pts, a, b
 
 
 def brute_coset_profile(k, a, b, y, p):
@@ -129,7 +182,7 @@ class TestCosetCount:
                     for b in range(k + 1):
                         for vy in [None] + list(range(k)):
                             y = 0 if vy is None else p ** vy
-                            prof = coset_count(k, a, b, vy)
+                            prof = coset_profile(k, a, b, vy)
                             got = [c(p) for c in prof]
                             assert got == brute_coset_profile(k, a, b, y, p), \
                                 (p, k, a, b, vy)
@@ -138,13 +191,23 @@ class TestCosetCount:
         p, k = 3, 3
         for vy in range(k):
             for u in (1, 2):
-                prof = coset_count(k, 1, 2, vy)
+                prof = coset_profile(k, 1, 2, vy)
                 got = [c(p) for c in prof]
                 assert got == brute_coset_profile(k, 1, 2, u * p ** vy, p)
 
     def test_total(self):
-        assert sum(coset_count(3, 1, 0, None), ZERO) == Q ** 2
-        assert sum(coset_count(2, 0, 0, None), ZERO) == Q ** 2
+        assert sum(coset_profile(3, 1, 0, None), ZERO) == Q ** 2
+        assert sum(coset_profile(2, 0, 0, None), ZERO) == Q ** 2
+
+    @settings(deadline=None, max_examples=300)
+    @given(kernel_keys(), st.integers(-4, 4))
+    def test_closed_form_matches_dp(self, key, shift):
+        # Every DP count is the single monomial q**coset_count, and the
+        # closed form reads the v's only through their differences.
+        pts, a, b = key
+        ell = coset_count(pts, a, b)
+        assert s_count(pts, a, b) == Q ** ell
+        assert coset_count(tuple(Point(v + shift, k) for v, k in pts), a, b) == ell
 
 
 class TestSCount:
@@ -164,16 +227,14 @@ class TestSCount:
                         expected = brute_s_count(split, L, J, p)
                         pts, a, b = s_key(split, bounds(L, lam.rows),
                                           bounds(J, split.quotient_rows), lam.rows)
-                        got = s_count(pts, a, b)
-                        assert QPolynomial(got)(p) == expected, \
+                        got = coset_count(pts, a, b)
+                        assert p ** got == expected, \
                             (p, str(lam), str(I), str(L), str(J))
-                        # Untrimmed: the fibers add these lists entry by entry.
-                        assert len(got) == sum(pt.k for pt in pts) + 1
                         # The count reads the v's only through their differences.
-                        assert s_count(shifted(pts), a, b) == got
+                        assert coset_count(shifted(pts), a, b) == got
 
     def test_context_mismatch(self):
-        # s_count trusts its callers; the ideals are checked where they enter.
+        # coset_count trusts its callers; the ideals are checked where they enter.
         lam = Partition.parse("2,1")
         I = OrderIdeal.parse("0:2")
         off_row = OrderIdeal.parse("1:3")
@@ -195,8 +256,8 @@ class TestFiberAndYCount:
                     for Jp in qlat.ideals:
                         if Jp.is_subset_of(J):
                             resummed = resummed + QPolynomial(fiber(split, L, Jp))
-                    assert resummed == QPolynomial(s_count(*s_key(
-                        split, bounds(L, lam.rows), bounds(J, split.quotient_rows), lam.rows)))
+                    assert resummed == Q ** coset_count(*s_key(
+                        split, bounds(L, lam.rows), bounds(J, split.quotient_rows), lam.rows))
 
     def test_y_count_at_full_module_is_x_count(self):
         for n in range(1, 6):
@@ -297,13 +358,13 @@ class TestRefinedCensus:
         assert len(fibers) == sum(len(lattice(sp.quotient).ideals) for sp in splits)
 
     def test_matrix_runs_each_kernel_once(self, monkeypatch):
-        # From a cold kernel cache, one matrix runs the DP once per distinct
-        # (prime parts, a, b) key its fibers need, the v's shifted to a last
-        # v of 0, and mobius_terms once per (mu, ideal).
+        # From a cold kernel cache, one matrix runs the kernel once per
+        # distinct (prime parts, a, b) key its fibers need, and mobius_terms
+        # once per (mu, ideal).
         keys, listed = [], []
-        real_s = refined.s_count
-        monkeypatch.setattr(refined, "_S_COUNTS", {})
-        monkeypatch.setattr(refined, "s_count", lambda *key: keys.append(key) or real_s(*key))
+        coset_count.cache_clear()
+        monkeypatch.setattr(refined, "coset_count", lambda *key: keys.append(key) or
+                            coset_count(*key))
         real_terms = refined.mobius_terms
         monkeypatch.setattr(refined, "mobius_terms", lambda b, tops: listed.append(
             (b, tops)) or real_terms(b, tops))
@@ -323,8 +384,10 @@ class TestRefinedCensus:
                     for L in ideals:
                         for Lb, _ in mobius_on(L, lam.rows):
                             pts, a, b = s_key(sp, Lb, Jb, lam.rows)
-                            expected_keys.add((shifted(pts), a, b))
-        assert len(keys) == len(set(keys)) and set(keys) == expected_keys
+                            expected_keys.add((pts, a, b))
+        assert set(keys) == expected_keys
+        info = coset_count.cache_info()
+        assert info.misses == info.currsize == len(expected_keys)
         assert sorted(listed) == sorted(per_ideal.values())
 
     def test_tables_match_ideal_lattices(self):
@@ -361,19 +424,16 @@ class TestRefinedCensus:
         assert {mu for mu in walked if "ideals" in vars(lattice(mu))} == set(shapes)
         assert len(built) == sum(len(lattice(lam).ideals) for lam in shapes)
 
-    def test_kernel_values_shared_across_matrices(self, monkeypatch):
+    def test_kernel_values_shared_across_matrices(self):
         # The kernel cache outlives a matrix: (2^2, 1) needs only keys that
-        # (3, 2^2, 1) already ran, and a repeated matrix runs no DP at all.
-        runs = []
-        real_s = refined.s_count
-        monkeypatch.setattr(refined, "_S_COUNTS", {})
-        monkeypatch.setattr(refined, "s_count", lambda *key: runs.append(key) or real_s(*key))
+        # (3, 2^2, 1) already ran, and a repeated matrix runs no kernel at all.
+        coset_count.cache_clear()
         first = refined_matrix(Partition.parse("3,2^2,1"))
-        ran = len(runs)
-        assert ran == len(refined._S_COUNTS) > 0
+        ran = coset_count.cache_info().misses
+        assert ran == coset_count.cache_info().currsize > 0
         assert refined_matrix(Partition.parse("3,2^2,1")) == first
         refined_matrix(Partition.parse("2^2,1"))
-        assert len(runs) == ran
+        assert coset_count.cache_info().misses == ran
 
     def test_negative_power_guard(self, monkeypatch):
         # Every K one point lighter makes every Laurent key orbit_size(K)/alpha
