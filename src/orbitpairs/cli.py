@@ -15,7 +15,7 @@ from itertools import chain
 
 from .errors import OrbitPairsError
 from .oracle import _is_prime, verify
-from .orbits import n_lambda, orbit_census
+from .orbits import n_lambda, n_lambdas, orbit_census
 from .posets import OrderIdeal, Partition, lattice, partitions_of
 from .qpoly import QPolynomial, format_poly, latex_poly
 from .quiver import r_n1, type_sum
@@ -136,8 +136,8 @@ def cmd_nlambda(args) -> int:
 
 def cmd_table(args) -> int:
     rows = []
-    for lam in partitions_of(args.n):
-        poly = n_lambda(lam)
+    shapes = partitions_of(args.n)
+    for lam, poly in zip(shapes, n_lambdas(shapes)):
         name = "(" + ", ".join(str(p) for p in lam.expand()) + ")"
         if args.json:
             rows.append([str(lam), poly.to_json()["coeffs"]])
@@ -222,8 +222,8 @@ def cmd_conjecture(args) -> int:
         raise ValueError("n_max must be positive")
     bad = []
     for n in range(1, args.n_max + 1):
-        for lam in partitions_of(n):
-            poly = n_lambda(lam)
+        shapes = partitions_of(n)
+        for lam, poly in zip(shapes, n_lambdas(shapes)):
             if not poly.has_nonnegative_coefficients():
                 bad.append((lam, poly))
     if bad:

@@ -27,29 +27,27 @@ division.  Three guards stand in for the mass check and exact division:
 - alpha divides its group total iff N_alpha, the group's Laurent sum, has no
   negative power, as alpha is monic.
 
-One engine runs all three.  _cells takes first ideals as the rows (v, k) of
-their maximal points, gets all their splits at once from split_arrays, and
-builds the cells in one numpy batch from the lattices' int rows, checking
-the weight identity per I and alpha's exponent and that of x/alpha against
-their factors' sums per cell; _group_sums sums the Laurent keys per (I,
-alpha) and checks the negative powers.  _laurent_total groups only the
-cells whose key reaches below q**0, sums all keys into one total and checks
-that it is monic of degree lambda_1; _censuses groups every cell.  n_lambda
-and census_batch batch every row of lattice(lambda), building no OrderIdeal.
+One engine runs all three on a _Block of first ideals of one shape or
+more, each cell's Laurent key shifted up by the block's largest weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, MutableMapping, NamedTuple, Optional
+from itertools import accumulate
+from typing import Dict, Iterable, Iterator, MutableMapping, Optional
 
 import numpy as np
 
-from .errors import DegreeMismatch
+from .errors import BudgetExceeded, DegreeMismatch
 from .posets import (OrderIdeal, Partition, Point, check_int64, lattice, require_context,
                      row_ideal)
 from .qpoly import QPolynomial, laurent_product
+
+# Caps on a block's cells and on the first ideals split at once, but for one shape.
+_BLOCK_CELLS, _SPLIT_IDEALS = 2 ** 11, 2 ** 7
+_N_LAMBDA: Dict[Partition, QPolynomial] = {}
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,7 @@ def orbit_size(lam: Partition, I: OrderIdeal) -> QPolynomial:
     """Cardinality of the orbit labelled by I, as a polynomial in q:
     q**[I] times (1 - q**-m_i) over the maximal rows.  Monic of degree [I]."""
     require_context(lam, I)
-    return laurent_product(I.weighted_size(lam),
-                           [lam.mult(p.k) for p in I.max_points])
+    return laurent_product(I.weighted_size(lam), [lam.mult(p.k) for p in I.max_points])
 
 
 @lru_cache(maxsize=None)
@@ -96,60 +93,63 @@ def canonical_split(lam: Partition, I: OrderIdeal) -> CanonicalSplit:
 
 @lru_cache(maxsize=None)
 def _alpha_core(exponent: int, factors: tuple[int, ...]) -> QPolynomial:
-    """q**exponent * prod(1 - q**-m for m in factors), for exponent at least
-    sum(factors): an alpha or orbit-size key, or at exponent sum(factors),
-    prod(q**m - 1), the expansion of a Laurent key x/alpha up to its shift
-    by a power of q."""
+    """q**exponent * prod(1 - q**-m for m in factors): an alpha or orbit-size
+    key, or at exponent sum(factors) the expansion prod(q**m - 1) of a
+    Laurent key x/alpha up to a power of q."""
     return laurent_product(exponent, factors)
 
 
-def _negative_power(lam: Partition, I: OrderIdeal, akey: tuple) -> DegreeMismatch:
-    return DegreeMismatch(f"N_alpha has a negative power for alpha {_alpha_core(*akey)}"
-                          f" in the census of ({lam}; {I})")
-
-
-def split_arrays(lam: Partition, v: np.ndarray, k: np.ndarray) -> tuple:
-    """canonical_split of every first ideal given as the rows (v, k) of its
-    maximal points, padded with (0, 0): the fibers k_0 - v_0; the quotient
-    rows v_j + k_{j+1} - v_{j+1}, v_j for the last point and 0 for a padded
-    one, which fall strictly, so that a row's nonzero entries are the
-    quotient's parts; and lambda'''s multiplicities on lambda's rows,
-    lambda's less one for each k_j."""
+def split_arrays(rows: np.ndarray, mults: np.ndarray, v: np.ndarray, k: np.ndarray) -> tuple:
+    """canonical_split of first ideals as (0, 0)-padded rows (v, k) of maximal
+    points, in shapes with multiplicities mults on rows (one for all or per
+    ideal): fibers (0 with no rows), quotient_rows and lambda'''s multiplicities."""
     c, quotient = k - v, v.copy()
     quotient[:, :-1] += c[:, 1:]
-    onehot = k[:, :, None] == np.array(lam.rows, dtype=np.int64)
-    mults = np.array([m for _, m in lam.pairs], dtype=np.int64)
-    # c[:, :1] is empty, and the fiber 0, when lambda has no rows.
-    return c[:, :1].sum(1), quotient, mults - onehot.sum(1)
+    return c[:, :1].sum(1), quotient, mults - (k[:, :, None] == rows).sum(1)
 
 
-def _distinct(a: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct rows of a, as tuples in order of first appearance, and
-    each row's index among them.  A dict of row tuples runs faster here than
-    np.unique on a void view of the rows, on small shapes and large."""
-    index: Dict[tuple, int] = {}
-    inverse = [index.setdefault(row, len(index)) for row in map(tuple, a.tolist())]
-    return list(index), np.array(inverse, dtype=np.int64)
+def _mu_index(a: np.ndarray, index: Dict[Partition, int], mu) -> np.ndarray:
+    """Per row of a, the index in `index` of mu(row), made per distinct row."""
+    rows: Dict[tuple, int] = {}
+    inverse = [rows.setdefault(row, len(rows)) for row in map(tuple, a.tolist())]
+    return np.array([index.setdefault(mu(row), len(index)) for row in rows])[inverse]
 
 
-class _Cells(NamedTuple):
-    """A batch of cells (I, J, K): per cell, I's index, the alpha key (ea,
-    a_code) and the Laurent key x/alpha (e shifted up by |lambda|, l_code,
-    factors' sum l_sf).  Factor multisets are radix codes: digit r counts
-    the factor values[r], values rising, and codes lie below span.  fv and
-    fk are the first ideals' maximal points, padded as in IdealLattice."""
+class _Block:
+    """The first ideals (v, k) of each (shape, v, k) of entries, split at
+    once: per ideal, its shape's index owner, its fiber, and its quotient's
+    and lambda'''s indices jmu and kmu into mus; ncells counts each shape's
+    cells.  _cells adds per cell (I, J, K) I's index first, the alpha key
+    (ea, a_code), and x/alpha's code l_code and lowest power low, up by top."""
 
-    fv: np.ndarray
-    fk: np.ndarray
-    first: np.ndarray
-    ea: np.ndarray
-    a_code: np.ndarray
-    e: np.ndarray
-    l_code: np.ndarray
-    l_sf: np.ndarray
-    radix: int
-    values: list
-    span: int
+    def __init__(self, entries: list):
+        self.shapes = shapes = [lam for lam, _, _ in entries]
+        starts = list(accumulate((len(v) for _, v, _ in entries), initial=0))
+        self.owner = owner = np.repeat(np.arange(len(shapes)), [len(v) for _, v, _ in entries])
+        fv, fk = np.zeros((2, starts[-1], max(v.shape[1] for _, v, _ in entries)), dtype=np.int64)
+        for (_, v, k), st in zip(entries, starts):
+            fv[st:st + len(v), :v.shape[1]], fk[st:st + len(v), :k.shape[1]] = v, k
+        rows = sorted({r for lam in shapes for r in lam.rows}, reverse=True)
+        self.mults = mults = np.array([[m.get(r, 0) for r in rows] for m in map(
+            dict, (lam.pairs for lam in shapes))], dtype=np.int64).reshape(len(shapes), len(rows))
+        self.fv, self.fk, self.rows = fv, fk, np.array(rows, dtype=np.int64)
+        self.fiber, qrows, dprime = split_arrays(self.rows, mults[owner], fv, fk)
+        self.weights = mults @ self.rows
+        bad = (self.fiber + qrows.sum(1) + dprime @ self.rows != self.weights[owner]).nonzero()[0]
+        if bad.size:
+            raise DegreeMismatch(f"split of ({self.where(bad[0])}) does not partition the module")
+        index: Dict[Partition, int] = {}
+        self.jmu = _mu_index(qrows, index, lambda row: Partition((p, 1) for p in row if p))
+        self.kmu = _mu_index(dprime, index,
+                             lambda row: Partition((p, m) for p, m in zip(rows, row) if m))
+        self.mus = list(index)
+        self.lattices = [lattice(mu) for mu in self.mus]
+        ideals = np.array([len(a.w) for a in self.lattices])
+        self.ncells = np.bincount(owner, ideals[self.jmu] * ideals[self.kmu]).tolist()
+
+    def where(self, i: int) -> str:
+        I = row_ideal(self.fv[i].tolist(), self.fk[i].tolist())
+        return f"{self.shapes[self.owner[i]]}; {I}"
 
     def factors(self, code: int) -> tuple[int, ...]:
         out: list[int] = []
@@ -161,40 +161,21 @@ class _Cells(NamedTuple):
     def alpha(self, c: int) -> tuple:
         return int(self.ea[c]), self.factors(int(self.a_code[c]))
 
-    def ideal(self, i: int) -> OrderIdeal:
-        return row_ideal(self.fv[i].tolist(), self.fk[i].tolist())
+
+def _negative_power(where: str, akey: tuple) -> DegreeMismatch:
+    return DegreeMismatch(f"N_alpha has a negative power for alpha {_alpha_core(*akey)}"
+                          f" in the census of ({where})")
 
 
-def _cells(lam: Partition, fv: np.ndarray, fk: np.ndarray) -> _Cells:
-    """The cells of the first ideals with maximal points (fv, fk), padded as
-    in IdealLattice, I outer, then J, then K, in one numpy batch under every
-    guard but _group_sums' negative powers.
-
-    split_arrays gives every split at once; each distinct quotient and
-    lambda'' row becomes a partition mu, which contributes the rows of
-    lattice(mu) once; one broadcast gives their boundaries on
-    lambda's rows.  The cells are index arrays into the ideals, and factor
-    multisets are radix codes: digit r counts the r-th smallest factor
-    value of the shape, and the radix exceeds J's points plus K's, so codes
-    add as multisets do.  Every key and code is checked to fit in int64
-    before it is formed.  With s = |lambda| - [J union K],
-    the sum of min(bJ, bK) over lambda's rows scaled by multiplicities,
-    alpha has exponent |lambda| - s and x/alpha fiber + [J] + [K] - |lambda| + s."""
-    weight, rows = lam.weight, np.array(lam.rows, dtype=np.int64)
-    fiber, qrows, dprime = split_arrays(lam, fv, fk)
-    bad = (fiber + qrows.sum(1) + dprime @ rows != weight).nonzero()[0]
-    if bad.size:
-        I = row_ideal(fv[bad[0]].tolist(), fk[bad[0]].tolist())
-        raise DegreeMismatch(f"split of ({lam}; {I}) does not partition the module")
-    index: Dict[Partition, int] = {}
-    qkeys, qrow = _distinct(qrows)
-    dkeys, drow = _distinct(dprime)
-    jmu = np.array([index.setdefault(Partition((p, 1) for p in row if p), len(index))
-                    for row in qkeys])[qrow]
-    kmu = np.array([index.setdefault(Partition((p, m) for p, m in zip(lam.rows, row) if m),
-                                     len(index)) for row in dkeys])[drow]
-    parts = [lattice(mu) for mu in index]
-
+def _cells(block: _Block) -> _Block:
+    """Adds the cells of block, I outer, then J, then K, in one numpy batch
+    under every guard but _group_sums', each mu adding lattice(mu)'s rows
+    once; every key fits in int64.  With s the sum of min(bJ, bK) times the
+    cell's own shape's multiplicities, alpha has exponent |lambda| - s and
+    x/alpha fiber + [J] + [K] - |lambda| + s."""
+    rows, mults, name = block.rows, block.mults, " ".join(map(str, block.shapes))
+    top = int(block.weights.max())
+    parts = block.lattices
     # One row per ideal of every mu, padded to the widest antichain.
     sizes = np.array([len(a.w) for a in parts])
     starts = np.cumsum(sizes) - sizes
@@ -204,119 +185,115 @@ def _cells(lam: Partition, fv: np.ndarray, fk: np.ndarray) -> _Cells:
         for padded, field in ((pv, a.v), (pk, a.k), (pm, a.m)):
             padded[st:st + len(a.w), :field.shape[1]] = field
     w = np.concatenate([a.w for a in parts])
-    # Boundaries on lambda's rows; column[k] is row k's column, and a padded
-    # point, which carries no factor, reads column 0.
+    # Boundaries on the falling rows; a padded point reads any column, clipped.
     bound = np.minimum((pv[:, :, None] + np.maximum(rows - pk[:, :, None], 0)).min(
-        1, initial=lam.largest), rows)
-    scaled = bound * np.array([m for _, m in lam.pairs], dtype=np.int64)
-    column = np.zeros(lam.largest + 1, dtype=np.int64)
-    column[rows] = np.arange(rows.size)
-
-    values, rank = np.unique(pm, return_inverse=True)
-    radix, factor_values = 2 * width + 1, values[values > 0].tolist()
-    span = radix ** len(factor_values)
-    check_int64(span - 1, f"factor codes of the cells of {lam}")
-    digit = np.array([0] * (values.size - len(factor_values)) +
-                     [radix ** r for r in range(len(factor_values))], dtype=np.int64)
-    point_code = digit[rank.reshape(pm.shape)]
+        1, initial=rows.max(initial=0)), rows)
+    column = np.searchsorted(-rows, -pk)
+    digit = np.zeros(int(pm.max(initial=0)) + 1, dtype=np.int64)
+    digit[pm], digit[0] = 1, 0
+    radix, values = 2 * width + 1, digit.nonzero()[0]
+    span = radix ** len(values)
+    check_int64(span - 1, f"factor codes of the cells of {name}")
+    digit[values] = [radix ** r for r in range(len(values))]
+    point_code = digit[pm]
     code, sf = point_code.sum(1), pm.sum(1)
 
+    jmu, kmu, owner = block.jmu, block.kmu, block.owner
     counts = sizes[jmu] * sizes[kmu]
-    first, j0, k0, nk, off = np.repeat(np.stack(
-        [np.arange(len(fv)), starts[jmu], starts[kmu], sizes[kmu],
-         np.cumsum(counts) - counts]), counts, axis=1)
-    t = np.arange(off.size) - off
-    J, K = j0 + t // nk, k0 + t % nk
+    first = np.repeat(np.arange(owner.size), counts)
+    J, K = np.divmod(np.arange(first.size) - (np.cumsum(counts) - counts).take(first),
+                     sizes[kmu].take(first))
+    J += starts[jmu].take(first)
+    K += starts[kmu].take(first)
+    shape = owner.take(first)
     # take and einsum run faster than fancy indexing and a product's sum.
-    s = np.minimum(scaled.take(J, 0), scaled.take(K, 0)).sum(1)
-    inside = bound.ravel().take(J[:, None] * rows.size + column[pk].take(K, 0)) <= pv.take(K, 0)
+    s = bound.take(J, 0)
+    np.minimum(s, bound.take(K, 0), out=s)
+    s = np.einsum("cr,cr->c", s, mults.take(shape, 0))
+    inside = bound.ravel().take(J[:, None] * rows.size + column.take(K, 0),
+                                mode="clip") <= pv.take(K, 0)
     in_code = np.einsum("cw,cw->c", point_code.take(K, 0), inside)
     in_sf = np.einsum("cw,cw->c", pm.take(K, 0), inside)
-    ea, a_code, a_sf = weight - s, code[K] - in_code, sf[K] - in_sf
-    e, l_code, l_sf = fiber[first] + w[J] + w[K] + s, code[J] + in_code, sf[J] + in_sf
-    cells = _Cells(fv, fk, first, ea, a_code, e, l_code, l_sf, radix, factor_values, span)
+    cw = block.weights.take(shape)
+    ea, a_code = cw - s, code[K] - in_code
+    low = (block.fiber + top).take(first) + w[J] + w[K] + s - cw - sf[J] - in_sf
+    vars(block).update(top=top, radix=radix, values=values.tolist(), span=span, first=first,
+                       ea=ea, a_code=a_code, low=low, l_code=code[J] + in_code)
 
-    bad = (ea < a_sf).nonzero()[0]
+    bad = (ea < sf[K] - in_sf).nonzero()[0]
     if bad.size:
-        raise DegreeMismatch(f"alpha key {cells.alpha(bad[0])} of"
-                             f" ({lam}; {cells.ideal(first[bad[0]])}) is no polynomial")
-    bad = (e < l_sf).nonzero()[0]
+        raise DegreeMismatch(f"alpha key {block.alpha(bad[0])} of"
+                             f" ({block.where(first[bad[0]])}) is no polynomial")
+    # Shifted up by top, not by its own |lambda|, no key reaches below q**-|lambda|.
+    bad = (low < top - cw).nonzero()[0]
     if bad.size:
-        raise _negative_power(lam, cells.ideal(first[bad[0]]), cells.alpha(bad[0]))
-    check_int64(len(fv) * (weight + 1) * span - 1, f"(I, alpha) keys of the cells of {lam}")
-    check_int64((int(e.max()) + 1) * span - 1,
-                f"packed Laurent keys of the cells of {lam}")
-    return cells
+        raise _negative_power(block.where(first[bad[0]]), block.alpha(bad[0]))
+    check_int64(owner.size * (top + 1) * span - 1, f"(I, alpha) keys of the cells of {name}")
+    # A key's powers run from low to low + its factors' sum, at most 2 max(sf).
+    block.size = int(low.max()) + 2 * int(sf.max(initial=0)) + 1
+    check_int64(len(block.shapes) * block.size * span - 1,
+                f"packed Laurent keys of the cells of {name}")
+    return block
 
 
-def _group_sums(lam: Partition, cells: _Cells, sel: np.ndarray,
-                width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the Laurent keys of the cells sel per (I, alpha), in int64 with
-    column i standing for q**(i - |lambda|), i < width.  Returns each
-    group's first cell, in order of first appearance over sel, and the
-    group's row of sums.  Raises _negative_power unless every row is zero
-    below q**0: alpha divides its group total iff N_alpha has no negative
-    power."""
-    weight = lam.weight
-    _, seen, gid = np.unique(
-        (cells.first[sel] * (weight + 1) + cells.ea[sel]) * cells.span + cells.a_code[sel],
-        return_index=True, return_inverse=True)
-    order = np.argsort(seen)
-    gid = np.argsort(order)[gid]
-    heads = sel[seen[order]]
-    lcodes, cid = np.unique(cells.l_code[sel], return_inverse=True)
-    table = [_alpha_core(sum(f), f).coeffs for f in map(cells.factors, lcodes.tolist())]
-    check_int64(sel.size * max(abs(b) for cs in table for b in cs),
-                f"N_alpha coefficients of the cells of {lam}")
-    expansions = np.zeros((len(table), max(map(len, table))), dtype=np.int64)
-    for row, cs in zip(expansions, table):
+def _expansions(cells: _Block, lcodes: np.ndarray):
+    """A lookup of the Laurent codes of lcodes' zero-padded rows prod(q**m - 1)."""
+    distinct = np.sort(lcodes)  # a bare np.unique imports numpy.ma on first use
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    table = [_alpha_core(sum(f), f).coeffs for f in map(cells.factors, distinct.tolist())]
+    check_int64(cells.first.size * max((abs(b) for cs in table for b in cs), default=0),
+                f"N_alpha coefficients of the cells of {' '.join(map(str, cells.shapes))}")
+    ex = np.zeros((len(table), max(map(len, table), default=0)), dtype=np.int64)
+    for row, cs in zip(ex, table):
         row[:len(cs)] = cs
-    # Column j of a cell's expansion is power e - l_sf + j, at flat index
-    # low + j of acc; columns past width are cut.  One add.at on a flat
-    # index runs faster than one per column.
-    cols = width + expansions.shape[1]
-    low = gid * cols + cells.e[sel] - cells.l_sf[sel]
-    acc = np.zeros((heads.size, cols), dtype=np.int64)
-    np.add.at(acc.ravel(), (low[:, None] + np.arange(expansions.shape[1])).ravel(),
-              expansions[cid].ravel())
-    acc = acc[:, :width]
-    bad = acc[:, :weight].any(1).nonzero()[0]
+    return lambda codes: ex[np.searchsorted(distinct, codes)]
+
+
+def _group_sums(cells: _Block, sel: np.ndarray, width: int, expand) -> tuple:
+    """Each cell's (I, alpha) group over sel and the groups' int64 sums, column
+    i for q**(i - top), i < width; a power below q**0 raises _negative_power."""
+    top, ex = cells.top, expand(cells.l_code[sel])
+    groups, gid = np.unique((cells.first[sel] * (top + 1) + cells.ea[sel]) * cells.span +
+                            cells.a_code[sel], return_inverse=True)
+    # A cell adds its expansion from power low on, in one add.at.
+    cols = width + ex.shape[1]
+    acc = np.zeros((groups.size, cols), dtype=np.int64)
+    np.add.at(acc.ravel(), ((gid * cols + cells.low[sel])[:, None] +
+                            np.arange(ex.shape[1])).ravel(), ex.ravel())
+    bad = sel[acc[:, :top].any(1)[gid]]
     if bad.size:
-        c = heads[bad[0]]
-        raise _negative_power(lam, cells.ideal(cells.first[c]), cells.alpha(c))
-    return heads, acc
+        raise _negative_power(cells.where(cells.first[bad[0]]), cells.alpha(bad[0]))
+    return gid, acc[:, :width]
 
 
-def _laurent_total(lam: Partition, cells: _Cells) -> QPolynomial:
-    """n_lambda on lambda itself, checked monic of degree lambda_1: the Laurent
-    keys x/alpha of a batch of every first ideal, summed as Python ints.  Only
-    the cells whose key reaches below q**0 can leave a negative power in their
-    (I, alpha) group, so only those are grouped."""
-    weight = lam.weight
-    below = (cells.e - cells.l_sf < weight).nonzero()[0]
+def _laurent_totals(cells: _Block) -> list[QPolynomial]:
+    """n_lambda of each shape of the block, uncapped and checked monic of
+    degree lambda_1; only cells reaching below q**0 need grouping."""
+    top, shapes, size = cells.top, cells.shapes, cells.size  # column i is q**(i - top)
+    keys, counts = np.unique((cells.owner.take(cells.first) * size + cells.low) * cells.span +
+                             cells.l_code, return_counts=True)
+    at, lcodes = np.divmod(keys, cells.span)
+    expand = _expansions(cells, lcodes)
+    below = (cells.low < top).nonzero()[0]
     if below.size:
-        _group_sums(lam, cells, below, weight)
-    keys, counts = np.unique(cells.e * cells.span + cells.l_code, return_counts=True)
-    total = [0] * (int(cells.e.max()) + 1)  # coefficient i stands for q**(i - |lambda|)
-    for key, c in zip(keys.tolist(), counts.tolist()):
-        hi, lcode = divmod(key, cells.span)
-        f = cells.factors(lcode)
-        lo = hi - sum(f)
-        total[lo:hi + 1] = [a + c * b for a, b in zip(total[lo:hi + 1],
-                                                       _alpha_core(sum(f), f).coeffs)]
-    poly = QPolynomial(total[weight:])
-    if lam and (not poly.is_monic() or poly.degree != lam.largest):
-        raise DegreeMismatch(f"n_lambda({lam}) = {poly} fails monic/degree check")
-    return poly
+        _group_sums(cells, below, top, expand)
+    ex = expand(lcodes)
+    acc = np.zeros((len(shapes) + 1) * size, dtype=np.int64)
+    np.add.at(acc, (at[:, None] + np.arange(ex.shape[1])).ravel(), (counts[:, None] * ex).ravel())
+    polys = [QPolynomial(row) for row in acc.reshape(-1, size)[:-1, top:].tolist()]
+    for lam, poly in zip(shapes, polys):
+        if lam and (not poly.is_monic() or poly.degree != lam.largest):
+            raise DegreeMismatch(f"n_lambda({lam}) = {poly} fails monic/degree check")
+    return polys
 
 
-def _censuses(lam: Partition, cells: _Cells) -> list[Dict[QPolynomial, QPolynomial]]:
-    """The census of each first ideal of the batch; a shifted exponent e is
-    at most 2 |lambda|, so 2 |lambda| + 1 columns hold every group."""
-    weight = lam.weight
-    heads, acc = _group_sums(lam, cells, np.arange(cells.first.size), 2 * weight + 1)
-    censuses: list = [{} for _ in range(len(cells.fv))]
-    for c, row in zip(heads.tolist(), acc[:, weight:].tolist()):
+def _censuses(cells: _Block) -> list[Dict[QPolynomial, QPolynomial]]:
+    """The census of each first ideal; a shifted power is at most 2 top."""
+    gid, acc = _group_sums(cells, np.arange(cells.first.size), 2 * cells.top + 1,
+                           _expansions(cells, cells.l_code))
+    censuses: list = [{} for _ in range(cells.owner.size)]
+    heads = np.sort(np.unique(gid, return_index=True)[1])  # in order of first appearance
+    for c, row in zip(heads.tolist(), acc[gid[heads], cells.top:].tolist()):
         censuses[cells.first[c]][_alpha_core(*cells.alpha(c))] = QPolynomial(row)
     return censuses
 
@@ -324,9 +301,8 @@ def _censuses(lam: Partition, cells: _Cells) -> list[Dict[QPolynomial, QPolynomi
 def census_batch(lam: Partition) -> tuple[QPolynomial, list[Dict[QPolynomial, QPolynomial]]]:
     """n_lambda's own sum on lambda, uncapped, and the census of every
     ideal of lattice(lambda), in lattice order, from one cell batch."""
-    lat = lattice(lam)
-    cells = _cells(lam, lat.v, lat.k)
-    return _laurent_total(lam, cells), _censuses(lam, cells)
+    cells = _cells(_Block([(lam, lattice(lam).v, lattice(lam).k)]))
+    return _laurent_totals(cells)[0], _censuses(cells)
 
 
 def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
@@ -337,9 +313,8 @@ def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial
     require_context(lam, I)
     # No point, part or multiplicity of lambda exceeds |lambda|.
     check_int64(lam.weight, f"ideal weights of the cells of {lam}")
-    v, k = np.array(I.max_points + ((0, 0),) * (len(lam.pairs) - len(I.max_points)),
-                    dtype=np.int64).reshape(-1, 2).T
-    return _censuses(lam, _cells(lam, v[None], k[None]))[0]
+    v, k = np.array(I.max_points, dtype=np.int64).reshape(-1, 2).T
+    return _censuses(_cells(_Block([(lam, v[None], k[None])])))[0]
 
 
 def per_ideal_total(lam: Partition, I: OrderIdeal) -> QPolynomial:
@@ -347,23 +322,48 @@ def per_ideal_total(lam: Partition, I: OrderIdeal) -> QPolynomial:
     return sum(orbit_census(lam, I).values(), QPolynomial())
 
 
-_N_LAMBDA: Dict[Partition, QPolynomial] = {}
+def _runs(items: Iterable, size, cap: int) -> Iterator[list]:
+    """Consecutive runs of items, each one item or of sizes at most cap in all."""
+    run, total = [], 0
+    for item in items:
+        if run and total + size(item) > cap:
+            yield run
+            run, total = [], 0
+        run, total = run + [item], total + size(item)
+    yield from filter(None, [run])
+
+
+def _totals(entries: list) -> list[tuple]:
+    """(shape, n_lambda) for entries, from blocks of one shape or at most
+    _BLOCK_CELLS cells, freed in turn; only one shape's keys may pass int64."""
+    block = _Block(entries)
+    runs = list(_runs(zip(entries, block.ncells), lambda e: e[1], _BLOCK_CELLS))
+    if len(runs) == 1:
+        try:
+            return list(zip(block.shapes, _laurent_totals(_cells(block))))
+        except BudgetExceeded:
+            if len(entries) == 1:
+                raise
+            runs = [runs[0][:len(entries) // 2], runs[0][len(entries) // 2:]]
+    return [pair for run in runs for pair in _totals([entry for entry, _ in run])]
+
+
+def n_lambdas(lams: Iterable[Partition],
+              store: Optional[MutableMapping[Partition, QPolynomial]] = None) -> list[QPolynomial]:
+    """n_lambda of each shape of lams; those missing from `store` are built
+    in blocks across shapes, run by run of _SPLIT_IDEALS first ideals."""
+    store = _N_LAMBDA if store is None else store
+    capped = [lam.cap(2) for lam in lams]
+    entries = ((mu, lattice(mu).v, lattice(mu).k)
+               for mu in dict.fromkeys(mu for mu in capped if mu not in store))
+    for run in _runs(entries, lambda e: len(e[1]), _SPLIT_IDEALS):
+        store.update(_totals(run))
+    return [store[mu] for mu in capped]
 
 
 def n_lambda(lam: Partition,
              store: Optional[MutableMapping[Partition, QPolynomial]] = None) -> QPolynomial:
     """Number of automorphism orbits of pairs in the module of shape lambda,
-    monic of degree lambda_1 with integer coefficients.
-
-    Multiplicities are capped at 2 first: the count is invariant under the
-    cap, which verify checks on every shape past its cap.  Results are
-    memoized in `store` (module-level by default).
-    """
-    if store is None:
-        store = _N_LAMBDA
-    capped = lam.cap(2)
-    total = store.get(capped)
-    if total is None:
-        lat = lattice(capped)
-        total = store[capped] = _laurent_total(capped, _cells(capped, lat.v, lat.k))
-    return total
+    monic of degree lambda_1; multiplicities are capped at 2, as the count is
+    invariant under the cap.  Memoized in `store` (module-level by default)."""
+    return n_lambdas([lam], store)[0]

@@ -295,8 +295,11 @@ def row_ideal(v: Iterable[int], k: Iterable[int]) -> OrderIdeal:
     return OrderIdeal(Point(a, b) for a, b in zip(v, k) if b)
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def check_int64(bound: int, what: str):
-    if bound > np.iinfo(np.int64).max:
+    if bound > INT64_MAX:
         raise BudgetExceeded(f"{what} reach {bound}, past int64")
 
 

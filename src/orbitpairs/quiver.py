@@ -15,7 +15,7 @@ from math import factorial, lcm, prod
 from typing import Dict, Iterable
 
 from .errors import NonIntegerResult
-from .orbits import n_lambda
+from .orbits import n_lambda, n_lambdas
 from .posets import Partition, partitions_of
 from .qpoly import ONE, Q, QPolynomial, ZERO
 
@@ -142,9 +142,12 @@ def _series(n_max: int) -> list[QPolynomial]:
     """R_{0,1}, ..., R_{n_max,1}.  The factor of degree d, sum over j <= J = n_max // d
     of binom(phi_d, j) u_d^j with u_d = sum of n_lambda(q^d) x^{d|lambda|}, is scaled by
     D_d = d^J J! to prod_{t<j} (d phi_d - d t) * d^(J-j) * J!/j!; the product is
-    divided once by prod_d D_d, with NonIntegerResult on a nonzero remainder."""
-    sums = {m: sum((n_lambda(lam) for lam in partitions_of(m)), ZERO)
-            for m in range(1, n_max + 1)}
+    divided once by prod_d D_d, with NonIntegerResult on a nonzero remainder.  Every
+    n_lambda with |lambda| <= n_max comes from one n_lambdas call, in blocks across
+    shapes."""
+    parts = {m: partitions_of(m) for m in range(1, n_max + 1)}
+    polys = iter(n_lambdas(lam for ps in parts.values() for lam in ps))
+    sums = {m: sum((next(polys) for _ in ps), ZERO) for m, ps in parts.items()}
     series = [ONE] + [ZERO] * n_max
     scale = 1
     for d in range(1, n_max + 1):
@@ -172,12 +175,21 @@ def _series(n_max: int) -> list[QPolynomial]:
     return out
 
 
+# The longest series _series has given r_n1, R_{0,1} .. R_{len - 1,1}.
+_SERIES: list[QPolynomial] = []
+
+
 def r_n1(n: int) -> QPolynomial:
     """Number of isomorphism classes of representations with dimension
-    vector (n, 1): entry n of the series, which genfunc_check checks."""
+    vector (n, 1): entry n of the series, which genfunc_check checks.  Every
+    D_d-scaled factor is exact below x**(n_max + 1), so R_{n,1} is the same
+    for every n_max >= n: the longest series computed is kept in _SERIES,
+    and recomputed only for an n past its end."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _series(n)[n]
+    if n >= len(_SERIES):
+        _SERIES[:] = _series(n)
+    return _SERIES[n]
 
 
 def type_sum(n: int, r: QPolynomial) -> tuple[list, bool]:

@@ -189,10 +189,10 @@ def _laurent_sum(lam: Partition, I: OrderIdeal, akey: tuple, group: dict) -> lis
     for (e, f), cell in group.items():
         sf = sum(f)
         if e < sf:
-            raise _negative_power(lam, I, akey)
+            raise _negative_power(f"{lam}; {I}", akey)
         _mul_into(acc, cell, _alpha_core(sf, f).coeffs, e - sf)
     if any(acc[:weight]):
-        raise _negative_power(lam, I, akey)
+        raise _negative_power(f"{lam}; {I}", akey)
     return acc[weight:]
 
 

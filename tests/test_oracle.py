@@ -527,8 +527,8 @@ class TestVerify:
         built = []
         real = orbits_module._cells
         monkeypatch.setattr(orbits_module, "_cells",
-                            lambda lam, fv, fk: built.append((str(lam), len(fv))) or
-                            real(lam, fv, fk))
+                            lambda block: built.append((" ".join(map(str, block.shapes)),
+                                                        block.owner.size)) or real(block))
         lam = Partition.parse("2^2,1")
         assert verify(lam, 2)["pass"]
         assert built == [("2^2,1", len(lattice(lam).ideals))]

@@ -12,8 +12,8 @@ from polydiv import exact_div
 from orbitpairs import cli, orbits, posets
 from orbitpairs.errors import BudgetExceeded, DegreeMismatch, IdealOutOfContext
 from orbitpairs.oracle import verify
-from orbitpairs.orbits import (canonical_split, census_batch, n_lambda, orbit_census,
-                               orbit_size, per_ideal_total)
+from orbitpairs.orbits import (canonical_split, census_batch, n_lambda, n_lambdas,
+                               orbit_census, orbit_size, per_ideal_total)
 from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, laurent_product, monomial
 from orbitpairs.refined import refined_matrix
@@ -449,8 +449,8 @@ class TestCensusGroups:
     def test_weight_identity_guard(self, monkeypatch):
         real = orbits.split_arrays
 
-        def heavy_fibers(lam, v, k):
-            fiber, quotient, dprime = real(lam, v, k)
+        def heavy_fibers(rows, mults, v, k):
+            fiber, quotient, dprime = real(rows, mults, v, k)
             return fiber + 1, quotient, dprime
 
         monkeypatch.setattr(orbits, "split_arrays", heavy_fibers)
@@ -520,6 +520,102 @@ class TestCensusGroups:
         assert "past int64" in capsys.readouterr().err
 
 
+# Lists of shapes of several weights, with repeats, multiplicities past the
+# cap and the empty partition.
+SHAPE_LISTS = st.lists(
+    st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=3).map(
+        lambda mults: Partition(sorted(mults.items(), reverse=True))),
+    min_size=1, max_size=6).map(lambda lams: lams + lams[::2])
+
+# Shapes of distinct weights, of which only 4 has the ideal lattice of 4.
+MIXED = [Partition.parse(t) for t in ("1", "2,1", "4", "1^2")]
+
+
+def cells_spy(monkeypatch) -> list:
+    """The shapes of every block that orbits._cells builds from now on."""
+    built, real = [], orbits._cells
+    monkeypatch.setattr(orbits, "_cells", lambda block: built.append(
+        [str(lam) for lam in block.shapes]) or real(block))
+    return built
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("cap", [1, 100, 10 ** 9])
+    @settings(deadline=None, max_examples=15)
+    @given(lams=SHAPE_LISTS)
+    def test_blocks_match_one_shape_at_a_time(self, cap, lams):
+        expected = [n_lambda(lam, {}) for lam in lams]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbits, "_BLOCK_CELLS", cap)
+            mp.setattr(orbits, "_SPLIT_IDEALS", cap)
+            assert n_lambdas(lams, {}) == expected
+
+    def test_blocks_across_weights(self, monkeypatch):
+        # Each distinct capped shape is built once, in order, in blocks that
+        # span weights.
+        shapes = [lam for n in range(10) for lam in partitions_of(n)]
+        expected = [n_lambda(lam, {}) for lam in shapes]
+        built = cells_spy(monkeypatch)
+        assert n_lambdas(shapes, {}) == expected
+        assert sum(built, []) == list(dict.fromkeys(str(lam.cap(2)) for lam in shapes))
+        assert len(built) < 10
+        assert len({Partition.parse(t).weight for t in built[0]}) > 1
+
+    def test_memoized_shapes_build_no_block(self, monkeypatch):
+        lams = [Partition.parse(t) for t in ("2,1", "3", "1^3")]
+        expected = [n_lambda(lam, {}) for lam in lams]
+        store: dict = {}
+        n_lambdas(lams[:2], store)
+        built = cells_spy(monkeypatch)
+        assert n_lambdas(lams, store) == expected
+        assert built == [["1^2"]]
+        assert n_lambdas(lams + [Partition.parse("1^5")], store) == expected + expected[2:]
+        assert built == [["1^2"]]
+
+    def test_weight_identity_names_its_shape(self, monkeypatch):
+        # Heavy fibers in the first ideals of the shape 4 alone.
+        real = orbits.split_arrays
+        monkeypatch.setattr(orbits, "split_arrays", lambda rows, mults, v, k: (
+            lambda fiber, quotient, dprime: (fiber + (mults @ rows == 4), quotient, dprime))(
+                *real(rows, mults, v, k)))
+        with pytest.raises(DegreeMismatch) as alone:
+            n_lambda(Partition.parse("4"), {})
+        with pytest.raises(DegreeMismatch) as block:
+            n_lambdas(MIXED, {})
+        assert str(block.value) == str(alone.value)
+        assert str(alone.value).startswith("split of (4; ")
+
+    def test_negative_power_names_its_shape(self, monkeypatch):
+        # Orbit sizes with a factor q divided by q, in lattice(4) alone.
+        real = orbits.lattice
+        monkeypatch.setattr(orbits, "lattice", lambda mu: (lambda a: Arrays(
+            a.v, a.k, a.m, a.w - (a.w > a.m.sum(1)) * (mu == Partition.parse("4"))))(real(mu)))
+        with pytest.raises(DegreeMismatch, match="negative power") as alone:
+            n_lambda(Partition.parse("4"), {})
+        with pytest.raises(DegreeMismatch) as block:
+            n_lambdas(MIXED, {})
+        assert str(block.value) == str(alone.value)
+        assert "census of (4; " in str(alone.value)
+
+    def test_block_past_int64_is_halved(self, monkeypatch):
+        # With int64 cut to the largest bound a single shape checks, the
+        # block of all four is halved until each shape is a block.
+        bounds, real = [], orbits.check_int64
+        monkeypatch.setattr(orbits, "check_int64",
+                            lambda bound, what: bounds.append(bound) or real(bound, what))
+        expected = [n_lambda(lam, {}) for lam in MIXED]
+        limit = max(bounds)
+        monkeypatch.setattr(posets, "INT64_MAX", limit)
+        built = cells_spy(monkeypatch)
+        assert n_lambdas(MIXED, {}) == expected
+        assert built[0] == [str(lam) for lam in MIXED]
+        assert sorted(b for b in built if len(b) == 1) == sorted([str(lam)] for lam in MIXED)
+        # A single shape past the limit still raises.
+        monkeypatch.setattr(posets, "INT64_MAX", limit - 1)
+        with pytest.raises(BudgetExceeded, match="past int64"):
+            n_lambdas(MIXED, {})
+
+
 def arrays_from_lattice(mu: Partition) -> tuple:
     """(v, k, m, w) of every ideal of lattice(mu), in lattice order, read
     through OrderIdeal's own max_points and weighted_size, with the maximal
@@ -558,7 +654,8 @@ class TestIdealArrays:
     def test_splits_match_canonical_split(self):
         for lam in CAPPED_TO_12:
             lat = lattice(lam)
-            fiber, quotient, dprime = orbits.split_arrays(lam, lat.v, lat.k)
+            fiber, quotient, dprime = orbits.split_arrays(
+                np.array(lam.rows), np.array([m for _, m in lam.pairs]), lat.v, lat.k)
             for i, I in enumerate(lat.ideals):
                 sp = canonical_split(lam, I)
                 assert fiber[i] == sp.fiber, (str(lam), str(I))

@@ -226,9 +226,21 @@ class TestRepresentationCount:
     def test_nonzero_remainder_raises(self, monkeypatch):
         # Doubling every factorial leaves each J!/j! as it is but doubles
         # each scale factor D_d = d^J J!, so the final division is inexact.
+        # An empty series memo makes r_n1 compute the series again.
+        monkeypatch.setattr(quiver, "_SERIES", [])
         monkeypatch.setattr(quiver, "factorial", lambda k: 2 * math.factorial(k))
         with pytest.raises(NonIntegerResult):
             r_n1(3)
+
+    def test_series_memo(self, monkeypatch):
+        # R_{n,1} is read off the longest series computed so far, which is
+        # computed again only for an n past its end.
+        monkeypatch.setattr(quiver, "_SERIES", [])
+        real, calls = quiver._series, []
+        monkeypatch.setattr(quiver, "_series", lambda n_max: calls.append(n_max) or real(n_max))
+        for n in (7, 3, 10, 1):
+            assert r_n1(n) == real(n)[n], n
+        assert calls == [7, 10]
 
     def test_type_sum_cross_multiplies(self, monkeypatch):
         # A class count off by a factor in its denominator alone breaks the
