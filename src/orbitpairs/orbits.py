@@ -29,6 +29,9 @@ division.  Three guards stand in for the mass check and exact division:
 
 One engine runs all three on a _Block of first ideals of one shape or
 more, each cell's Laurent key shifted up by the block's largest weight.
+A block splits its first ideals once; n_lambdas sizes it by its shapes'
+|lattice(lambda)|**2, known before the split: for every capped shape
+reached from |lambda| <= 22, its cells are 0.4 to 7 times that.
 """
 
 from __future__ import annotations
@@ -40,13 +43,13 @@ from typing import Dict, Iterable, Iterator, MutableMapping, Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, DegreeMismatch
+from .errors import DegreeMismatch
 from .posets import (OrderIdeal, Partition, Point, check_int64, lattice, require_context,
                      row_ideal)
 from .qpoly import QPolynomial, laurent_product
 
-# Caps on a block's cells and on the first ideals split at once, but for one shape.
-_BLOCK_CELLS, _SPLIT_IDEALS = 2 ** 11, 2 ** 7
+# A cap on the sum of |lattice(lambda)|**2 over a block's shapes, but for one shape.
+_BLOCK_SQUARES = 2 ** 11
 _N_LAMBDA: Dict[Partition, QPolynomial] = {}
 
 
@@ -118,9 +121,9 @@ def _mu_index(a: np.ndarray, index: Dict[Partition, int], mu) -> np.ndarray:
 class _Block:
     """The first ideals (v, k) of each (shape, v, k) of entries, split at
     once: per ideal, its shape's index owner, its fiber, and its quotient's
-    and lambda'''s indices jmu and kmu into mus; ncells counts each shape's
-    cells.  _cells adds per cell (I, J, K) I's index first, the alpha key
-    (ea, a_code), and x/alpha's code l_code and lowest power low, up by top."""
+    and lambda'''s indices jmu and kmu into mus.  _cells adds per cell
+    (I, J, K) I's index first, the alpha key (ea, a_code), and x/alpha's code
+    l_code and lowest power low, up by top."""
 
     def __init__(self, entries: list):
         self.shapes = shapes = [lam for lam, _, _ in entries]
@@ -144,8 +147,6 @@ class _Block:
                              lambda row: Partition((p, m) for p, m in zip(rows, row) if m))
         self.mus = list(index)
         self.lattices = [lattice(mu) for mu in self.mus]
-        ideals = np.array([len(a.w) for a in self.lattices])
-        self.ncells = np.bincount(owner, ideals[self.jmu] * ideals[self.kmu]).tolist()
 
     def where(self, i: int) -> str:
         I = row_ideal(self.fv[i].tolist(), self.fk[i].tolist())
@@ -333,31 +334,19 @@ def _runs(items: Iterable, size, cap: int) -> Iterator[list]:
     yield from filter(None, [run])
 
 
-def _totals(entries: list) -> list[tuple]:
-    """(shape, n_lambda) for entries, from blocks of one shape or at most
-    _BLOCK_CELLS cells, freed in turn; only one shape's keys may pass int64."""
-    block = _Block(entries)
-    runs = list(_runs(zip(entries, block.ncells), lambda e: e[1], _BLOCK_CELLS))
-    if len(runs) == 1:
-        try:
-            return list(zip(block.shapes, _laurent_totals(_cells(block))))
-        except BudgetExceeded:
-            if len(entries) == 1:
-                raise
-            runs = [runs[0][:len(entries) // 2], runs[0][len(entries) // 2:]]
-    return [pair for run in runs for pair in _totals([entry for entry, _ in run])]
-
-
 def n_lambdas(lams: Iterable[Partition],
               store: Optional[MutableMapping[Partition, QPolynomial]] = None) -> list[QPolynomial]:
     """n_lambda of each shape of lams; those missing from `store` are built
-    in blocks across shapes, run by run of _SPLIT_IDEALS first ideals."""
+    in blocks of consecutive shapes whose |lattice(lambda)|**2 sum to at most
+    _BLOCK_SQUARES, a shape past it being a block of its own.  A block past
+    an int64 guard raises BudgetExceeded, as a single shape does."""
     store = _N_LAMBDA if store is None else store
     capped = [lam.cap(2) for lam in lams]
     entries = ((mu, lattice(mu).v, lattice(mu).k)
                for mu in dict.fromkeys(mu for mu in capped if mu not in store))
-    for run in _runs(entries, lambda e: len(e[1]), _SPLIT_IDEALS):
-        store.update(_totals(run))
+    for run in _runs(entries, lambda e: len(e[1]) ** 2, _BLOCK_SQUARES):
+        # One expression, so that no block's cells outlive it.
+        store.update(zip((mu for mu, _, _ in run), _laurent_totals(_cells(_Block(run)))))
     return [store[mu] for mu in capped]
 
 

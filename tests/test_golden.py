@@ -11,6 +11,7 @@ import json
 import pytest
 from make_golden import PATH, SECTIONS
 
+from orbitpairs.orbits import n_lambdas
 from orbitpairs.posets import partitions_of
 from orbitpairs.refined import refined_matrix
 
@@ -44,3 +45,20 @@ def test_refined_matrices_past_the_corpus():
             for (I, L), total in refined_matrix(lam).items():
                 h.update(f"{lam};{I};{L};{list(total.coeffs)}\n".encode())
     assert h.hexdigest() == REFINED_DIGEST
+
+
+# sha256 of the lines "lambda;coefficients" of n_lambdas(partitions_of(n)),
+# one call per weight n <= 20 sharing one store, as conjecture makes them,
+# made by this recipe from the engine that split each run of shapes twice.
+BATCHED_DIGEST = "186eb25ca4f3f4f271a64e832a7887ce25149b745ea570f3791fc425f72ed908"
+
+
+def test_batched_n_lambdas_past_the_corpus():
+    # The corpus holds n_lambda(lam, {}) one shape at a time; table and
+    # conjecture build a weight's shapes in blocks across shapes.
+    h, store = hashlib.sha256(), {}
+    for n in range(21):
+        lams = partitions_of(n)
+        for lam, poly in zip(lams, n_lambdas(lams, store)):
+            h.update(f"{lam};{list(poly.coeffs)}\n".encode())
+    assert h.hexdigest() == BATCHED_DIGEST

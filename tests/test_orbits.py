@@ -546,8 +546,7 @@ class TestBlocks:
     def test_blocks_match_one_shape_at_a_time(self, cap, lams):
         expected = [n_lambda(lam, {}) for lam in lams]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orbits, "_BLOCK_CELLS", cap)
-            mp.setattr(orbits, "_SPLIT_IDEALS", cap)
+            mp.setattr(orbits, "_BLOCK_SQUARES", cap)
             assert n_lambdas(lams, {}) == expected
 
     def test_blocks_across_weights(self, monkeypatch):
@@ -597,23 +596,34 @@ class TestBlocks:
         assert str(block.value) == str(alone.value)
         assert "census of (4; " in str(alone.value)
 
-    def test_block_past_int64_is_halved(self, monkeypatch):
+    def test_each_shape_split_once(self, monkeypatch):
+        # One _Block per cell batch, and every shape in exactly one _Block.
+        split, real = [], orbits._Block
+        monkeypatch.setattr(orbits, "_Block", lambda entries: split.append(
+            [str(lam) for lam, _, _ in entries]) or real(entries))
+        built = cells_spy(monkeypatch)
+        shapes = [lam for n in range(13) for lam in partitions_of(n)]
+        n_lambdas(shapes, {})
+        assert split == built
+        assert sum(split, []) == list(dict.fromkeys(str(lam.cap(2)) for lam in shapes))
+
+    def test_block_past_int64_raises(self, monkeypatch):
         # With int64 cut to the largest bound a single shape checks, the
-        # block of all four is halved until each shape is a block.
-        bounds, real = [], orbits.check_int64
-        monkeypatch.setattr(orbits, "check_int64",
-                            lambda bound, what: bounds.append(bound) or real(bound, what))
-        expected = [n_lambda(lam, {}) for lam in MIXED]
+        # block of all four raises, as that shape alone does one below.
+        bounds, real = {}, orbits.check_int64
+        for lam in MIXED:
+            monkeypatch.setattr(orbits, "check_int64", lambda bound, what: bounds.update(
+                {bound: lam}) or real(bound, what))
+            n_lambda(lam, {})
         limit = max(bounds)
         monkeypatch.setattr(posets, "INT64_MAX", limit)
         built = cells_spy(monkeypatch)
-        assert n_lambdas(MIXED, {}) == expected
-        assert built[0] == [str(lam) for lam in MIXED]
-        assert sorted(b for b in built if len(b) == 1) == sorted([str(lam)] for lam in MIXED)
-        # A single shape past the limit still raises.
-        monkeypatch.setattr(posets, "INT64_MAX", limit - 1)
         with pytest.raises(BudgetExceeded, match="past int64"):
             n_lambdas(MIXED, {})
+        assert built == [[str(lam) for lam in MIXED]]
+        monkeypatch.setattr(posets, "INT64_MAX", limit - 1)
+        with pytest.raises(BudgetExceeded, match="past int64"):
+            n_lambda(bounds[limit], {})
 
 
 def arrays_from_lattice(mu: Partition) -> tuple:
