@@ -1,10 +1,11 @@
 """Isomorphism classes of quiver representations with dimension vector (n, 1).
 
 R_{n,1}(q) is read off Hua's product sum_n R_{n,1} x^n = prod_d (sum_lambda
-n_lambda(q^d) x^{d|lambda|})^{phi_d(q)}, expanded in integer arithmetic.  The
-sum over similarity-class types (multisets of (partition, degree) pairs) of
-class counts times orbit counts is its independent check; the rational phi_d
-and class counts are each an int polynomial over an int denominator.
+n_lambda(q^d) x^{d|lambda|})^{phi_d(q)}, taken as the exponential of its
+logarithm by Newton's identities, one weight at a time in Z[q].  The sum over
+similarity-class types (multisets of (partition, degree) pairs) of class
+counts times orbit counts is its independent check; the rational phi_d and
+class counts are each an int polynomial over an int denominator.
 """
 
 from __future__ import annotations
@@ -125,71 +126,48 @@ def n_tau(tau: MatrixType) -> QPolynomial:
     return prod
 
 
-def _series_mul(a: list, b: list, n_max: int) -> list:
-    out = [ZERO] * (n_max + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > n_max:
-                break
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
+# Weight by weight from 0, the quiver series' terms (s_n, b_n, B_n, R_{n,1}):
+# s_n sums n_lambda over |lambda| = n, b_n is the n-th power sum of
+# U = sum_n s_n x^n and B_n = sum over d | n of d phi_d(q) b_{n/d}(q^d).
+# Weight n reads only the weights below it, so the store grows at its end.
+_STORE: list[tuple[QPolynomial, QPolynomial, QPolynomial, QPolynomial]] = [
+    (ONE, ZERO, ZERO, ONE)]
 
 
 def _series(n_max: int) -> list[QPolynomial]:
-    """R_{0,1}, ..., R_{n_max,1}.  The factor of degree d, sum over j <= J = n_max // d
-    of binom(phi_d, j) u_d^j with u_d = sum of n_lambda(q^d) x^{d|lambda|}, is scaled by
-    D_d = d^J J! to prod_{t<j} (d phi_d - d t) * d^(J-j) * J!/j!; the product is
-    divided once by prod_d D_d, with NonIntegerResult on a nonzero remainder.  Every
-    n_lambda with |lambda| <= n_max comes from one n_lambdas call, in blocks across
+    """R_{0,1}, ..., R_{n_max,1}.  Hua's product prod_d U(q^d, x^d)^{phi_d(q)}
+    is read as an exponential in Z[q]: log U = sum_n b_n x^n / n, where
+    b_n = n s_n - sum_{0<k<n} b_k s_{n-k}, so x d/dx log of the product is
+    sum_n B_n x^n and n R_n = sum_{k=1..n} B_k R_{n-k}, with NonIntegerResult
+    on a nonzero remainder.  Only the weights past _STORE's end are
+    computed, their n_lambda from one n_lambdas call, in blocks across
     shapes."""
-    parts = {m: partitions_of(m) for m in range(1, n_max + 1)}
-    polys = iter(n_lambdas(lam for ps in parts.values() for lam in ps))
-    sums = {m: sum((next(polys) for _ in ps), ZERO) for m, ps in parts.items()}
-    series = [ONE] + [ZERO] * n_max
-    scale = 1
-    for d in range(1, n_max + 1):
-        J = n_max // d
-        u = [sums[i // d].compose_power(d) if i and i % d == 0 else ZERO
-             for i in range(n_max + 1)]
-        d_phi = phi_d(d)[0]
-        factor = [ZERO] * (n_max + 1)
-        term = [ONE] + [ZERO] * n_max
-        falling = ONE
-        for j in range(J + 1):
-            if j:
-                term = _series_mul(term, u, n_max)
-                falling = falling * (d_phi - d * (j - 1))
-            binom = falling * (d ** (J - j) * (factorial(J) // factorial(j)))
-            factor = [f + binom * t for f, t in zip(factor, term)]
-        series = _series_mul(series, factor, n_max)
-        scale *= d ** J * factorial(J)
-    out = []
-    for n, poly in enumerate(series):
-        quot = [divmod(c, scale) for c in poly.coeffs]
-        if any(r for _, r in quot):
-            raise NonIntegerResult(f"R_{n},1 = ({poly}) / {scale}")
-        out.append(QPolynomial(c for c, _ in quot))
-    return out
-
-
-# The longest series _series has given r_n1, R_{0,1} .. R_{len - 1,1}.
-_SERIES: list[QPolynomial] = []
+    store = _STORE
+    if n_max >= len(store):
+        parts = [partitions_of(n) for n in range(len(store), n_max + 1)]
+        polys = iter(n_lambdas(lam for ps in parts for lam in ps))
+        for ps in parts:
+            n = len(store)
+            s_n = sum((next(polys) for _ in ps), ZERO)
+            b_n = s_n * n - sum((store[k][1] * store[n - k][0] for k in range(1, n)), ZERO)
+            B_n = sum((phi_d(d)[0] * (store[n // d][1] if d > 1 else b_n).compose_power(d)
+                       for d in range(1, n + 1) if n % d == 0), ZERO)
+            total = sum((store[k][2] * store[n - k][3] for k in range(1, n)), B_n)
+            quot = [divmod(c, n) for c in total.coeffs]
+            if any(r for _, r in quot):
+                raise NonIntegerResult(f"R_{n},1 = ({total}) / {n}")
+            store.append((s_n, b_n, B_n, QPolynomial(c for c, _ in quot)))
+    return [r_n for *_, r_n in store[:n_max + 1]]
 
 
 def r_n1(n: int) -> QPolynomial:
     """Number of isomorphism classes of representations with dimension
-    vector (n, 1): entry n of the series, which genfunc_check checks.  Every
-    D_d-scaled factor is exact below x**(n_max + 1), so R_{n,1} is the same
-    for every n_max >= n: the longest series computed is kept in _SERIES,
-    and recomputed only for an n past its end."""
+    vector (n, 1): entry n of the series, which genfunc_check checks.  Each
+    R_{n,1} needs only the weights <= n, so a call computes just the weights
+    past those already in _STORE."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n >= len(_SERIES):
-        _SERIES[:] = _series(n)
-    return _SERIES[n]
+    return _series(n)[n]
 
 
 def type_sum(n: int, r: QPolynomial) -> tuple[list, bool]:
@@ -203,8 +181,9 @@ def type_sum(n: int, r: QPolynomial) -> tuple[list, bool]:
 
 
 def genfunc_check(n_max: int) -> bool:
-    """Compare the series R_{0..n_max} with the type sums over all types of
-    weight n, sum c_tau * n_tau, for every n <= n_max."""
+    """Compare the series R_{0..n_max}, read from the store that r_n1 reads,
+    with the type sums over all types of weight n, sum c_tau * n_tau, for
+    every n <= n_max."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     series = _series(n_max)

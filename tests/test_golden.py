@@ -13,6 +13,7 @@ from make_golden import PATH, SECTIONS
 
 from orbitpairs.orbits import n_lambdas
 from orbitpairs.posets import partitions_of
+from orbitpairs.quiver import r_n1
 from orbitpairs.refined import refined_matrix
 
 GOLDEN = json.loads(PATH.read_text())
@@ -62,3 +63,17 @@ def test_batched_n_lambdas_past_the_corpus():
         for lam, poly in zip(lams, n_lambdas(lams, store)):
             h.update(f"{lam};{list(poly.coeffs)}\n".encode())
     assert h.hexdigest() == BATCHED_DIGEST
+
+
+# sha256 of the lines "n;coefficients" of r_n1(n) for n <= 18, made by this
+# recipe from the engine that expanded Hua's product as binomial series scaled
+# by d^J J!.
+R_N1_DIGEST = "6ed04dff786065eeca1797567c2b78c3f14351f5ad5b5ef04428641030ba9269"
+
+
+def test_r_n1_past_the_corpus():
+    # The corpus holds R_{n,1} up to n = 12 only.
+    h = hashlib.sha256()
+    for n in range(1, 19):
+        h.update(f"{n};{','.join(map(str, r_n1(n).coeffs))}\n".encode())
+    assert h.hexdigest() == R_N1_DIGEST

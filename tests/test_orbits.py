@@ -326,6 +326,15 @@ class TestNLambda:
     def test_empty_partition(self):
         assert n_lambda(Partition()) == ONE
 
+    def test_closed_forms_at_large_k(self):
+        # Each from a fresh store: a single row (k) gives q^k + 2 q^(k-1) + ...
+        # + 2, and a doubled row (k^2) the sum over i <= k of (2k + 1 - 2i) q^i.
+        for k in range(1, 121):
+            assert n_lambda(Partition.parse(str(k)), {}).coeffs == (2,) * k + (1,), k
+        for k in range(1, 31):
+            assert n_lambda(Partition.parse(f"{k}^2"), {}).coeffs == \
+                tuple(range(2 * k + 1, 0, -2)), k
+
     def test_monic_integer_of_degree_largest(self):
         for n in range(1, 8):
             for lam in partitions_of(n):

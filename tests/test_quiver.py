@@ -1,4 +1,4 @@
-import math
+import random
 from itertools import product
 
 import pytest
@@ -224,23 +224,42 @@ class TestRepresentationCount:
         assert not genfunc_check(2)
 
     def test_nonzero_remainder_raises(self, monkeypatch):
-        # Doubling every factorial leaves each J!/j! as it is but doubles
-        # each scale factor D_d = d^J J!, so the final division is inexact.
-        # An empty series memo makes r_n1 compute the series again.
-        monkeypatch.setattr(quiver, "_SERIES", [])
-        monkeypatch.setattr(quiver, "factorial", lambda k: 2 * math.factorial(k))
-        with pytest.raises(NonIntegerResult):
+        # With d phi_d off by one at d = 2, 2 R_2 gains b_1(q^2) = q^2 + 2, so
+        # the division by 2 is inexact.  An emptied store makes r_n1 compute
+        # the weights again.
+        monkeypatch.setattr(quiver, "_STORE", quiver._STORE[:1])
+        monkeypatch.setattr(quiver, "phi_d", lambda d: (phi_d(d)[0] + (d == 2), d))
+        assert r_n1(1) == Q ** 2 + 2 * Q
+        with pytest.raises(NonIntegerResult, match=r"R_2,1 = \(2q\^4 \+ 4q\^3 \+ 9q\^2 \+ 4q \+ 2\) / 2"):
             r_n1(3)
 
     def test_series_memo(self, monkeypatch):
-        # R_{n,1} is read off the longest series computed so far, which is
-        # computed again only for an n past its end.
-        monkeypatch.setattr(quiver, "_SERIES", [])
-        real, calls = quiver._series, []
-        monkeypatch.setattr(quiver, "_series", lambda n_max: calls.append(n_max) or real(n_max))
+        # R_{n,1} needs only the weights <= n, so each call asks n_lambdas
+        # for the shapes of the weights past the store's end, and no others.
+        expected = {n: r_n1(n) for n in range(1, 11)}
+        monkeypatch.setattr(quiver, "_STORE", quiver._STORE[:1])
+        real, calls = quiver.n_lambdas, []
+
+        def spy(lams):
+            lams = list(lams)
+            calls.append(lams)
+            return real(lams)
+
+        monkeypatch.setattr(quiver, "n_lambdas", spy)
         for n in (7, 3, 10, 1):
-            assert r_n1(n) == real(n)[n], n
-        assert calls == [7, 10]
+            assert r_n1(n) == expected[n], n
+        assert calls == [[lam for m in range(1, 8) for lam in partitions_of(m)],
+                         [lam for m in range(8, 11) for lam in partitions_of(m)]]
+
+    def test_shuffled_order_matches_increasing(self, monkeypatch):
+        # Each order from an emptied store.
+        monkeypatch.setattr(quiver, "_STORE", quiver._STORE[:1])
+        increasing = [r_n1(n) for n in range(1, 15)]
+        monkeypatch.setattr(quiver, "_STORE", quiver._STORE[:1])
+        order = list(range(1, 15))
+        random.Random(7).shuffle(order)
+        shuffled = {n: r_n1(n) for n in order}
+        assert [shuffled[n] for n in range(1, 15)] == increasing
 
     def test_type_sum_cross_multiplies(self, monkeypatch):
         # A class count off by a factor in its denominator alone breaks the

@@ -336,6 +336,15 @@ class TestRefinedCensus:
             assert list(refined_matrix(lam).items()) == \
                 [((I, L), refined_total(lam, I, L)) for I in ideals for L in ideals], str(lam)
 
+    def test_matrix_is_symmetric(self):
+        # Swapping the two coordinates of a pair commutes with the diagonal
+        # action, so it is a bijection from the pair orbits over (I, L) to
+        # those over (L, I).
+        for n in range(9):
+            for lam in partitions_of(n):
+                matrix = refined_matrix(lam)
+                assert all(total == matrix[L, I] for (I, L), total in matrix.items()), str(lam)
+
     def test_matrix_builds_tables_and_fibers_once_per_row(self, monkeypatch):
         # One table per mu over the whole matrix, for J and K alike, as the
         # matrix is one call, and one exact_fiber_count call per (I, J),
