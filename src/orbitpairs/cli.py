@@ -15,11 +15,11 @@ from itertools import chain
 
 from .errors import OrbitPairsError
 from .oracle import _is_prime, verify
-from .orbits import n_lambda, n_lambdas, orbit_census
+from .orbits import n_lambda, n_lambdas
 from .posets import OrderIdeal, Partition, lattice, partitions_of
 from .qpoly import QPolynomial, format_poly, latex_poly
 from .quiver import r_n1, type_sum
-from .refined import refined_matrix
+from .refined import orbit_census, refined_matrix
 
 REFINED_LIMIT = 8
 

@@ -31,10 +31,11 @@ from typing import Callable, List
 import numpy as np
 
 from .errors import BudgetExceeded, OrbitPairsError
-from .orbits import census_batch, n_lambda, orbit_size
+from .orbits import n_lambda, orbit_size
 from .permgroups import closure_labels, pair_labels
 from .posets import OrderIdeal, Partition, Point, lattice
-from .refined import refined_matrix
+from .qpoly import ZERO
+from .refined import refined_censuses
 
 ELEMENT_BUDGET = 2 ** 12
 PAIR_BUDGET = 2 ** 20
@@ -295,25 +296,27 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
     expected_sizes = {I: orbit_size(lam, I)(p) for I in ideals}
     checks.append(_check("element orbit sizes vs orbit size formula",
                          _render_map(expected_sizes), _render_map(sizes_by_ideal)))
-    uncapped, censuses = census_batch(lam)
-    if lam != lam.cap(2) and uncapped != n_lambda(lam):  # the cap invariance
-        raise OrbitPairsError(f"n_lambda({lam}) = {n_lambda(lam)}, but uncapped {uncapped}")
+    grid = refined_censuses(lam, ideals, ideals)
+    totals = {(I, L): sum(census.values(), ZERO)
+              for I, row in zip(ideals, grid) for L, census in zip(ideals, row)}
+    uncapped = sum(totals.values(), ZERO)
+    capped = n_lambda(lam)
+    if uncapped != capped:  # the grid against the cell batch, past the cap too
+        raise OrbitPairsError(f"n_lambda({lam}) = {capped}, but uncapped {uncapped}")
     checks.append(_check("pair orbit count vs n_lambda", int(uncapped(p)), len(pair_orbits)))
 
+    # The census of I is additive over the second orbits L.
     expected_multiset = Counter()
-    for I, census in zip(ideals, censuses):
-        for a, cnt in census.items():
-            expected_multiset[int(a(p)) * expected_sizes[I]] += int(cnt(p))
+    for I, row in zip(ideals, grid):
+        for census in row:
+            for a, cnt in census.items():
+                expected_multiset[int(a(p)) * expected_sizes[I]] += int(cnt(p))
     actual_multiset = Counter(o.size for o in pair_orbits)
     checks.append(_check("pair orbit size multiset vs census",
                          _render_map(expected_multiset), _render_map(actual_multiset)))
 
     actual_refined = Counter((o.ideal, o.second_ideal) for o in pair_orbits)
-    expected_refined = {}
-    for key, total in refined_matrix(lam).items():
-        c = int(total(p))
-        if c:
-            expected_refined[key] = c
+    expected_refined = {key: c for key, total in totals.items() if (c := int(total(p)))}
     checks.append(_check("refined pair counts per orbit pair",
                          _render_map(expected_refined), _render_map(actual_refined)))
 

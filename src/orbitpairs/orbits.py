@@ -5,8 +5,11 @@ labelled by an order ideal I.  Fixing the canonical representative of that
 orbit splits the module into a distinguished part (one cyclic summand per
 maximal point of I) and the rest; stabilizer orbits of a second element are
 then classified by a pair of ideals (J, K) over the derived contexts.  The
-census groups the cells by their common orbit cardinality alpha and counts
-N_alpha, the number of orbits of that cardinality, as a polynomial in q.
+census of I groups its cells by their common orbit cardinality alpha and
+counts N_alpha, the number of orbits of that cardinality, as a polynomial in
+q; n_lambda is the sum of every census.  This module's numpy cell batch
+yields only that sum, for many shapes at once; the censuses themselves come
+from refined's grid, one column of which is the whole module.
 
 Both alpha and the cell count x are integer keys (e, sorted m's)
 standing for q**e * prod(1 - q**-m).  Alpha is q**[J union K] times
@@ -16,7 +19,7 @@ valuation exactly v.  x is the fiber q**(k_0 - v_0) times the orbit
 sizes of J and K, so alpha's factors are a sub-multiset of x's and
 x/alpha is again a key, with factors J's plus those of K's points inside J:
 a Laurent polynomial, as its exponent may fall below its factors' sum.
-The census sums these Laurent keys per alpha into N_alpha, with no
+A census sums these Laurent keys per alpha into N_alpha, with no
 division.  Three guards stand in for the mass check and exact division:
 
 - per I, fiber + |quotient| + |lambda''| = |lambda|, and lattice(mu) checks
@@ -27,8 +30,9 @@ division.  Three guards stand in for the mass check and exact division:
 - alpha divides its group total iff N_alpha, the group's Laurent sum, has no
   negative power, as alpha is monic.
 
-One engine runs all three on a _Block of first ideals of one shape or
-more, each cell's Laurent key shifted up by the block's largest weight.
+The batch runs all three on a _Block of first ideals of one shape or more,
+each cell's Laurent key shifted up by the block's largest weight, though it
+groups per (I, alpha) only the cells whose keys reach below q**0.
 A block splits its first ideals once; n_lambdas sizes it by its shapes'
 |lattice(lambda)|**2, known before the split: for every capped shape
 reached from |lambda| <= 22, its cells are 0.4 to 7 times that.
@@ -90,8 +94,11 @@ def canonical_split(lam: Partition, I: OrderIdeal) -> CanonicalSplit:
     if pts:
         qparts.append(pts[-1].v)
     quotient = Partition.from_parts(p for p in qparts if p > 0)
-    return CanonicalSplit(pts, lam_dprime, quotient, pts[0].k - pts[0].v if pts else 0,
-                          tuple(qparts))
+    split = CanonicalSplit(pts, lam_dprime, quotient, pts[0].k - pts[0].v if pts else 0,
+                           tuple(qparts))
+    if split.fiber + quotient.weight + lam_dprime.weight != lam.weight:
+        raise DegreeMismatch(f"split of ({lam}; {I}) does not partition the module")
+    return split
 
 
 @lru_cache(maxsize=None)
@@ -250,21 +257,20 @@ def _expansions(cells: _Block, lcodes: np.ndarray):
     return lambda codes: ex[np.searchsorted(distinct, codes)]
 
 
-def _group_sums(cells: _Block, sel: np.ndarray, width: int, expand) -> tuple:
-    """Each cell's (I, alpha) group over sel and the groups' int64 sums, column
-    i for q**(i - top), i < width; a power below q**0 raises _negative_power."""
+def _group_sums(cells: _Block, sel: np.ndarray, expand):
+    """Sums the cells of sel per (I, alpha) group, column i standing for
+    q**(i - top); a group with a power below q**0 raises _negative_power."""
     top, ex = cells.top, expand(cells.l_code[sel])
     groups, gid = np.unique((cells.first[sel] * (top + 1) + cells.ea[sel]) * cells.span +
                             cells.a_code[sel], return_inverse=True)
-    # A cell adds its expansion from power low on, in one add.at.
-    cols = width + ex.shape[1]
+    # A cell adds its expansion from power low < top on, in one add.at.
+    cols = top + ex.shape[1]
     acc = np.zeros((groups.size, cols), dtype=np.int64)
     np.add.at(acc.ravel(), ((gid * cols + cells.low[sel])[:, None] +
                             np.arange(ex.shape[1])).ravel(), ex.ravel())
     bad = sel[acc[:, :top].any(1)[gid]]
     if bad.size:
         raise _negative_power(cells.where(cells.first[bad[0]]), cells.alpha(bad[0]))
-    return gid, acc[:, :width]
 
 
 def _laurent_totals(cells: _Block) -> list[QPolynomial]:
@@ -277,7 +283,7 @@ def _laurent_totals(cells: _Block) -> list[QPolynomial]:
     expand = _expansions(cells, lcodes)
     below = (cells.low < top).nonzero()[0]
     if below.size:
-        _group_sums(cells, below, top, expand)
+        _group_sums(cells, below, expand)
     ex = expand(lcodes)
     acc = np.zeros((len(shapes) + 1) * size, dtype=np.int64)
     np.add.at(acc, (at[:, None] + np.arange(ex.shape[1])).ravel(), (counts[:, None] * ex).ravel())
@@ -286,41 +292,6 @@ def _laurent_totals(cells: _Block) -> list[QPolynomial]:
         if lam and (not poly.is_monic() or poly.degree != lam.largest):
             raise DegreeMismatch(f"n_lambda({lam}) = {poly} fails monic/degree check")
     return polys
-
-
-def _censuses(cells: _Block) -> list[Dict[QPolynomial, QPolynomial]]:
-    """The census of each first ideal; a shifted power is at most 2 top."""
-    gid, acc = _group_sums(cells, np.arange(cells.first.size), 2 * cells.top + 1,
-                           _expansions(cells, cells.l_code))
-    censuses: list = [{} for _ in range(cells.owner.size)]
-    heads = np.sort(np.unique(gid, return_index=True)[1])  # in order of first appearance
-    for c, row in zip(heads.tolist(), acc[gid[heads], cells.top:].tolist()):
-        censuses[cells.first[c]][_alpha_core(*cells.alpha(c))] = QPolynomial(row)
-    return censuses
-
-
-def census_batch(lam: Partition) -> tuple[QPolynomial, list[Dict[QPolynomial, QPolynomial]]]:
-    """n_lambda's own sum on lambda, uncapped, and the census of every
-    ideal of lattice(lambda), in lattice order, from one cell batch."""
-    cells = _cells(_Block([(lam, lattice(lam).v, lattice(lam).k)]))
-    return _laurent_totals(cells)[0], _censuses(cells)
-
-
-def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
-    """Map from orbit cardinality to number of stabilizer orbits of that
-    cardinality, in order of first appearance over the grid, J outer and K
-    inner.  Grouping by alpha key is grouping by alpha, as
-    q**(e - sum m) * prod(q**m - 1) factors uniquely into cyclotomics."""
-    require_context(lam, I)
-    # No point, part or multiplicity of lambda exceeds |lambda|.
-    check_int64(lam.weight, f"ideal weights of the cells of {lam}")
-    v, k = np.array(I.max_points, dtype=np.int64).reshape(-1, 2).T
-    return _censuses(_cells(_Block([(lam, v[None], k[None])])))[0]
-
-
-def per_ideal_total(lam: Partition, I: OrderIdeal) -> QPolynomial:
-    """Number of orbits of pairs whose first member has invariant I."""
-    return sum(orbit_census(lam, I).values(), QPolynomial())
 
 
 def _runs(items: Iterable, size, cap: int) -> Iterator[list]:

@@ -13,15 +13,18 @@ lattice) then sharpen "at least" constraints to "exactly"; each sums only
 over the nonzero closed-form Moebius terms of its lattice, boundary tuples
 from posets.mobius_terms, listed once per (mu, ideal).
 
-refined_censuses computes the rows of first ideals I over second ideals L in
-one pass on the census grid (J, K) of orbits._cells: the Ls' Moebius terms
-once, per (I, J) the fibers over every L' among them, and per (I, L) the
-cells (J, K).  A cell counts the elements of L's orbit with invariants
-(J, K); divided by alpha it is the cell's fiber times the Laurent key
-orbit_size(K)/alpha, whose factors are the m'' of K's points inside J.
-These products are summed per alpha key into N_alpha, with no division, and
-a negative power left in N_alpha means alpha does not divide its group
-total.
+The census engine, _grid, takes first ideals I and columns, each a signed
+list of second-element submodules L' given by their boundaries on lambda's
+rows, and computes per (I, J) the fibers over every L' once, and per
+(I, column) the cells (J, K) of the census grid.  A cell, divided by alpha,
+is its fiber times the Laurent key orbit_size(K)/alpha, whose factors are
+the m'' of K's points inside J; summed per alpha key, these give N_alpha
+with no division.  refined_censuses passes per second ideal L the column of
+its Moebius terms; orbit_census passes the whole module, whose cells are
+orbits', so that its rows are the census of I.  The guards are orbits': the
+split and lattice(mu) check that the cells partition the module, alpha
+expands as a polynomial or raises NegativeExponent, and a Laurent key below
+its factors' sum or a negative power left in N_alpha raises.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from operator import add, ge, sub
 from typing import Dict, Sequence
 
 from .orbits import _alpha_core, _negative_power, canonical_split
-from .posets import (OrderIdeal, Partition, Point, boundary, lattice, mobius_terms,
-                     require_context)
+from .posets import (OrderIdeal, Partition, Point, boundary, check_int64, lattice,
+                     mobius_terms, require_context)
 from .qpoly import QPolynomial, ZERO
 
 
@@ -105,30 +108,21 @@ def exact_fiber_count(pts: tuple[Point, ...], As: Sequence[tuple[int, ...]],
     return fibers
 
 
-def refined_censuses(lam: Partition, Is: Sequence[OrderIdeal], Ls: Sequence[OrderIdeal]
-                     ) -> list[list[Dict[QPolynomial, QPolynomial]]]:
-    """Per I in Is and L in Ls, map cardinality -> number of orbits of pairs
-    with first member in the orbit of I and second member in the orbit of L,
-    with the alpha rows in order of first nonzero cell, J outer and K inner.
-
-    The Ls' Moebius terms, their L' and the L''s scaled boundaries are
-    listed once per call, and per mu its table (_table) and, for a quotient,
-    its ideals' Moebius terms.  Per (I, J), the fibers over every L' are
-    computed once; cell (J, K) of L sums mu * fiber over L's terms whose L'
-    contains K.  As in orbits._cells, with s = sum(map(min, bJ, bK)), the cell
-    has alpha key (|lambda| - s, m'' of K's points outside J) and Laurent key
-    orbit_size(K)/alpha = (wK + s - |lambda|, m'' of K's points inside J),
-    kept with its exponent shifted up by |lambda|."""
+def _grid(lam: Partition, Is: Sequence[OrderIdeal],
+          columns: Sequence[Sequence[tuple[tuple[int, ...], int]]]
+          ) -> list[list[Dict[QPolynomial, QPolynomial]]]:
+    """Per I in Is and column, map cardinality -> number of orbits of pairs
+    with first member in the orbit of I and second member in the column's
+    signed sum of L', in order of first nonzero cell, J outer and K inner.
+    Cell (J, K) sums +-fiber over the column's L' that contain K.  With
+    s = sum(map(min, bJ, bK)), it has alpha key (|lambda| - s, m'' of K's
+    points outside J) and Laurent key (wK + s - |lambda|, m'' of K's points
+    inside J), kept with its exponent shifted up by |lambda|."""
     splits = [canonical_split(lam, I) for I in Is]
     weight, row = lam.weight, {k: i for i, k in enumerate(lam.rows)}
-    terms = []
-    for L in Ls:
-        require_context(lam, L)
-        terms.append(mobius_terms(tuple(L.boundary(k) for k in lam.rows),
-                                  tuple(row[k] for _, k in L.max_points)))
-    Lps = list(dict.fromkeys(Lp for ts in terms for Lp, _ in ts))
+    Lps = list(dict.fromkeys(Lp for column in columns for Lp, _ in column))
     col = {Lp: i for i, Lp in enumerate(Lps)}
-    cols = [[(col[Lp], mu) for Lp, mu in ts] for ts in terms]
+    cols = [[(col[Lp], mu) for Lp, mu in column] for column in columns]
     # K lies inside L' iff its boundaries are at least L''s on every row.
     bLs = [tuple(m * b for b, (_, m) in zip(Lp, lam.pairs)) for Lp in Lps]
     tables = {mu: _table(lam, mu) for mu in dict.fromkeys(
@@ -196,14 +190,44 @@ def _laurent_sum(lam: Partition, I: OrderIdeal, akey: tuple, group: dict) -> lis
     return acc[weight:]
 
 
-def refined_census(lam: Partition, I: OrderIdeal,
-                   L: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
-    """The census of orbit(I) x orbit(L): refined_censuses of I and L alone."""
-    return refined_censuses(lam, [I], [L])[0][0]
+def refined_censuses(lam: Partition, Is: Sequence[OrderIdeal], Ls: Sequence[OrderIdeal]
+                     ) -> list[list[Dict[QPolynomial, QPolynomial]]]:
+    """Per I in Is and L in Ls, the census of orbit(I) x orbit(L): the grid
+    of L's Moebius terms, which sharpen "in L'" to "in the orbit of L"."""
+    row = {k: i for i, k in enumerate(lam.rows)}
+    columns = []
+    for L in Ls:
+        require_context(lam, L)
+        columns.append(mobius_terms(tuple(L.boundary(k) for k in lam.rows),
+                                    tuple(row[k] for _, k in L.max_points)))
+    return _grid(lam, Is, columns)
+
+
+def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
+    """Map from orbit cardinality to number of stabilizer orbits of that
+    cardinality, in order of first appearance over the grid, as the whole
+    module's cells are all nonzero.  Grouping by alpha key is grouping by
+    alpha, as q**(e - sum m) * prod(q**m - 1) factors uniquely into
+    cyclotomics."""
+    require_context(lam, I)
+    # No point, part or multiplicity of lambda exceeds |lambda|.
+    check_int64(lam.weight, f"ideal weights of the cells of {lam}")
+    return _grid(lam, [I], [[((0,) * len(lam.rows), 1)]])[0][0]
 
 
 def _total(census: Dict[QPolynomial, QPolynomial]) -> QPolynomial:
     return sum(census.values(), ZERO)
+
+
+def per_ideal_total(lam: Partition, I: OrderIdeal) -> QPolynomial:
+    """Number of orbits of pairs whose first member has invariant I."""
+    return _total(orbit_census(lam, I))
+
+
+def refined_census(lam: Partition, I: OrderIdeal,
+                   L: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
+    """The census of orbit(I) x orbit(L): refined_censuses of I and L alone."""
+    return refined_censuses(lam, [I], [L])[0][0]
 
 
 def refined_total(lam: Partition, I: OrderIdeal, L: OrderIdeal) -> QPolynomial:

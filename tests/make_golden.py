@@ -17,10 +17,10 @@ import json
 from pathlib import Path
 
 from orbitpairs.oracle import verify
-from orbitpairs.orbits import n_lambda, orbit_census
+from orbitpairs.orbits import n_lambda
 from orbitpairs.posets import lattice, partitions_of
 from orbitpairs.quiver import r_n1
-from orbitpairs.refined import refined_matrix
+from orbitpairs.refined import orbit_census, refined_matrix
 
 PATH = Path(__file__).resolve().parent / "data" / "golden.json"
 N_LAMBDA_MAX, CENSUS_MAX, REFINED_MAX, R_N1_MAX = 16, 8, 6, 12

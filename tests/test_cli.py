@@ -145,10 +145,13 @@ class TestHugeInputs:
         (["verify", "4000000", "2"], "|M| = 2^4000000 exceeds budget"),
         (["nlambda", "99999999999999999999999"], "past int64"),
         (["census", "2^9999999999999999999999,1", "--max", "0:1"], "past int64"),
+        (["census", "99999999999999999999999", "--max", "0:99999999999999999999999"],
+         "ideal weights of the cells of 99999999999999999999999 reach"),
         (["verify", "8,3", "2", "--full-endos"], "pair space 4194304 exceeds budget"),
         (["verify", "2,1^2", "5", "--full-endos"], "|Aut M| * |M| = 3750000000")],
         ids=["at-psi12", "verify-1^999999999", "verify-23-digits", "verify-4000000",
-             "nlambda-23-digits", "census-22-digit-mult", "full-endos-pair-space",
+             "nlambda-23-digits", "census-22-digit-mult", "census-23-digits",
+             "full-endos-pair-space",
              "full-endos-kept-permutations"])
     def test_exit_1_with_message(self, argv, message):
         proc = run_module(*argv)

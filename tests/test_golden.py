@@ -12,9 +12,9 @@ import pytest
 from make_golden import PATH, SECTIONS
 
 from orbitpairs.orbits import n_lambdas
-from orbitpairs.posets import partitions_of
+from orbitpairs.posets import lattice, partitions_of
 from orbitpairs.quiver import r_n1
-from orbitpairs.refined import refined_matrix
+from orbitpairs.refined import orbit_census, refined_matrix
 
 GOLDEN = json.loads(PATH.read_text())
 
@@ -77,3 +77,21 @@ def test_r_n1_past_the_corpus():
     for n in range(1, 19):
         h.update(f"{n};{','.join(map(str, r_n1(n).coeffs))}\n".encode())
     assert h.hexdigest() == R_N1_DIGEST
+
+
+# sha256 of the lines "lambda;I;alpha coefficients;N_alpha coefficients" of
+# orbit_census(lambda, I), in census order, for every ideal I of every
+# lambda of weight 9 and 10 in partitions_of and lattice order, made by this
+# recipe from the engine that grouped the census on the numpy cell batch.
+CENSUS_DIGEST = "98f8157ea2f68ca7a321facbce1c7044a4369353589f84b5668077130a247644"
+
+
+def test_orbit_census_past_the_corpus():
+    # The corpus holds ordered censuses up to |lambda| = 8 only.
+    h = hashlib.sha256()
+    for n in (9, 10):
+        for lam in partitions_of(n):
+            for I in lattice(lam).ideals:
+                for a, cnt in orbit_census(lam, I).items():
+                    h.update(f"{lam};{I};{list(a.coeffs)};{list(cnt.coeffs)}\n".encode())
+    assert h.hexdigest() == CENSUS_DIGEST

@@ -520,9 +520,9 @@ class TestVerify:
             orbits(ExplicitModule.from_partition(Partition.parse("2,1"), 2), mode)
 
     def test_one_cell_batch_per_shape(self, monkeypatch):
-        # The pair count and census checks read one batch of every first
-        # ideal, even on a cold n_lambda memo.  Past the cap, n_lambda's
-        # batch of the capped shape runs too, unless it is memoized.
+        # The pair count and census checks read the refined grid, which
+        # builds no cell batch; the only batch is n_lambda's of the capped
+        # shape, on a cold n_lambda memo, and none once it is memoized.
         monkeypatch.setattr(orbits_module, "_N_LAMBDA", {})
         built = []
         real = orbits_module._cells
@@ -532,21 +532,39 @@ class TestVerify:
         lam = Partition.parse("2^2,1")
         assert verify(lam, 2)["pass"]
         assert built == [("2^2,1", len(lattice(lam).ideals))]
-        for expected in ([("1^3", 2), ("1^2", 2)], [("1^3", 2)]):
+        for expected in ([("1^2", 2)], []):
             built.clear()
             assert verify(Partition.parse("1^3"), 2)["pass"]
             assert built == expected
 
     def test_cap_invariance_checked(self, monkeypatch, capsys):
-        # Past its cap, a shape's own sum must equal the capped n_lambda: a
-        # disagreement is an internal error (exit 2) and prints no report.
-        # An own-cap shape's pair count does not read n_lambda at all.
+        # A shape's own sum over the refined grid must equal the capped
+        # n_lambda: a disagreement is an internal error (exit 2) and prints
+        # no report, past the cap or not.
         monkeypatch.setattr(oracle, "n_lambda", lambda lam: n_lambda(lam) + 1)
         with pytest.raises(OrbitPairsError, match="uncapped"):
             verify(Partition.parse("1^3"), 2)
         assert cli.main(["verify", "1^3", "2"]) == 2
         assert capsys.readouterr().out == ""
-        assert verify(Partition.parse("2,1"), 2)["pass"]
+        with pytest.raises(OrbitPairsError, match="uncapped"):
+            verify(Partition.parse("2,1"), 2)
+
+    def test_refined_grid_checked_against_n_lambda(self, monkeypatch, capsys):
+        # One census entry dropped from the refined grid of a capped shape
+        # leaves its pairs short of n_lambda: exit 2, and no report.
+        real = oracle.refined_censuses
+
+        def dropped(lam, Is, Ls):
+            grid = real(lam, Is, Ls)
+            census = next(c for row in grid for c in row if c)
+            del census[next(iter(census))]
+            return grid
+
+        monkeypatch.setattr(oracle, "refined_censuses", dropped)
+        with pytest.raises(OrbitPairsError, match="uncapped"):
+            verify(Partition.parse("2,1"), 2)
+        assert cli.main(["verify", "2,1", "2"]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("mode", ["quick", "full-endos"])
     def test_group_built_once(self, mode, monkeypatch):

@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from polydiv import exact_div
 
-from orbitpairs import cli, orbits, posets
-from orbitpairs.errors import BudgetExceeded, DegreeMismatch, IdealOutOfContext
+from orbitpairs import orbits, posets, refined
+from orbitpairs.errors import (BudgetExceeded, DegreeMismatch, IdealOutOfContext,
+                               NegativeExponent)
 from orbitpairs.oracle import verify
-from orbitpairs.orbits import (canonical_split, census_batch, n_lambda, n_lambdas,
-                               orbit_census, orbit_size, per_ideal_total)
+from orbitpairs.orbits import canonical_split, n_lambda, n_lambdas, orbit_size
 from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, laurent_product, monomial
-from orbitpairs.refined import refined_matrix
+from orbitpairs.refined import orbit_census, per_ideal_total, refined_matrix
 
 # Published reference values for the number of orbits of pairs, one row per
 # partition of n = 1..5.
@@ -127,6 +127,12 @@ def census_by_cells(lam, I) -> dict[QPolynomial, QPolynomial]:
 # multiplicity at most 4.
 SHAPES = st.dictionaries(st.integers(1, 5), st.integers(1, 4), min_size=1, max_size=4).map(
     lambda mults: Partition(sorted(mults.items(), reverse=True)))
+
+
+def uncapped_total(lam) -> QPolynomial:
+    """The orbits of pairs of lambda itself, multiplicities above two kept:
+    the per-ideal totals of the refined grid summed over every first ideal."""
+    return sum((per_ideal_total(lam, I) for I in lattice(lam).ideals), ZERO)
 
 
 def assert_census_matches_cells(lam):
@@ -346,21 +352,22 @@ class TestNLambda:
     def test_capping_invariance(self):
         # The count only depends on multiplicities capped at two; verify by
         # running the full uncapped computation on every shape of weight up
-        # to eight that has a multiplicity above two.
+        # to eight that has a multiplicity above two, against the cell
+        # batch of the capped shape.
         checked = 0
         for n in range(3, 9):
             for lam in partitions_of(n):
                 capped = lam.cap(2)
                 if capped == lam:
                     continue
-                assert census_batch(lam)[0] == census_batch(capped)[0], str(lam)
+                assert uncapped_total(lam) == n_lambda(capped, {}), str(lam)
                 checked += 1
         assert checked > 10
 
     @settings(deadline=None, max_examples=25)
     @given(SHAPES)
     def test_capping_invariance_random_shapes(self, lam):
-        assert census_batch(lam)[0] == census_batch(lam.cap(2))[0], str(lam)
+        assert uncapped_total(lam) == n_lambda(lam.cap(2), {}), str(lam)
 
     def test_store_protocol(self):
         store: dict[Partition, QPolynomial] = {}
@@ -383,11 +390,12 @@ Arrays = namedtuple("Arrays", "v k m w")
 
 
 def patch_ideal_arrays(monkeypatch, change):
-    """Pass the arrays of the lattices that the census cells read through
-    change, as an Arrays copy, leaving the lattices themselves as they are."""
-    real = orbits.lattice
-    monkeypatch.setattr(orbits, "lattice", lambda mu: change(Arrays(
-        *(getattr(real(mu), f) for f in Arrays._fields))))
+    """Pass the arrays of the lattices that the cell batch and the refined
+    grid read through change, as an Arrays copy, leaving the lattices
+    themselves as they are."""
+    for module in (orbits, refined):
+        monkeypatch.setattr(module, "lattice", lambda mu: change(Arrays(
+            *(getattr(lattice(mu), f) for f in Arrays._fields))))
 
 
 @pytest.fixture
@@ -410,8 +418,17 @@ def profiles_spy(monkeypatch) -> list:
     return walked
 
 
-# Both readings of the cell batch, n_lambda and a census at the empty first
-# ideal, run every guard of the batch.
+@pytest.fixture
+def fresh_splits():
+    """An empty canonical_split cache, emptied again at the end, so that
+    splits made under a patch stay in the test."""
+    canonical_split.cache_clear()
+    yield
+    canonical_split.cache_clear()
+
+
+# Both engines, n_lambda on the cell batch and a census at the empty first
+# ideal on the refined grid, each run every guard of its own.
 ENGINES = (lambda lam: n_lambda(lam, {}), lambda lam: orbit_census(lam, OrderIdeal()))
 
 
@@ -425,22 +442,19 @@ class TestCensusGroups:
         shapes = [lam for n in range(3, 8) for lam in partitions_of(n) if lam.cap(2) != lam]
         assert len(shapes) > 10
         for lam in shapes:
-            assert census_batch(lam)[0] == n_lambda_by_cells(lam), str(lam)
+            assert uncapped_total(lam) == n_lambda_by_cells(lam), str(lam)
 
     def test_batch_matches_grouped_census(self):
-        # n_lambda sums every cell's Laurent key at once; the census rows
-        # sum them per (I, alpha), so the two readings of one batch must
-        # agree (census_by_cells is the independent reference).  Criterion 7
-        # and verify sum shapes with multiplicities above two through
-        # census_batch, which the factor codes must hold.
-        def grouped(lam):
-            return sum((per_ideal_total(lam, I) for I in lattice(lam).ideals), ZERO)
-
+        # n_lambda sums every cell's Laurent key of the cell batch at once;
+        # the census rows of the refined grid sum theirs per (I, alpha), so
+        # the two engines must agree (census_by_cells is the independent
+        # reference).  Criterion 7 and verify sum shapes with multiplicities
+        # above two through the refined grid, whose keys must hold them.
         for lam in {lam.cap(2) for n in range(1, 13) for lam in partitions_of(n)}:
-            assert n_lambda(lam, {}) == grouped(lam), str(lam)
+            assert n_lambda(lam, {}) == uncapped_total(lam), str(lam)
         for lam in (lam for n in range(1, 9) for lam in partitions_of(n)):
-            assert census_batch(lam)[0] == grouped(lam), str(lam)
-        assert n_lambda(Partition(), {}) == grouped(Partition()) == ONE
+            assert n_lambda(lam, {}) == uncapped_total(lam), str(lam)
+        assert n_lambda(Partition(), {}) == uncapped_total(Partition()) == ONE
 
     def test_tables_built_once_per_context(self, monkeypatch, fresh_lattices):
         # n_lambda builds the lattice of each quotient and lambda'' once per
@@ -455,7 +469,9 @@ class TestCensusGroups:
         n_lambda(lam, {})
         assert len(built) == len(expected)
 
-    def test_weight_identity_guard(self, monkeypatch):
+    def test_weight_identity_guard(self, monkeypatch, fresh_splits):
+        # The batch splits its first ideals in split_arrays, the grid each
+        # one in canonical_split.
         real = orbits.split_arrays
 
         def heavy_fibers(rows, mults, v, k):
@@ -463,6 +479,9 @@ class TestCensusGroups:
             return fiber + 1, quotient, dprime
 
         monkeypatch.setattr(orbits, "split_arrays", heavy_fibers)
+        real_split = orbits.CanonicalSplit
+        monkeypatch.setattr(orbits, "CanonicalSplit", lambda pts, dprime, quotient, fiber, rows:
+                            real_split(pts, dprime, quotient, fiber + 1, rows))
         for engine in ENGINES:
             with pytest.raises(DegreeMismatch, match="does not partition"):
                 engine(Partition.parse("2,1"))
@@ -489,8 +508,8 @@ class TestCensusGroups:
         patch_ideal_arrays(monkeypatch, lambda a: a._replace(w=a.w - (a.w > a.m.sum(1))))
         with pytest.raises(DegreeMismatch, match="negative power"):
             n_lambda(Partition.parse("2,1"), {})
-        # The census of one first ideal groups all of its cells, and the
-        # same (I, alpha) check catches it.
+        # The census of one first ideal sums all of its cells per alpha,
+        # and the same check on N_alpha catches it.
         with pytest.raises(DegreeMismatch, match="negative power"):
             orbit_census(Partition.parse("2,1"), OrderIdeal())
 
@@ -501,32 +520,33 @@ class TestCensusGroups:
         for engine in ENGINES:
             with pytest.raises(DegreeMismatch, match="negative power"):
                 engine(Partition.parse("2,1"))
+        # A grid key q**(3 - 3) * (q**4 - 1) / q**4 on 2,1 reaches below
+        # q**-3, where no sum of N_alpha's cells looks.
+        with pytest.raises(DegreeMismatch, match="negative power"):
+            refined._laurent_sum(Partition.parse("2,1"), OrderIdeal(), (0, ()), {(3, (4,)): [1]})
 
     def test_alpha_key_guard(self, monkeypatch):
         # Factors heavier than the exponent: alpha would not be a polynomial.
+        # The batch checks its alpha keys, the grid expands each alpha.
         patch_ideal_arrays(monkeypatch, lambda a: a._replace(m=a.m + 100 * (a.m > 0)))
-        for engine in ENGINES:
-            with pytest.raises(DegreeMismatch, match="no polynomial"):
-                engine(Partition.parse("2,1"))
+        with pytest.raises(DegreeMismatch, match="no polynomial"):
+            n_lambda(Partition.parse("2,1"), {})
+        with pytest.raises(NegativeExponent):
+            orbit_census(Partition.parse("2,1"), OrderIdeal())
 
-    def test_wide_keys_widen_or_raise(self, monkeypatch, capsys):
-        # A radix digit per factor value present: 1^70's factors 69 and 70
-        # take two digits, not seventy.
+    def test_wide_keys_widen_or_raise(self, monkeypatch):
+        # The refined grid keeps 1^70's factors 69 and 70 in its keys.
         lam = Partition([(1, 70)])
-        assert census_batch(lam)[0] == Q + 3
+        assert uncapped_total(lam) == Q + 3
         I = OrderIdeal.parse("0:1")
         assert list(orbit_census(lam, I).items()) == list(census_by_cells(lam, I).items())
-        # One factor value per point: too many digits for int64 is an error,
-        # and the census command exits 1 on it.
+        # A radix digit per factor value present in the cell batch; with one
+        # factor value per point, too many digits for int64 is an error.
         fresh = itertools.count(1, 100)
         patch_ideal_arrays(monkeypatch, lambda a: a._replace(m=np.where(
             a.m > 0, next(fresh) + np.arange(a.m.size).reshape(a.m.shape), 0)))
         with pytest.raises(BudgetExceeded, match="past int64"):
             n_lambda(Partition.parse("4,3,2,1"), {})
-        with pytest.raises(BudgetExceeded, match="past int64"):
-            orbit_census(Partition.parse("4,3,2,1"), OrderIdeal())
-        assert cli.main(["census", "4,3,2,1", "--max", ""]) == 1
-        assert "past int64" in capsys.readouterr().err
 
 
 # Lists of shapes of several weights, with repeats, multiplicities past the
@@ -685,13 +705,13 @@ class TestIdealArrays:
                                  if m) == sp.lambda_dprime, (str(lam), str(I))
 
     def test_each_shape_walked_once(self, monkeypatch, fresh_lattices):
-        # One lattice per mu serves every engine in a process: n_lambda and
-        # the census batch, refined's tables and verify's orbit labels.
+        # One lattice per mu serves every engine in a process: n_lambda's
+        # cell batch, refined's grid and verify's orbit labels.
         walked = profiles_spy(monkeypatch)
         shapes = [Partition.parse(t) for t in ("3,2,1", "2^2,1", "4,1", "1^3")]
         for lam in shapes:
             n_lambda(lam, {})
-            census_batch(lam)
+            uncapped_total(lam)
             refined_matrix(lam)
             assert verify(lam, 2)["pass"]
         assert set(shapes) < set(walked)

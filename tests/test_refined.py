@@ -9,11 +9,12 @@ from test_orbits import alpha, profiles_spy
 
 from orbitpairs import refined
 from orbitpairs.errors import DegreeMismatch, IdealOutOfContext
-from orbitpairs.orbits import canonical_split, n_lambda, orbit_size, per_ideal_total
+from orbitpairs.orbits import canonical_split, n_lambda, orbit_size
 from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, monomial
-from orbitpairs.refined import (coset_count, exact_fiber_count, refined_census,
-                                refined_censuses, refined_matrix, refined_total)
+from orbitpairs.refined import (coset_count, exact_fiber_count, per_ideal_total,
+                                refined_census, refined_censuses, refined_matrix,
+                                refined_total)
 
 
 def refined_by_cells(lam, I, L):
