@@ -299,6 +299,12 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
     grid = refined_censuses(lam, ideals, ideals)
     totals = {(I, L): sum(census.values(), ZERO)
               for I, row in zip(ideals, grid) for L, census in zip(ideals, row)}
+    # Swapping a pair's members commutes with the action, so the totals are
+    # symmetric, which refined_matrix relies on to mirror half of them.
+    for (I, L), total in totals.items():
+        if total != totals[L, I]:
+            raise OrbitPairsError(f"refined totals of {lam}: {total} over ({I}; {L}),"
+                                  f" but {totals[L, I]} over ({L}; {I})")
     uncapped = sum(totals.values(), ZERO)
     capped = n_lambda(lam)
     if uncapped != capped:  # the grid against the cell batch, past the cap too

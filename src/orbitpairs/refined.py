@@ -13,25 +13,30 @@ lattice) then sharpen "at least" constraints to "exactly"; each sums only
 over the nonzero closed-form Moebius terms of its lattice, boundary tuples
 from posets.mobius_terms, listed once per (mu, ideal).
 
-The census engine, _grid, takes first ideals I and columns, each a signed
-list of second-element submodules L' given by their boundaries on lambda's
-rows, and computes per (I, J) the fibers over every L' once, and per
-(I, column) the cells (J, K) of the census grid.  A cell, divided by alpha,
-is its fiber times the Laurent key orbit_size(K)/alpha, whose factors are
-the m'' of K's points inside J; summed per alpha key, these give N_alpha
-with no division.  refined_censuses passes per second ideal L the column of
-its Moebius terms; orbit_census passes the whole module, whose cells are
-orbits', so that its rows are the census of I.  The guards are orbits': the
-split and lattice(mu) check that the cells partition the module, alpha
-expands as a polynomial or raises NegativeExponent, and a Laurent key below
-its factors' sum or a negative power left in N_alpha raises.
+The census engine, _grid, takes first ideals I and, per I, its own columns,
+each a signed list of second-element submodules L' given by their
+boundaries on lambda's rows, and computes per (I, J) the fibers over the L'
+that I's columns read, once each, and per (I, column) the cells (J, K) of
+the census grid.  A cell, divided by alpha, is its fiber times the Laurent
+key orbit_size(K)/alpha, whose factors are the m'' of K's points inside J;
+summed per alpha key, these give N_alpha with no division.
+refined_censuses passes every I the column of Moebius terms of every second
+ideal L; orbit_census passes the whole module, whose cells are orbits', so
+that its rows are the census of I.  refined_matrix passes each I only the
+columns of the L at or after it in lattice order and mirrors the rest, as
+swapping a pair's members makes the totals, though not the censuses,
+symmetric (oracle.verify checks that on the full grid).  The guards
+are orbits': the split and lattice(mu) check that the cells partition the
+module, alpha expands as a polynomial or raises NegativeExponent, and a
+Laurent key below its factors' sum or a negative power left in N_alpha
+raises.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, ge, sub
-from typing import Dict, Sequence
+from typing import Dict, Iterable, Sequence
 
 from .orbits import _alpha_core, _negative_power, canonical_split
 from .posets import (OrderIdeal, Partition, Point, boundary, check_int64, lattice,
@@ -109,28 +114,31 @@ def exact_fiber_count(pts: tuple[Point, ...], As: Sequence[tuple[int, ...]],
 
 
 def _grid(lam: Partition, Is: Sequence[OrderIdeal],
-          columns: Sequence[Sequence[tuple[tuple[int, ...], int]]]
+          columns: Iterable[Sequence[Sequence[tuple[tuple[int, ...], int]]]]
           ) -> list[list[Dict[QPolynomial, QPolynomial]]]:
-    """Per I in Is and column, map cardinality -> number of orbits of pairs
-    with first member in the orbit of I and second member in the column's
-    signed sum of L', in order of first nonzero cell, J outer and K inner.
-    Cell (J, K) sums +-fiber over the column's L' that contain K.  With
-    s = sum(map(min, bJ, bK)), it has alpha key (|lambda| - s, m'' of K's
-    points outside J) and Laurent key (wK + s - |lambda|, m'' of K's points
-    inside J), kept with its exponent shifted up by |lambda|."""
+    """Per I in Is and each of I's own columns (columns holds one list per I),
+    map cardinality -> number of orbits of pairs with first member in the
+    orbit of I and second member in the column's signed sum of L', in order
+    of first nonzero cell, J outer and K inner.  A row computes fibers only
+    for the L' its columns read; rows that share one list of columns share
+    its index too.  Cell (J, K) sums +-fiber over the column's L' that
+    contain K.  With s = sum(map(min, bJ, bK)), it has alpha key (|lambda| -
+    s, m'' of K's points outside J) and Laurent key (wK + s - |lambda|, m''
+    of K's points inside J), kept with its exponent shifted up by |lambda|."""
     splits = [canonical_split(lam, I) for I in Is]
     weight, row = lam.weight, {k: i for i, k in enumerate(lam.rows)}
-    Lps = list(dict.fromkeys(Lp for column in columns for Lp, _ in column))
-    col = {Lp: i for i, Lp in enumerate(Lps)}
-    cols = [[(col[Lp], mu) for Lp, mu in column] for column in columns]
-    # K lies inside L' iff its boundaries are at least L''s on every row.
-    bLs = [tuple(m * b for b, (_, m) in zip(Lp, lam.pairs)) for Lp in Lps]
     tables = {mu: _table(lam, mu) for mu in dict.fromkeys(
         mu for sp in splits for mu in (sp.quotient, sp.lambda_dprime))}
     jterms = {mu: [mobius_terms(bq, tops) for _, _, _, bq, tops in tables[mu]]
               for mu in dict.fromkeys(sp.quotient for sp in splits)}
-    matrix = []
-    for I, split in zip(Is, splits):
+    matrix, read = [], None
+    for I, split, own in zip(Is, splits, columns):
+        if own is not read:
+            read, Lps = own, list(dict.fromkeys(Lp for column in own for Lp, _ in column))
+            col = {Lp: i for i, Lp in enumerate(Lps)}
+            cols = [[(col[Lp], mu) for Lp, mu in column] for column in own]
+            # K lies inside L' iff its boundaries are at least L''s on every row.
+            bLs = [tuple(m * b for b, (_, m) in zip(Lp, lam.pairs)) for Lp in Lps]
         As = [tuple(Lp[row[k]] for _, k in split.prime_parts) for Lp in Lps]
         # The quotient rows are falling, so only the last can be 0, whose
         # boundary is 0.
@@ -190,17 +198,24 @@ def _laurent_sum(lam: Partition, I: OrderIdeal, akey: tuple, group: dict) -> lis
     return acc[weight:]
 
 
-def refined_censuses(lam: Partition, Is: Sequence[OrderIdeal], Ls: Sequence[OrderIdeal]
-                     ) -> list[list[Dict[QPolynomial, QPolynomial]]]:
-    """Per I in Is and L in Ls, the census of orbit(I) x orbit(L): the grid
-    of L's Moebius terms, which sharpen "in L'" to "in the orbit of L"."""
+def _columns(lam: Partition, Ls: Sequence[OrderIdeal]) -> list:
+    """Per L in Ls, its column: L's Moebius terms, which sharpen "in L'" to
+    "in the orbit of L"."""
     row = {k: i for i, k in enumerate(lam.rows)}
     columns = []
     for L in Ls:
         require_context(lam, L)
         columns.append(mobius_terms(tuple(L.boundary(k) for k in lam.rows),
                                     tuple(row[k] for _, k in L.max_points)))
-    return _grid(lam, Is, columns)
+    return columns
+
+
+def refined_censuses(lam: Partition, Is: Sequence[OrderIdeal], Ls: Sequence[OrderIdeal]
+                     ) -> list[list[Dict[QPolynomial, QPolynomial]]]:
+    """Per I in Is and L in Ls, the census of orbit(I) x orbit(L): the grid
+    with every I reading the columns of every L."""
+    columns = _columns(lam, Ls)
+    return _grid(lam, Is, [columns] * len(Is))
 
 
 def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
@@ -212,7 +227,7 @@ def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial
     require_context(lam, I)
     # No point, part or multiplicity of lambda exceeds |lambda|.
     check_int64(lam.weight, f"ideal weights of the cells of {lam}")
-    return _grid(lam, [I], [[((0,) * len(lam.rows), 1)]])[0][0]
+    return _grid(lam, [I], [[[((0,) * len(lam.rows), 1)]]])[0][0]
 
 
 def _total(census: Dict[QPolynomial, QPolynomial]) -> QPolynomial:
@@ -236,9 +251,16 @@ def refined_total(lam: Partition, I: OrderIdeal, L: OrderIdeal) -> QPolynomial:
 
 
 def refined_matrix(lam: Partition) -> Dict[tuple[OrderIdeal, OrderIdeal], QPolynomial]:
-    """Totals for every ordered pair of element orbits, from one
-    refined_censuses call over every first ideal I and every second L."""
+    """Totals for every ordered pair of element orbits, from one grid in
+    which each first ideal I reads only the columns of the L at or after it
+    in lattice order; (L, I) is mirrored from (I, L), as swapping a pair's
+    two members commutes with the diagonal action, so it maps the pair
+    orbits over orbit(I) x orbit(L) one to one onto those over orbit(L) x
+    orbit(I)."""
     ideals = lattice(lam).ideals
-    return {(I, L): _total(census)
-            for I, row in zip(ideals, refined_censuses(lam, ideals, ideals))
-            for L, census in zip(ideals, row)}
+    columns = _columns(lam, ideals)
+    upper = _grid(lam, ideals, (columns[i:] for i in range(len(ideals))))
+    totals = {(i, j): _total(census) for i, row in enumerate(upper)
+              for j, census in enumerate(row, i)}
+    return {(I, L): totals[min(i, j), max(i, j)]
+            for i, I in enumerate(ideals) for j, L in enumerate(ideals)}

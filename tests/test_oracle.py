@@ -20,6 +20,7 @@ from orbitpairs.permgroups import _forest, _schreier, _unwind, closure_labels, p
 from orbitpairs.orbits import n_lambda, orbit_size
 from orbitpairs.posets import (OrderIdeal, Partition, Point, lattice, partitions_of,
                                require_context)
+from orbitpairs.qpoly import ZERO
 
 
 def valuation(x: int, k: int, p: int) -> int:
@@ -562,6 +563,30 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "refined_censuses", dropped)
         with pytest.raises(OrbitPairsError, match="uncapped"):
+            verify(Partition.parse("2,1"), 2)
+        assert cli.main(["verify", "2,1", "2"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_refined_grid_checked_for_symmetry(self, monkeypatch, capsys):
+        # Two off-diagonal censuses of different totals swapped within one
+        # row: every row total, and so the grand total against n_lambda,
+        # stays, but (I, L) no longer matches (L, I): exit 2, and no report.
+        real = oracle.refined_censuses
+
+        def swapped(lam, Is, Ls):
+            grid = real(lam, Is, Ls)
+            for i, row in enumerate(grid):
+                totals = [sum(census.values(), ZERO) for census in row]
+                off = [j for j in range(len(row)) if j != i]
+                pair = next(((a, b) for a in off for b in off if totals[a] != totals[b]), None)
+                if pair:
+                    a, b = pair
+                    row[a], row[b] = row[b], row[a]
+                    return grid
+            raise AssertionError(f"no row of {lam} to swap in")
+
+        monkeypatch.setattr(oracle, "refined_censuses", swapped)
+        with pytest.raises(OrbitPairsError, match="refined totals of 2,1"):
             verify(Partition.parse("2,1"), 2)
         assert cli.main(["verify", "2,1", "2"]) == 2
         assert capsys.readouterr().out == ""

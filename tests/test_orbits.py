@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 from collections import namedtuple
 
@@ -653,6 +654,37 @@ class TestBlocks:
         monkeypatch.setattr(posets, "INT64_MAX", limit - 1)
         with pytest.raises(BudgetExceeded, match="past int64"):
             n_lambda(bounds[limit], {})
+
+    @pytest.mark.parametrize("text, what", [("2,1", "(I, alpha) keys"),
+                                            ("1^2", "packed Laurent keys"),
+                                            ("4,3,2,1", "N_alpha coefficients")])
+    def test_int64_guard_trips_alone(self, monkeypatch, text, what):
+        # On each shape, one guard's bound lies above every other int64 bound
+        # on n_lambda's path: with int64 cut to exactly that bound, the shape
+        # passes, and one below, that guard alone raises.
+        lam, bounds, real = Partition.parse(text), {}, orbits.check_int64
+        monkeypatch.setattr(orbits, "check_int64", lambda bound, label: bounds.update(
+            {label: bound}) or real(bound, label))
+        expected = n_lambda(lam, {})
+        label = f"{what} of the cells of {lam}"
+        bound = bounds.pop(label)
+        assert bound > max(bounds.values())
+        monkeypatch.setattr(posets, "INT64_MAX", bound)
+        assert n_lambda(lam, {}) == expected
+        monkeypatch.setattr(posets, "INT64_MAX", bound - 1)
+        with pytest.raises(BudgetExceeded, match=re.escape(f"{label} reach {bound}, past")):
+            n_lambda(lam, {})
+
+    def test_monic_degree_guard(self, monkeypatch):
+        # Every expansion row doubled: the negative-power sums stay 0, but
+        # each total comes out twice n_lambda, so none is monic.
+        real = orbits._expansions
+        monkeypatch.setattr(orbits, "_expansions", lambda cells, lcodes: (
+            lambda codes: 2 * real(cells, lcodes)(codes)))
+        with pytest.raises(DegreeMismatch, match=re.escape("n_lambda(2,1) = 2q^2")):
+            n_lambda(Partition.parse("2,1"), {})
+        with pytest.raises(DegreeMismatch, match="monic/degree"):
+            n_lambdas(MIXED, {})
 
 
 def arrays_from_lattice(mu: Partition) -> tuple:
