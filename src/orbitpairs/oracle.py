@@ -3,14 +3,19 @@
 Builds the module of a given shape over Z/p^k coordinates, closes elements
 (or pairs, diagonally) under a generating set of the automorphism group, and
 compares every orbit statistic against the polynomial formulas evaluated at
-q = p.  With the coordinates sorted by decreasing exponent, the generating
-set is the unit multiplications of the first coordinate of each block of
-equal exponents and the adjacent transvections e_{r,r+1}(p^(k_r - k_{r+1}))
-and e_{r+1,r}(1): sum over blocks of |units| + 2(n - 1) generators.
-Commutators [e_rs(a), e_st(b)] = e_rt(ab) of adjacent transvections give
-every transvection e_rs(p^max(0, k_r - k_s)), and the signed swaps
-e_rs(1) e_sr(-1) e_rs(1) conjugate a block's units onto each of its
-coordinates, so the set generates all of Aut(M) (see aut_generators).
+q = p.  With the blocks of equal exponents taken by decreasing exponent,
+the generating set is, per block c1, ..., cb, the unit multiplications of
+c1 and, if b >= 2, the permutation matrix that cycles the block and
+e_{c1,c2}(1); and, between consecutive blocks, e_rs(p^(k_r - k_s)) and
+e_sr(1) for r the last coordinate of one and s the first of the next: sum
+over blocks of |units| + 2[b >= 2], plus 2(blocks - 1), generators.
+Conjugating e_{c1,c2}(1) by the block cycle gives the block's adjacent
+transvections, their commutators [e_rs(a), e_st(b)] = e_rt(ab) give every
+e_ij(1) and so the block's SL_b, and c1's units give every determinant.
+Conjugating by the cycles moves the cross-block pair onto every pair of
+coordinates of the two blocks, whose commutators give every transvection
+e_rs(p^max(0, k_r - k_s)), so the set generates all of Aut(M) (see
+aut_generators).
 One call of orbits(module, mode) gives the element and pair orbits from
 one list of generator permutations, one element closure and one
 valuation-profile table; pairs are closed on the element permutations of
@@ -129,18 +134,26 @@ def aut_generators(module: ExplicitModule) -> List[np.ndarray]:
     Aut(M) is the invertible integer matrices whose (r, s) entry is divisible
     by p**max(0, k_r - k_s) (Hillar and Rhea), generated by the unit
     multiplications of every coordinate and the transvections e_rs(p**max(0,
-    k_r - k_s)), which add that multiple of x_s to x_r.  With the coordinates
-    sorted by decreasing exponent, this set keeps the unit multiplications of
-    the first coordinate of each block of equal exponents, and the adjacent
-    transvections e_{r,r+1}(p**(k_r - k_{r+1})) and e_{r+1,r}(1): that is
-    sum over blocks of |_unit_generators(p, k)| + 2(n - 1) matrices.
-    - The commutator [e_rs(a), e_st(b)] = e_rt(ab) of adjacent transvections
-      gives every other transvection with its coefficient above.
-    - The signed swap e_rs(1) e_sr(-1) e_rs(1) of two coordinates of one
-      block conjugates the block's unit multiplications onto both."""
+    k_r - k_s)), which add that multiple of x_s to x_r.  With the blocks of
+    equal exponents taken by decreasing exponent, this set keeps the unit
+    multiplications of each block's first coordinate c1; for a block
+    c1, ..., cb of b >= 2 coordinates, the permutation matrix that cycles
+    them and e_{c1,c2}(1); and between consecutive blocks, with r the last
+    coordinate of one and s the first of the next, e_rs(p**(k_r - k_s)) and
+    e_sr(1).  That is sum over blocks of |_unit_generators(p, k)| + 2[b >= 2],
+    plus 2(blocks - 1), matrices.
+    - Conjugating e_{c1,c2}(1) by the powers of the block's cycle gives the
+      block's adjacent transvections e_{ci,ci+1}(1), their commutators
+      [e_rs(a), e_st(b)] = e_rt(ab) every e_ij(1) in the block, and so its
+      SL_b; the units of c1 give every determinant.
+    - Conjugating the cross-block pair by the two blocks' cycles moves it onto
+      every pair of coordinates of the two blocks, and commutators of those
+      give every other transvection with its coefficient above.
+    - The cycles conjugate each block's unit multiplications onto every one
+      of its coordinates."""
     p, ks = module.p, module.exponents
     n = len(ks)
-    order = sorted(range(n), key=lambda i: -ks[i])
+    blocks = [[i for i in range(n) if ks[i] == k] for k in sorted(set(ks), reverse=True)]
     gens = []
 
     def gen(r: int, s: int, c: int) -> None:
@@ -148,11 +161,17 @@ def aut_generators(module: ExplicitModule) -> List[np.ndarray]:
         m[r, s] = c
         gens.append(m)
 
-    for k in sorted(set(ks), reverse=True):
-        i = ks.index(k)
-        for u in _unit_generators(p, k):
-            gen(i, i, u)
-    for r, s in zip(order, order[1:]):
+    for block in blocks:
+        for u in _unit_generators(p, ks[block[0]]):
+            gen(block[0], block[0], u)
+        if len(block) > 1:
+            # Column ci holds e_{ci+1}: x_ci moves to coordinate ci+1.
+            to = np.arange(n)
+            to[block] = np.roll(block, -1)
+            gens.append(np.eye(n, dtype=np.int64)[:, to])
+            gen(block[0], block[1], 1)
+    for above, below in zip(blocks, blocks[1:]):
+        r, s = above[-1], below[0]
         gen(r, s, p ** (ks[r] - ks[s]))
         gen(s, r, 1)
     return gens

@@ -6,7 +6,10 @@ F of row labels: a breadth-first witness forest from the minima gives each
 point x a group element t_x taking r to x, F[r] labels the points by orbits
 of Schreier generators of Stab(r) (Schreier's lemma), and F[x] = F[r] o
 t_x^-1.  One pass per generator certifies that F is invariant, so exactness
-never rests on which Schreier generators were sampled.
+never rests on which Schreier generators were sampled.  Permutations are
+composed and inverted by plain row gathers and scatters, and every gather,
+scatter and comparison of the pair path takes a block of at most _CHUNK
+entries at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from typing import Iterator, List
 
 import numpy as np
 
-# Entries per block of the arrays that the pair path gathers and compares,
-# so that the intp copy of a gather's index stays near 8 * _CHUNK bytes.
+# Entries per block of the arrays that the pair path gathers, scatters and
+# compares, so that the intp copy of an index stays near 8 * _CHUNK bytes.
 _CHUNK = 2 ** 14
 
 
@@ -57,15 +60,21 @@ def _forest(perms: List[np.ndarray], labels: np.ndarray):
     """Breadth-first forest from the element orbit minima over the generators
     and their powers g^2, g^4, ... below g^n, which keep long cycles at log
     depth: (parent, edge, steps, inverses, levels), where each x off the
-    roots is steps[edge[x]][parent[x]], inverses are the steps' inverses and
-    levels lists the elements by depth, roots first."""
+    roots is steps[edge[x]][parent[x]], inverses are the steps' inverses,
+    scattered a block of rows at a time, and levels lists the elements by
+    depth, roots first."""
     n = labels.size
+    rows = max(1, _CHUNK // n)
     steps = [np.empty((0, n), np.int16)]
     for P in _blocks(perms, n):
         for _ in range((n - 1).bit_length()):
             steps.append(P[(P != np.arange(n)).any(1)])
-            P = np.take_along_axis(P, P, 1)
+            P = P[np.arange(len(P))[:, None], P]
     steps = np.concatenate(steps)
+    inverses = np.empty_like(steps)
+    for i in range(0, len(steps), rows):
+        block = steps[i:i + rows]
+        inverses[i:i + rows][np.arange(len(block))[:, None], block] = np.arange(n)
     parent, edge = np.full(n, -1), np.full(n, -1)
     seen = labels == np.arange(n)
     levels = [seen.nonzero()[0]]
@@ -80,7 +89,7 @@ def _forest(perms: List[np.ndarray], labels: np.ndarray):
             seen[new] = True
             found.append(new)
         levels.append(np.concatenate(found))
-    return parent, edge, steps, np.argsort(steps, axis=1).astype(np.int16), levels
+    return parent, edge, steps, inverses, levels
 
 
 def _unwind(forest, xs, H: np.ndarray) -> np.ndarray:
@@ -89,7 +98,7 @@ def _unwind(forest, xs, H: np.ndarray) -> np.ndarray:
     parent, edge, _, inverses, _ = forest
     H, xs = H.copy(), np.array(xs, dtype=np.intp)
     while (live := (parent[xs] >= 0).nonzero()[0]).size:
-        H[live] = np.take_along_axis(inverses[edge[xs[live]]], H[live], 1)
+        H[live] = inverses[edge[xs[live]][:, None], H[live]]
         xs[live] = parent[xs[live]]
     return H
 
@@ -101,7 +110,8 @@ def _schreier(perms: List[np.ndarray], forest, xs) -> np.ndarray:
     n = len(forest[0])
     out = np.empty((0, n), dtype=np.int16)
     for x in xs:
-        tx = np.argsort(_unwind(forest, [x], np.arange(n, dtype=np.int16)[None])[0])
+        tx = np.empty(n, dtype=np.intp)
+        tx[_unwind(forest, [x], np.arange(n, dtype=np.int16)[None])[0]] = np.arange(n)
         for P in _blocks(perms, n):
             # Distinct rows are found by sorting each row's bytes as one key.
             rows = np.ascontiguousarray(np.concatenate([out, _unwind(forest, P[:, x], P[:, tx])]))
@@ -114,8 +124,10 @@ def pair_labels(perms: List[np.ndarray], labels: np.ndarray) -> np.ndarray:
     """(n, n) int16 array F with labels[x] * n + F[x, y] the smallest flat
     index in the orbit of (x, y), labels being closure_labels(perms, n).
     Schreier generators are sampled at each orbit's minimum r and largest
-    point; a row x failing the certificate F[g(x), g(y)] = F[x, y] adds those
-    at x and relabels r's rows by the coarser labels lab', F = lab'[F]."""
+    point.  The certificate F[g(x), g(y)] = F[x, y] is checked by one
+    reduction per block of rows; in a failing block, the first failing row x
+    adds its Schreier generators and relabels r's rows by the coarser labels
+    lab', F = lab'[F]."""
     n, rows = labels.size, max(1, _CHUNK // labels.size)
     forest = parent, edge, _, inverses, levels = _forest(perms, labels)
     F, samples = np.empty((n, n), dtype=np.int16), {}
@@ -127,16 +139,21 @@ def pair_labels(perms: List[np.ndarray], labels: np.ndarray) -> np.ndarray:
     for level in levels[1:]:
         for e in np.bincount(edge[level]).nonzero()[0].tolist():
             kids = level[edge[level] == e]
-            for xs in np.split(kids, range(rows, kids.size, rows)):
+            for i in range(0, kids.size, rows):
+                xs = kids[i:i + rows]
                 F[xs] = F[parent[xs]].take(inverses[e], 1)
     for g in perms:
         for i in range(0, n, rows):
             xs = slice(i, i + rows)
-            while (bad := (F[g[xs]].take(g, 1) != F[xs]).any(1)).any():
-                x = i + int(bad.argmax())
+            # Only a failing block is compared again, for its first failing row.
+            while (F[g[xs]].take(g, 1) != F[xs]).any():
+                x = i + int((F[g[xs]].take(g, 1) != F[xs]).argmax()) // n
                 r = int(labels[x])
                 samples[r] = np.concatenate([samples[r], _schreier(perms, forest, (x,))])
-                lab, members = closure_labels(samples[r], n), (labels == r).nonzero()[0]
-                for ys in np.split(members, range(rows, members.size, rows)):
+                # int16 labels keep each relabelled block of rows int16.
+                lab = closure_labels(samples[r], n).astype(np.int16)
+                members = (labels == r).nonzero()[0]
+                for j in range(0, members.size, rows):
+                    ys = members[j:j + rows]
                     F[ys] = lab[F[ys]]
     return F

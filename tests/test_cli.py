@@ -104,12 +104,26 @@ class TestNLambda:
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python renders ints of any length")
     def test_value_too_long_to_print_is_exit_1(self, capsys):
-        # 3**6000 is a prime power, but q^2 + 5q + 5 there has more digits
-        # than an int may render: an error line and nothing on stdout.
+        # 3**1290 is a prime power of 2045 bits, within the --at budget, but
+        # n_lambda(8) = q^8 + ... there has about 4924 digits, more than an
+        # int may render: an error line and nothing on stdout.
+        assert (3 ** 1290).bit_length() <= cli._AT_BITS
         for fmt in ([], ["--json"]):
-            code, out, err = run(capsys, "nlambda", "2,1", "--at", str(3 ** 6000), *fmt)
+            code, out, err = run(capsys, "nlambda", "8", "--at", str(3 ** 1290), *fmt)
             assert code == 1
-            assert "error:" in err and out == ""
+            assert "error:" in err and "Q has" not in err and out == ""
+
+    def test_at_bit_budget(self, capsys):
+        # The Mersenne prime 2**1279 - 1 is within the budget and evaluates;
+        # 2**4423 - 1 is past it and is refused before any primality test.
+        q = 2 ** 1279 - 1
+        code, out, _ = run(capsys, "nlambda", "2,1", "--at", str(q))
+        assert code == 0 and f"at q={q}: {q * q + 5 * q + 5}" in out
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nlambda", "2,1", "--at", str(2 ** 4423 - 1))
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert "Q has 4423 bits, past the 2048-bit budget" in err
 
     def test_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "nlambda", "3,1", "--json")

@@ -11,7 +11,9 @@ import json
 import pytest
 from make_golden import PATH, SECTIONS
 
+from orbitpairs.oracle import ExplicitModule, _group_perms
 from orbitpairs.orbits import n_lambdas
+from orbitpairs.permgroups import closure_labels, pair_labels
 from orbitpairs.posets import lattice, partitions_of
 from orbitpairs.quiver import r_n1
 from orbitpairs.refined import orbit_census, refined_matrix
@@ -95,3 +97,27 @@ def test_orbit_census_past_the_corpus():
                 for a, cnt in orbit_census(lam, I).items():
                     h.update(f"{lam};{I};{list(a.coeffs)};{list(cnt.coeffs)}\n".encode())
     assert h.hexdigest() == CENSUS_DIGEST
+
+
+# sha256 of "lambda@p;" followed by the little-endian int32 bytes of
+# labels[:, None] * n + F, the smallest flat index in each pair's orbit, for
+# every quick-mode module with p = 2 up to |lambda| = 9, 3 up to 6, 5 up to
+# 4, 7 up to 3 and 11 and 13 up to 2 (154 modules, the empty one included),
+# made by this recipe from the pair path that closed under 2(n - 1) adjacent
+# transvections per module.
+PAIR_LABEL_DIGEST = "2e10a8db641922fbcde8b5be9469b41d950cd1f5458e227d424cb54939c4d59d"
+
+
+def test_pair_labels_bit_for_bit():
+    # F holds canonical orbit minima, fixed by the group alone, so neither
+    # the generating set nor the order of the pair path's steps moves a bit.
+    h = hashlib.sha256()
+    for p, top in [(2, 9), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2)]:
+        for lam in (lam for m in range(top + 1) for lam in partitions_of(m)):
+            module = ExplicitModule.from_partition(lam, p)
+            perms, n = _group_perms(module, "quick"), module.size
+            labels = closure_labels(perms, n)
+            F = pair_labels(perms, labels)
+            h.update(f"{lam}@{p};".encode())
+            h.update((labels[:, None] * n + F).astype("<i4").tobytes())
+    assert h.hexdigest() == PAIR_LABEL_DIGEST

@@ -1,5 +1,6 @@
 import re
 import signal
+import tracemalloc
 from itertools import product
 from math import isqrt
 
@@ -89,11 +90,13 @@ def all_coordinate_generators(module: ExplicitModule) -> list[np.ndarray]:
 
 
 def generator_count(module: ExplicitModule) -> int:
-    """Size of aut_generators(module): the unit generators of one coordinate
-    per block of equal exponents, and 2(n - 1) adjacent transvections."""
+    """Size of aut_generators(module): per block of b equal exponents, the
+    unit generators of one coordinate, and a cycle and one transvection if
+    b >= 2; and a pair of transvections between consecutive blocks."""
     ks = module.exponents
-    return (sum(len(_unit_generators(module.p, k)) for k in set(ks))
-            + 2 * max(len(ks) - 1, 0))
+    blocks = set(ks)
+    return (sum(len(_unit_generators(module.p, k)) + 2 * (ks.count(k) >= 2) for k in blocks)
+            + 2 * max(len(blocks) - 1, 0))
 
 
 def union_find_labels(perms, n: int, dims: int) -> list[int]:
@@ -282,6 +285,21 @@ class TestPairSeed:
         m = ExplicitModule.from_partition(Partition.parse("2,1"), 2)
         self.check(_group_perms(m, "full-endos"), m.size)
 
+    @pytest.mark.parametrize("text", ["1^10", "2^5", "4,3,2,1", "5,3,1^2"])
+    def test_temporaries_stay_in_chunks(self, text):
+        # Past F itself, the pair path's gathers, scatters and comparisons
+        # hold a few _CHUNK-entry blocks at a time, far below |M|^2 entries.
+        m = ExplicitModule.from_partition(Partition.parse(text), 2)
+        perms = _group_perms(m, "quick")
+        labels = closure_labels(perms, m.size)
+        tracemalloc.start()
+        try:
+            F = pair_labels(perms, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - F.nbytes <= 64 * permgroups._CHUNK
+
     @pytest.mark.parametrize("text, p, sample", [("4,2", 2, True), ("2,1", 3, False),
                                                  ("1^2", 5, False)])
     def test_repair_stays_exact(self, text, p, sample, monkeypatch):
@@ -361,21 +379,34 @@ class TestPrimitives:
                     assert len(np.unique(perm)) == m.size, (str(lam), p)
 
     def test_generators_generate_the_same_group(self):
-        # The adjacent transvections and one block's units close elements
-        # and pairs into the orbits of the full coordinate set, on every
-        # module of the benchmark's verify grid and p = 2 up to |lambda| = 6.
-        for p, top in [(3, 5), (5, 4), (2, 6)]:
-            for lam in (lam for m in range(1, top + 1) for lam in partitions_of(m)):
-                m = ExplicitModule.from_partition(lam, p)
-                assert m.size ** 2 <= PAIR_BUDGET
-                gens = aut_generators(m)
-                assert len(gens) == generator_count(m), (str(lam), p)
-                els = m.elements()
-                new = [endo_permutation(m, g, els) for g in gens]
-                old = [endo_permutation(m, g, els) for g in all_coordinate_generators(m)]
-                assert np.array_equal(closure_labels(old, m.size), closure_labels(new, m.size))
-                assert np.array_equal(flat_pair_labels(old, m.size),
-                                      flat_pair_labels(new, m.size)), (str(lam), p)
+        # The block cycles, transvections and one coordinate's units per
+        # block close elements and pairs into the orbits of the full
+        # coordinate set, on every module of the benchmark's verify grid,
+        # p = 2 up to |lambda| = 6, and blocks of 3 at other primes and
+        # exponents.
+        grid = [lam for m in range(1, 7) for lam in partitions_of(m)]
+        jobs = [(lam, p) for p, top in [(3, 5), (5, 4), (2, 6)]
+                for lam in grid if lam.weight <= top]
+        jobs += [(Partition.parse(text), p)
+                 for text, p in [("1^3", 5), ("1^3", 7), ("2^3", 3), ("3^3", 2)]]
+        for lam, p in jobs:
+            m = ExplicitModule.from_partition(lam, p)
+            assert m.size ** 2 <= PAIR_BUDGET
+            gens = aut_generators(m)
+            assert len(gens) == generator_count(m), (str(lam), p)
+            els = m.elements()
+            new = [endo_permutation(m, g, els) for g in gens]
+            old = [endo_permutation(m, g, els) for g in all_coordinate_generators(m)]
+            assert np.array_equal(closure_labels(old, m.size), closure_labels(new, m.size))
+            assert np.array_equal(flat_pair_labels(old, m.size),
+                                  flat_pair_labels(new, m.size)), (str(lam), p)
+
+    @pytest.mark.parametrize("text, p, count", [("1^10", 2, 2), ("2^5", 2, 3), ("1^4", 5, 3)])
+    def test_one_block_takes_at_most_three_generators(self, text, p, count):
+        # A block's units (none for Z/2, -1 for Z/4, 2 for Z/5), its cycle
+        # and one transvection, however many coordinates it has.
+        m = ExplicitModule.from_partition(Partition.parse(text), p)
+        assert len(aut_generators(m)) == generator_count(m) == count
 
     def test_generators_of_unsorted_exponents(self):
         # Blocks and adjacency follow the exponents' order, not the
@@ -383,7 +414,9 @@ class TestPrimitives:
         m = ExplicitModule(3, (1, 2, 1))
         els = m.elements()
         gens = aut_generators(m)
-        assert len(gens) == generator_count(m) == 2 + 4
+        # The block 2 (one unit), then the block 1, 1 (one unit, a cycle, a
+        # transvection), and the pair between them.
+        assert len(gens) == generator_count(m) == 1 + 3 + 2
         new = [endo_permutation(m, g, els) for g in gens]
         old = [endo_permutation(m, g, els) for g in all_coordinate_generators(m)]
         assert np.array_equal(flat_pair_labels(old, m.size), flat_pair_labels(new, m.size))
@@ -460,12 +493,12 @@ class TestOrbits:
         assert sum(o.size for o in pairs) == m.size ** 2
 
     def test_pair_orbits_at_budget(self):
-        # |M|^2 = PAIR_BUDGET, closed under 9 generators: one block's units
-        # and 2(n - 1) adjacent transvections.
+        # |M|^2 = PAIR_BUDGET, closed under 3 generators: the block's unit
+        # -1, the cycle of its 5 coordinates and one transvection.
         lam = Partition.parse("2^5")
         m = ExplicitModule.from_partition(lam, 2)
         assert m.size ** 2 == PAIR_BUDGET
-        assert len(aut_generators(m)) == generator_count(m) == 9
+        assert len(aut_generators(m)) == generator_count(m) == 3
         pairs = orbits(m)[1]
         assert len(pairs) == int(n_lambda(lam)(2))
         assert sum(o.size for o in pairs) == PAIR_BUDGET
