@@ -210,8 +210,7 @@ def cmd_quiver(args) -> int:
 
 def cmd_verify(args) -> int:
     lam = Partition.parse(args.partition)
-    mode = "full-endos" if args.full_endos else "quick"
-    report = verify(lam, args.p, mode)
+    report = verify(lam, args.p)
     if args.json:
         print(json.dumps(report, indent=1))
     else:
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="brute-force comparison at q = p")
     p.add_argument("partition")
     p.add_argument("p", type=int)
-    p.add_argument("--full-endos", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

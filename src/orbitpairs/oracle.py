@@ -16,13 +16,10 @@ Conjugating by the cycles moves the cross-block pair onto every pair of
 coordinates of the two blocks, whose commutators give every transvection
 e_rs(p^max(0, k_r - k_s)), so the set generates all of Aut(M) (see
 aut_generators).
-One call of orbits(module, mode) gives the element and pair orbits from
-one list of generator permutations, one element closure and one
+One call of orbits(module) gives the element and pair orbits from one
+list of generator permutations, one element closure and one
 valuation-profile table; pairs are closed on the element permutations of
 the generators (see permgroups), and no pair permutation is built.
-The generator set is an engineering construction, so a full-endos mode that
-enumerates every invertible endomorphism acts as the authority on any
-disagreement.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Callable, List
 
 import numpy as np
@@ -45,7 +41,6 @@ from .refined import refined_censuses
 ELEMENT_BUDGET = 2 ** 12
 PAIR_BUDGET = 2 ** 20
 assert PAIR_BUDGET <= 2 ** 30, "pair label rows are int16 element indices"
-ENDO_BUDGET = 2 ** 24
 
 
 # Miller-Rabin to these bases decides primality below 3317044064679887385961981,
@@ -190,48 +185,6 @@ def endo_permutation(module: ExplicitModule, matrix: np.ndarray,
     return images @ weights
 
 
-def invertible_endomorphisms(module: ExplicitModule) -> List[np.ndarray]:
-    """Every invertible endomorphism, as an element-index permutation.
-    Safety net for the generator-set construction.  Both the matrices walked
-    and the permutation entries kept are bounded by ENDO_BUDGET before
-    anything is built."""
-    p, ks = module.p, module.exponents
-    n = len(ks)
-    total = p ** sum(min(ki, kj) for ki in ks for kj in ks)
-    if total > ENDO_BUDGET:
-        raise BudgetExceeded(f"{total} endomorphisms exceed budget {ENDO_BUDGET}")
-    # The automorphisms are kept as |Aut M| permutations of |M| entries each.
-    kept = aut_order(module) * module.size
-    if kept > ENDO_BUDGET:
-        raise BudgetExceeded(f"|Aut M| * |M| = {kept} permutation entries exceed budget "
-                             f"{ENDO_BUDGET}")
-    elements = module.elements()
-    # Entry (i, j) runs over the multiples of p**max(0, k_i - k_j) below p**k_i.
-    entries = [range(0, p ** ks[i], p ** max(0, ks[i] - ks[j]))
-               for i in range(n) for j in range(n)]
-    perms = []
-    for values in product(*entries):
-        m = np.array(values, dtype=np.int64).reshape(n, n)
-        perm = endo_permutation(module, m, elements)
-        # Index 0 is the zero element: the map is bijective iff only 0 maps to 0.
-        if np.count_nonzero(perm == 0) == 1:
-            perms.append(perm)
-    return perms
-
-
-def aut_order(module: ExplicitModule) -> int:
-    """|Aut M| by the closed form of Hillar and Rhea (Automorphisms of finite
-    abelian groups, 2007): with exponents e_1 <= ... <= e_n and c_k, d_k the
-    first and last index of e_k's block, the product over k of
-    (p^d_k - p^(k-1)) p^(e_k (n - d_k)) p^((e_k - 1)(n - c_k + 1))."""
-    p, es = module.p, sorted(module.exponents)
-    n, total = len(es), 1
-    for k, e in enumerate(es, 1):
-        c, d = es.index(e) + 1, n - es[::-1].index(e)
-        total *= (p ** d - p ** (k - 1)) * p ** (e * (n - d) + (e - 1) * (n - c + 1))
-    return total
-
-
 @dataclass
 class OrbitDescriptor:
     size: int
@@ -239,14 +192,7 @@ class OrbitDescriptor:
     second_ideal: OrderIdeal = None  # pairs only
 
 
-def _group_perms(module: ExplicitModule, mode: str) -> List[np.ndarray]:
-    if mode not in ("quick", "full-endos"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "full-endos":
-        perms = invertible_endomorphisms(module)
-        if len(perms) != aut_order(module):
-            raise OrbitPairsError(f"{len(perms)} automorphisms, but |Aut M| = {aut_order(module)}")
-        return perms
+def _group_perms(module: ExplicitModule) -> List[np.ndarray]:
     elements = module.elements()
     return [endo_permutation(module, g, elements) for g in aut_generators(module)]
 
@@ -275,14 +221,13 @@ def _element_ideals(module: ExplicitModule, elements: np.ndarray) -> Callable[[i
     return ideal
 
 
-def orbits(module: ExplicitModule,
-           mode: str = "quick") -> tuple[List[OrbitDescriptor], List[OrbitDescriptor]]:
+def orbits(module: ExplicitModule) -> tuple[List[OrbitDescriptor], List[OrbitDescriptor]]:
     """(element orbits, pair orbits) of the module, pairs under the diagonal
     action, each annotated with the invariant ideal(s) of its smallest
     index."""
     if module.size ** 2 > PAIR_BUDGET:
         raise BudgetExceeded(f"pair space {module.size ** 2} exceeds budget {PAIR_BUDGET}")
-    perms = _group_perms(module, mode)
+    perms = _group_perms(module)
     labels = closure_labels(perms, module.size)
     ideal = _element_ideals(module, module.elements())
     # Labels are orbit minima: the distinct labels are the representatives.
@@ -303,12 +248,12 @@ def _check(name, expected, actual):
             "pass": expected == actual}
 
 
-def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
+def verify(lam: Partition, p: int) -> dict:
     """Compare every counting formula against direct orbit enumeration at
     q = p.  Returns a JSON-ready report with one entry per check."""
     module = ExplicitModule.from_partition(lam, p)
     ideals = lattice(lam).ideals
-    element_orbits, pair_orbits = orbits(module, mode)
+    element_orbits, pair_orbits = orbits(module)
     checks = [_check("element orbit count vs ideal count",
                      len(ideals), len(element_orbits))]
     sizes_by_ideal = {o.ideal: o.size for o in element_orbits}
@@ -345,7 +290,7 @@ def verify(lam: Partition, p: int, mode: str = "quick") -> dict:
     checks.append(_check("refined pair counts per orbit pair",
                          _render_map(expected_refined), _render_map(actual_refined)))
 
-    return {"partition": str(lam), "p": p, "mode": mode, "checks": checks,
+    return {"partition": str(lam), "p": p, "mode": "quick", "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 
 

@@ -161,12 +161,10 @@ class TestHugeInputs:
         (["census", "2^9999999999999999999999,1", "--max", "0:1"], "past int64"),
         (["census", "99999999999999999999999", "--max", "0:99999999999999999999999"],
          "ideal weights of the cells of 99999999999999999999999 reach"),
-        (["verify", "8,3", "2", "--full-endos"], "pair space 4194304 exceeds budget"),
-        (["verify", "2,1^2", "5", "--full-endos"], "|Aut M| * |M| = 3750000000")],
+        (["verify", "8,3", "2"], "pair space 4194304 exceeds budget")],
         ids=["at-psi12", "verify-1^999999999", "verify-23-digits", "verify-4000000",
              "nlambda-23-digits", "census-22-digit-mult", "census-23-digits",
-             "full-endos-pair-space",
-             "full-endos-kept-permutations"])
+             "verify-pair-space"])
     def test_exit_1_with_message(self, argv, message):
         proc = run_module(*argv)
         assert proc.returncode == 1 and proc.stdout == ""
@@ -405,6 +403,14 @@ class TestUsageErrors:
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
         assert cache.read_bytes() == before
+
+    def test_full_endos_is_a_usage_error(self):
+        # verify has one group path, the generators a test certifies to give
+        # all of Aut M: the enumeration flag is an unknown option.
+        proc = run_module("verify", "2,1", "2", "--full-endos")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "unrecognized arguments: --full-endos" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]])
     def test_help_is_exit_0(self, capsys, argv):

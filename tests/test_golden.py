@@ -115,7 +115,7 @@ def test_pair_labels_bit_for_bit():
     for p, top in [(2, 9), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2)]:
         for lam in (lam for m in range(top + 1) for lam in partitions_of(m)):
             module = ExplicitModule.from_partition(lam, p)
-            perms, n = _group_perms(module, "quick"), module.size
+            perms, n = _group_perms(module), module.size
             labels = closure_labels(perms, n)
             F = pair_labels(perms, labels)
             h.update(f"{lam}@{p};".encode())

@@ -6,6 +6,8 @@ from math import isqrt
 
 import numpy as np
 import pytest
+import sympy
+from autgroup import aut_order, chain_order_bound, invertible_endomorphisms, pair_orbit_sizes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_orbits import max_minus, union
@@ -13,10 +15,9 @@ from test_orbits import max_minus, union
 from orbitpairs import cli, oracle, permgroups
 from orbitpairs import orbits as orbits_module
 from orbitpairs.errors import BudgetExceeded, OrbitPairsError
-from orbitpairs.oracle import (PAIR_BUDGET, ExplicitModule, _element_ideals, _group_perms,
-                               _unit_generators, aut_generators, aut_order,
-                               endo_permutation, invertible_endomorphisms, orbits,
-                               verify)
+from orbitpairs.oracle import (ELEMENT_BUDGET, PAIR_BUDGET, ExplicitModule, _element_ideals,
+                               _group_perms, _unit_generators, aut_generators,
+                               endo_permutation, orbits, verify)
 from orbitpairs.permgroups import _forest, _schreier, _unwind, closure_labels, pair_labels
 from orbitpairs.orbits import n_lambda, orbit_size
 from orbitpairs.posets import (OrderIdeal, Partition, Point, lattice, partitions_of,
@@ -283,14 +284,14 @@ class TestPairSeed:
         for n, k in [(6, 9), (12, 5), (20, 3)]:
             self.check([rng.permutation(n) for _ in range(k)], n)
         m = ExplicitModule.from_partition(Partition.parse("2,1"), 2)
-        self.check(_group_perms(m, "full-endos"), m.size)
+        self.check(invertible_endomorphisms(m), m.size)
 
     @pytest.mark.parametrize("text", ["1^10", "2^5", "4,3,2,1", "5,3,1^2"])
     def test_temporaries_stay_in_chunks(self, text):
         # Past F itself, the pair path's gathers, scatters and comparisons
         # hold a few _CHUNK-entry blocks at a time, far below |M|^2 entries.
         m = ExplicitModule.from_partition(Partition.parse(text), 2)
-        perms = _group_perms(m, "quick")
+        perms = _group_perms(m)
         labels = closure_labels(perms, m.size)
         tracemalloc.start()
         try:
@@ -318,7 +319,7 @@ class TestPairSeed:
             return rows if sample or len(xs) == 1 else rows[:0]
         monkeypatch.setattr(permgroups, "_schreier", schreier)
         m = ExplicitModule.from_partition(Partition.parse(text), p)
-        perms = _group_perms(m, "quick")
+        perms = _group_perms(m)
         got = call_within(10, flat_pair_labels, perms, m.size)
         assert repairs
         assert got.tolist() == union_find_labels(perms, m.size, 2)
@@ -428,37 +429,56 @@ class TestPrimitives:
         m = ExplicitModule.from_partition(Partition.parse("1,1"), 2)
         assert len(invertible_endomorphisms(m)) == 6  # |GL_2(F_2)|
 
-    @pytest.mark.parametrize("text, p, entries", [("2,1^2", 5, 3750000000),
-                                                   ("5,3,2", 2, 2147483648)])
-    def test_kept_permutations_checked_before_enumerating(self, text, p, entries,
-                                                          monkeypatch):
-        # Both modules fit the pair budget and enumerate at most ENDO_BUDGET
-        # matrices, but keeping |Aut M| permutations of |M| entries each
-        # would not fit it: no matrix is mapped.
-        monkeypatch.setattr(oracle, "endo_permutation",
-                            lambda *args: pytest.fail("endomorphism enumerated"))
-        m = ExplicitModule.from_partition(Partition.parse(text), p)
-        assert aut_order(m) * m.size == entries
-        with pytest.raises(BudgetExceeded, match=re.escape(f"|Aut M| * |M| = {entries} ")):
-            call_within(2, verify, Partition.parse(text), p, "full-endos")
-
     def test_aut_order_matches_enumeration(self):
-        # Hillar and Rhea's closed form, on every shape whose quick and
-        # full-endos pair orbits are compared below.
+        # Hillar and Rhea's closed form, on every shape whose quick pair
+        # orbits are compared with the enumeration's below.
         for p, top in [(2, 4), (3, 3), (5, 2)]:
             for lam in (lam for m in range(1, top + 1) for lam in partitions_of(m)):
                 m = ExplicitModule.from_partition(lam, p)
                 assert aut_order(m) == len(invertible_endomorphisms(m)), (str(lam), p)
 
-    def test_short_enumeration_is_exit_2(self, capsys, monkeypatch):
-        # An enumeration that misses an automorphism fails the full-endos
-        # job as an internal inconsistency, with no report.
-        real = oracle.invertible_endomorphisms
-        monkeypatch.setattr(oracle, "invertible_endomorphisms", lambda m: real(m)[1:])
-        assert cli.main(["verify", "2,1", "3", "--full-endos"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "internal consistency failure: 107 automorphisms, but |Aut M| = 108" in err
+
+class TestCertificate:
+    """aut_generators gives all of Aut M on every module whose group verify
+    builds: p prime up to ELEMENT_BUDGET and |M|^2 up to PAIR_BUDGET, so
+    p^|lambda| up to isqrt(PAIR_BUDGET), the empty shape at every such p."""
+
+    TOP = min(ELEMENT_BUDGET, isqrt(PAIR_BUDGET))
+    PRIMES = list(sympy.primerange(2, ELEMENT_BUDGET + 1))
+
+    def test_generators_give_aut_m(self):
+        # Each generator is an endomorphism, its entry (r, s) divisible by
+        # p^max(0, k_r - k_s), and its element permutation a bijection, so
+        # the generated group G lies in Aut M; a stabilizer chain bounds |G|
+        # from below, and the bound reaching |Aut M| proves G = Aut M.
+        rng = np.random.default_rng(33)
+        modules = [ExplicitModule.from_partition(lam, p) for p in self.PRIMES
+                   for n in range(self.TOP.bit_length()) if p ** n <= self.TOP
+                   for lam in partitions_of(n)]
+        assert len(modules) == 930 and max(m.size for m in modules) ** 2 <= PAIR_BUDGET
+        for m in modules:
+            ks = np.array(m.exponents, dtype=np.int64)
+            divisors = np.int64(m.p) ** np.maximum(0, ks[:, None] - ks[None, :])
+            els = m.elements()
+            for g in aut_generators(m):
+                assert not (g % divisors).any(), (m, g)
+                assert len(np.unique(endo_permutation(m, g, els))) == m.size, (m, g)
+            assert chain_order_bound(_group_perms(m), m.size, rng) == aut_order(m), m
+
+    def test_first_module_past_the_domain_is_refused(self, monkeypatch):
+        # At each prime, every shape of the least weight past the certified
+        # domain (and the empty shape at the first prime past ELEMENT_BUDGET)
+        # is refused before any group is built, so a change of budget cannot
+        # run a module the certificate above has not covered.
+        monkeypatch.setattr(oracle, "_group_perms", lambda module: pytest.fail("group built"))
+        first_past = sympy.nextprime(ELEMENT_BUDGET)
+        jobs = [(Partition(), first_past)]
+        for p in self.PRIMES:
+            n = next(n for n in range(self.TOP.bit_length() + 1) if p ** n > self.TOP)
+            jobs += [(lam, p) for lam in partitions_of(n)]
+        for lam, p in jobs:
+            with pytest.raises(BudgetExceeded):
+                verify(lam, p)
 
 
 class TestOrbits:
@@ -507,8 +527,8 @@ class TestOrbits:
         for p, top in [(2, 4), (3, 3), (5, 2)]:
             for lam in (lam for m in range(1, top + 1) for lam in partitions_of(m)):
                 m = ExplicitModule.from_partition(lam, p)
-                quick = sorted(o.size for o in orbits(m, "quick")[1])
-                full = sorted(o.size for o in orbits(m, "full-endos")[1])
+                quick = sorted(o.size for o in orbits(m)[1])
+                full = pair_orbit_sizes(invertible_endomorphisms(m), m.size)
                 assert quick == full, (str(lam), p)
 
 
@@ -540,18 +560,6 @@ class TestVerify:
         report = verify(Partition.parse("2,1"), 2)
         assert report["pass"]
         assert len(report["checks"]) == 5
-
-    def test_full_endos_mode(self):
-        report = verify(Partition.parse("2,1"), 2, "full-endos")
-        assert report["pass"]
-
-    @pytest.mark.parametrize("mode", ["full", "", "Quick"])
-    def test_unknown_mode_rejected(self, mode):
-        # Any mode but quick and full-endos is an error, not a quick run.
-        with pytest.raises(ValueError, match="unknown mode"):
-            verify(Partition.parse("2,1"), 2, mode)
-        with pytest.raises(ValueError, match="unknown mode"):
-            orbits(ExplicitModule.from_partition(Partition.parse("2,1"), 2), mode)
 
     def test_one_cell_batch_per_shape(self, monkeypatch):
         # The pair count and census checks read the refined grid, which
@@ -624,25 +632,23 @@ class TestVerify:
         assert cli.main(["verify", "2,1", "2"]) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("mode", ["quick", "full-endos"])
-    def test_group_built_once(self, mode, monkeypatch):
+    def test_group_built_once(self, monkeypatch):
         # Both orbit closures share one list of element permutations.
         built = []
         real = oracle._group_perms
         monkeypatch.setattr(oracle, "_group_perms",
-                            lambda module, m: built.append(m) or real(module, m))
-        assert verify(Partition.parse("2,1"), 2, mode)["pass"]
-        assert built == [mode]
+                            lambda module: built.append(module) or real(module))
+        assert verify(Partition.parse("2,1"), 2)["pass"]
+        assert built == [ExplicitModule(2, (2, 1))]
 
-    @pytest.mark.parametrize("mode", ["quick", "full-endos"])
-    def test_element_labels_computed_once(self, mode, monkeypatch):
+    def test_element_labels_computed_once(self, monkeypatch):
         # One closure of the group gives the element orbits, and the pair
         # path reads those labels instead of closing the group again.
         groups, closures, pair_paths = [], [], []
         real_group, real_pairs = oracle._group_perms, oracle.pair_labels
         real_closure = oracle.closure_labels
         monkeypatch.setattr(oracle, "_group_perms",
-                            lambda module, m: groups.append(real_group(module, m)) or groups[-1])
+                            lambda module: groups.append(real_group(module)) or groups[-1])
 
         def closure(perms, n):
             labels = real_closure(perms, n)
@@ -652,28 +658,26 @@ class TestVerify:
         monkeypatch.setattr(oracle, "closure_labels", closure)
         monkeypatch.setattr(oracle, "pair_labels", lambda perms, labels: pair_paths.append(
             perms is groups[0] and labels is closures[0]) or real_pairs(perms, labels))
-        assert verify(Partition.parse("2,1"), 3, mode)["pass"]
+        assert verify(Partition.parse("2,1"), 3)["pass"]
         assert len(closures) == 1
         assert pair_paths == [True]
 
     def test_pair_budget_checked_before_pair_labels(self, monkeypatch):
         # |M| = 4096 fits the element budget, but neither its group, its
         # element orbits nor its (|M|, |M|) pair labels are computed: the
-        # pair space is over budget.  In full-endos mode, 8,3@2 would
-        # otherwise enumerate 131 072 matrices first.
+        # pair space is over budget.
         monkeypatch.setattr(oracle, "_group_perms",
-                            lambda module, mode: pytest.fail("group built"))
+                            lambda module: pytest.fail("group built"))
         monkeypatch.setattr(oracle, "closure_labels",
                             lambda perms, n: pytest.fail("element orbits closed"))
         monkeypatch.setattr(oracle, "pair_labels",
                             lambda perms, labels: pytest.fail("pair labels built"))
-        for mode in ("quick", "full-endos"):
-            with pytest.raises(BudgetExceeded, match="pair space"):
-                verify(Partition.parse("2^6"), 2, mode)
-            with pytest.raises(BudgetExceeded, match="pair space"):
-                orbits(ExplicitModule.from_partition(Partition.parse("2^6"), 2), mode)
-            with pytest.raises(BudgetExceeded, match="pair space 4194304"):
-                verify(Partition.parse("8,3"), 2, mode)
+        with pytest.raises(BudgetExceeded, match="pair space"):
+            verify(Partition.parse("2^6"), 2)
+        with pytest.raises(BudgetExceeded, match="pair space"):
+            orbits(ExplicitModule.from_partition(Partition.parse("2^6"), 2))
+        with pytest.raises(BudgetExceeded, match="pair space 4194304"):
+            verify(Partition.parse("8,3"), 2)
 
     def test_ideal_read_once_per_element(self, monkeypatch):
         # Pair orbit representatives share valuation profiles: one ideal is
@@ -704,14 +708,12 @@ class TestVerify:
         for i, coords in enumerate(els.tolist()):
             assert ideal(i) == ideal_of(m, coords), (text, p, coords)
 
-    @pytest.mark.parametrize("mode", ["quick", "full-endos"])
     @pytest.mark.parametrize("p", [2, 3])
-    def test_empty_module(self, p, mode):
-        # The zero module: one element, one pair, and the one automorphism
-        # of the 0 x 0 matrix.
-        report = verify(Partition(), p, mode)
+    def test_empty_module(self, p):
+        # The zero module: one element and one pair.
+        report = verify(Partition(), p)
         assert report["pass"] and len(report["checks"]) == 5
-        elements, pairs = orbits(ExplicitModule.from_partition(Partition(), p), mode)
+        elements, pairs = orbits(ExplicitModule.from_partition(Partition(), p))
         assert [o.size for o in elements] == [o.size for o in pairs] == [1]
         assert elements[0].ideal == pairs[0].second_ideal == OrderIdeal.from_generators([])
 
