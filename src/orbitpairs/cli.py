@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import sys
-from itertools import chain
 
 from .errors import OrbitPairsError
 from .oracle import _is_prime, verify
@@ -68,8 +67,6 @@ def _emit_with_total(header: list[str], rows: list[list[str]], label: str,
     return f"{_emit_rows(header, rows, args)}\n{label}: {_poly_out(total, args)}"
 
 
-# Trial division tries every divisor below 2**_TRIAL_BITS.
-_TRIAL_BITS = 16
 # --at refuses a Q past this many bits before any primality test: a prime just
 # below 2**2048 takes 0.4 s to recognise on a 2-vCPU VM, and each Miller-Rabin
 # witness costs about the cube of Q's bit length.
@@ -95,26 +92,16 @@ def _iroot(q: int, k: int) -> int:
 
 
 def _is_prime_power(q: int) -> bool:
-    """q = p**k for a prime p and k >= 1.  The first divisor d > 1 of q that
-    trial division finds is prime, and q must be a power of it.  Past
-    2**_TRIAL_BITS, every prime factor of q is larger, so q = r**k with k > 1
-    needs k <= (bit length - 1) / _TRIAL_BITS; trying prime k suffices, as an
-    r**(a*b) is an (r**b)**a."""
+    """q = p**k for a prime p and k >= 1.  The first k, from q's bit length
+    down, with q = r**k gives q's highest perfect power, and its base r is
+    not itself a perfect power, so q is a prime power iff r is prime."""
     if q < 2:
         return False
-    for d in chain((2,), range(3, 1 << _TRIAL_BITS, 2)):
-        if d * d > q:
-            return True
-        if q % d == 0:
-            while q % d == 0:
-                q //= d
-            return q == 1
-    for k in range(2, (q.bit_length() - 1) // _TRIAL_BITS + 1):
-        if _is_prime(k):
-            r = _iroot(q, k)
-            if r ** k == q:
-                return _is_prime_power(r)
-    return _is_prime(q)
+    for k in range(q.bit_length(), 0, -1):
+        r = _iroot(q, k)
+        if r ** k == q:
+            return _is_prime(r)
+    return False
 
 
 def cmd_nlambda(args) -> int:

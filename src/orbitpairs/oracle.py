@@ -260,7 +260,7 @@ def verify(lam: Partition, p: int) -> dict:
     expected_sizes = {I: orbit_size(lam, I)(p) for I in ideals}
     checks.append(_check("element orbit sizes vs orbit size formula",
                          _render_map(expected_sizes), _render_map(sizes_by_ideal)))
-    grid = refined_censuses(lam, ideals, ideals)
+    grid = refined_censuses(lam)
     totals = {(I, L): sum(census.values(), ZERO)
               for I, row in zip(ideals, grid) for L, census in zip(ideals, row)}
     # Swapping a pair's members commutes with the action, so the totals are

@@ -224,12 +224,6 @@ class OrderIdeal:
     def boundary(self, k: int) -> int:
         return boundary(self.max_points, k)
 
-    def contains(self, p: Point) -> bool:
-        return self.boundary(p.k) <= p.v
-
-    def is_subset_of(self, other: "OrderIdeal") -> bool:
-        return all(other.contains(p) for p in self.max_points)
-
     def weighted_size(self, lam: Partition) -> int:
         """Number of points of the ideal on the partition's rows, counted with
         multiplicity: sum of m_i * (lambda_i - boundary)."""

@@ -134,10 +134,6 @@ class QPolynomial:
     def to_json(self):
         return {"coeffs": list(self.coeffs)}
 
-    @classmethod
-    def from_json(cls, obj) -> "QPolynomial":
-        return cls(obj["coeffs"])
-
 
 def _coerce(x):
     if isinstance(x, QPolynomial):

@@ -4,8 +4,9 @@ R_{n,1}(q) is read off Hua's product sum_n R_{n,1} x^n = prod_d (sum_lambda
 n_lambda(q^d) x^{d|lambda|})^{phi_d(q)}, taken as the exponential of its
 logarithm by Newton's identities, one weight at a time in Z[q].  The sum over
 similarity-class types (multisets of (partition, degree) pairs) of class
-counts times orbit counts is its independent check; the rational phi_d and
-class counts are each an int polynomial over an int denominator.
+counts times orbit counts, type_sum, is its independent check, which `quiver
+n --breakdown` runs; the rational phi_d and class counts are each an int
+polynomial over an int denominator.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class MatrixType:
         order = sorted(counts.items(),
                        key=lambda e: (e[0][1], e[0][0].expand()))
         return cls(tuple(order))
-
-    @property
-    def weight(self) -> int:
-        return sum(a * d * lam.weight for (lam, d), a in self.entries)
 
     def degree_multiplicity(self, d: int) -> int:
         """Number of pairs of degree d, counted with multiplicity."""
@@ -162,7 +159,7 @@ def _series(n_max: int) -> list[QPolynomial]:
 
 def r_n1(n: int) -> QPolynomial:
     """Number of isomorphism classes of representations with dimension
-    vector (n, 1): entry n of the series, which genfunc_check checks.  Each
+    vector (n, 1): entry n of the series, which type_sum checks.  Each
     R_{n,1} needs only the weights <= n, so a call computes just the weights
     past those already in _STORE."""
     if n < 1:
@@ -178,13 +175,3 @@ def type_sum(n: int, r: QPolynomial) -> tuple[list, bool]:
     scale = lcm(*(den for _, _, den, _ in terms))
     total = sum((num * (scale // den) * m for _, num, den, m in terms), ZERO)
     return terms, total == r * scale
-
-
-def genfunc_check(n_max: int) -> bool:
-    """Compare the series R_{0..n_max}, read from the store that r_n1 reads,
-    with the type sums over all types of weight n, sum c_tau * n_tau, for
-    every n <= n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    series = _series(n_max)
-    return series[0] == ONE and all(type_sum(n, series[n])[1] for n in range(1, n_max + 1))

@@ -13,30 +13,32 @@ lattice) then sharpen "at least" constraints to "exactly"; each sums only
 over the nonzero closed-form Moebius terms of its lattice, boundary tuples
 from posets.mobius_terms, listed once per (mu, ideal).
 
-The census engine, _grid, takes first ideals I and, per I, its own columns,
+The census engine, _grid, takes first ideals I and, per I, its columns,
 each a signed list of second-element submodules L' given by their
 boundaries on lambda's rows, and computes per (I, J) the fibers over the L'
 that I's columns read, once each, and per (I, column) the cells (J, K) of
 the census grid.  A cell, divided by alpha, is its fiber times the Laurent
 key orbit_size(K)/alpha, whose factors are the m'' of K's points inside J;
 summed per alpha key, these give N_alpha with no division.
-refined_censuses passes every I the column of Moebius terms of every second
-ideal L; orbit_census passes the whole module, whose cells are orbits', so
-that its rows are the census of I.  refined_matrix passes each I only the
-columns of the L at or after it in lattice order and mirrors the rest, as
-swapping a pair's members makes the totals, though not the censuses,
-symmetric (oracle.verify checks that on the full grid).  The guards
-are orbits': the split and lattice(mu) check that the cells partition the
-module, alpha expands as a polynomial or raises NegativeExponent, and a
-Laurent key below its factors' sum or a negative power left in N_alpha
-raises.
+The columns come from the lattice: the second ideals L are lattice(lambda)'s
+own, and each L's column is its Moebius terms, read off the rows of
+lambda's table as the quotient ideals' terms are off theirs.
+refined_censuses gives every I the column of every L; orbit_census gives I
+the whole module, whose cells are orbits', so that its row is the census of
+I.  refined_matrix gives each I only the columns of the L at or after it in
+lattice order and mirrors the rest, as swapping a pair's members makes the
+totals, though not the censuses, symmetric (oracle.verify checks that on the
+full grid).  The guards are orbits': the split and lattice(mu) check that
+the cells partition the module, alpha expands as a polynomial or raises
+NegativeExponent, and a Laurent key below its factors' sum or a negative
+power left in N_alpha raises.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import add, ge, sub
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Sequence
 
 from .orbits import _alpha_core, _negative_power, canonical_split
 from .posets import (OrderIdeal, Partition, Point, boundary, check_int64, lattice,
@@ -113,28 +115,36 @@ def exact_fiber_count(pts: tuple[Point, ...], As: Sequence[tuple[int, ...]],
     return fibers
 
 
-def _grid(lam: Partition, Is: Sequence[OrderIdeal],
-          columns: Iterable[Sequence[Sequence[tuple[tuple[int, ...], int]]]]
+def _grid(lam: Partition, Is: Sequence[OrderIdeal], starts: Sequence[int] | None = None
           ) -> list[list[Dict[QPolynomial, QPolynomial]]]:
-    """Per I in Is and each of I's own columns (columns holds one list per I),
-    map cardinality -> number of orbits of pairs with first member in the
-    orbit of I and second member in the column's signed sum of L', in order
-    of first nonzero cell, J outer and K inner.  A row computes fibers only
-    for the L' its columns read; rows that share one list of columns share
-    its index too.  Cell (J, K) sums +-fiber over the column's L' that
+    """Per I in Is and each of I's columns, map cardinality -> number of
+    orbits of pairs with first member in the orbit of I and second member in
+    the column's signed sum of L', in order of first nonzero cell, J outer and
+    K inner.  With starts, I's columns are the Moebius terms of the ideals L
+    of lattice(lambda) from I's start on, which sharpen "in L'" to "in the
+    orbit of L"; without, I has one column, the whole module.  A row computes
+    fibers only for the L' its columns read; rows with the same start share
+    that index too.  Cell (J, K) sums +-fiber over the column's L' that
     contain K.  With s = sum(map(min, bJ, bK)), it has alpha key (|lambda| -
     s, m'' of K's points outside J) and Laurent key (wK + s - |lambda|, m''
     of K's points inside J), kept with its exponent shifted up by |lambda|."""
     splits = [canonical_split(lam, I) for I in Is]
     weight, row = lam.weight, {k: i for i, k in enumerate(lam.rows)}
-    tables = {mu: _table(lam, mu) for mu in dict.fromkeys(
-        mu for sp in splits for mu in (sp.quotient, sp.lambda_dprime))}
+    mus = [mu for sp in splits for mu in (sp.quotient, sp.lambda_dprime)]
+    if starts is not None:  # lambda's own table lists the L and their terms
+        mus.append(lam)
+    tables = {mu: _table(lam, mu) for mu in dict.fromkeys(mus)}
     jterms = {mu: [mobius_terms(bq, tops) for _, _, _, bq, tops in tables[mu]]
               for mu in dict.fromkeys(sp.quotient for sp in splits)}
+    if starts is None:  # the whole module: every boundary 0
+        starts, lterms = [0], [[((0,) * len(lam.rows), 1)]]
+    else:
+        lterms = [mobius_terms(bq, tops) for _, _, _, bq, tops in tables[lam]]
     matrix, read = [], None
-    for I, split, own in zip(Is, splits, columns):
-        if own is not read:
-            read, Lps = own, list(dict.fromkeys(Lp for column in own for Lp, _ in column))
+    for I, split, start in zip(Is, splits, starts):
+        if start != read:
+            read, own = start, lterms[start:]
+            Lps = list(dict.fromkeys(Lp for column in own for Lp, _ in column))
             col = {Lp: i for i, Lp in enumerate(Lps)}
             cols = [[(col[Lp], mu) for Lp, mu in column] for column in own]
             # K lies inside L' iff its boundaries are at least L''s on every row.
@@ -198,24 +208,11 @@ def _laurent_sum(lam: Partition, I: OrderIdeal, akey: tuple, group: dict) -> lis
     return acc[weight:]
 
 
-def _columns(lam: Partition, Ls: Sequence[OrderIdeal]) -> list:
-    """Per L in Ls, its column: L's Moebius terms, which sharpen "in L'" to
-    "in the orbit of L"."""
-    row = {k: i for i, k in enumerate(lam.rows)}
-    columns = []
-    for L in Ls:
-        require_context(lam, L)
-        columns.append(mobius_terms(tuple(L.boundary(k) for k in lam.rows),
-                                    tuple(row[k] for _, k in L.max_points)))
-    return columns
-
-
-def refined_censuses(lam: Partition, Is: Sequence[OrderIdeal], Ls: Sequence[OrderIdeal]
-                     ) -> list[list[Dict[QPolynomial, QPolynomial]]]:
-    """Per I in Is and L in Ls, the census of orbit(I) x orbit(L): the grid
-    with every I reading the columns of every L."""
-    columns = _columns(lam, Ls)
-    return _grid(lam, Is, [columns] * len(Is))
+def refined_censuses(lam: Partition) -> list[list[Dict[QPolynomial, QPolynomial]]]:
+    """Per I and L in lattice(lam), the census of orbit(I) x orbit(L): the
+    grid with every I reading the columns of every L."""
+    ideals = lattice(lam).ideals
+    return _grid(lam, ideals, [0] * len(ideals))
 
 
 def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
@@ -227,27 +224,11 @@ def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial
     require_context(lam, I)
     # No point, part or multiplicity of lambda exceeds |lambda|.
     check_int64(lam.weight, f"ideal weights of the cells of {lam}")
-    return _grid(lam, [I], [[[((0,) * len(lam.rows), 1)]]])[0][0]
+    return _grid(lam, [I])[0][0]
 
 
 def _total(census: Dict[QPolynomial, QPolynomial]) -> QPolynomial:
     return sum(census.values(), ZERO)
-
-
-def per_ideal_total(lam: Partition, I: OrderIdeal) -> QPolynomial:
-    """Number of orbits of pairs whose first member has invariant I."""
-    return _total(orbit_census(lam, I))
-
-
-def refined_census(lam: Partition, I: OrderIdeal,
-                   L: OrderIdeal) -> Dict[QPolynomial, QPolynomial]:
-    """The census of orbit(I) x orbit(L): refined_censuses of I and L alone."""
-    return refined_censuses(lam, [I], [L])[0][0]
-
-
-def refined_total(lam: Partition, I: OrderIdeal, L: OrderIdeal) -> QPolynomial:
-    """Number of orbits of pairs in orbit(I) x orbit(L)."""
-    return _total(refined_census(lam, I, L))
 
 
 def refined_matrix(lam: Partition) -> Dict[tuple[OrderIdeal, OrderIdeal], QPolynomial]:
@@ -258,8 +239,7 @@ def refined_matrix(lam: Partition) -> Dict[tuple[OrderIdeal, OrderIdeal], QPolyn
     orbits over orbit(I) x orbit(L) one to one onto those over orbit(L) x
     orbit(I)."""
     ideals = lattice(lam).ideals
-    columns = _columns(lam, ideals)
-    upper = _grid(lam, ideals, (columns[i:] for i in range(len(ideals))))
+    upper = _grid(lam, ideals, range(len(ideals)))
     totals = {(i, j): _total(census) for i, row in enumerate(upper)
               for j, census in enumerate(row, i)}
     return {(I, L): totals[min(i, j), max(i, j)]

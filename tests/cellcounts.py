@@ -1,12 +1,23 @@
 """Cell counts one (J, K) at a time, for the tests' cell-by-cell reference
-censuses; the package sums these cells as Laurent keys in one batch."""
+censuses; the package sums these cells as Laurent keys in one batch.  Also
+the inclusion order of ideals, read off their boundaries point by point."""
 
 from operator import ge
 
 from orbitpairs.orbits import canonical_split, orbit_size
-from orbitpairs.posets import OrderIdeal, Partition, mobius_terms, require_context
+from orbitpairs.posets import OrderIdeal, Partition, Point, mobius_terms, require_context
 from orbitpairs.qpoly import QPolynomial, ZERO, monomial
 from orbitpairs.refined import exact_fiber_count
+
+
+def contains(X: OrderIdeal, p: Point) -> bool:
+    """p lies in X: X's boundary on p's row is at most p's valuation."""
+    return X.boundary(p.k) <= p.v
+
+
+def is_subset(A: OrderIdeal, B: OrderIdeal) -> bool:
+    """A <= B in the lattice: every maximal point of A lies in B."""
+    return all(contains(B, p) for p in A.max_points)
 
 
 def mobius_on(X: OrderIdeal, rows: tuple[int, ...]) -> list:

@@ -94,6 +94,20 @@ class TestNLambda:
         assert time.perf_counter() - start < 1
         assert code == 1 and "prime power" in err and out == ""
 
+    def test_at_huge_inputs_decided_fast(self, capsys):
+        # (2**1279 - 1)(2**607 - 1) has 1886 bits and no factor below 2**16;
+        # 3**1290 is a prime power of 2045 bits.  Both are decided in under 1 s.
+        q = (2 ** 1279 - 1) * (2 ** 607 - 1)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "nlambda", "1", "--at", str(q))
+        assert time.perf_counter() - start < 1
+        assert code == 1 and "not a prime power" in err and out == ""
+        q = 3 ** 1290
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "nlambda", "1", "--at", str(q))
+        assert time.perf_counter() - start < 1
+        assert code == 0 and f"at q={q}: {q + 2}" in out
+
     def test_at_prime_powers(self, capsys):
         # q^2 + 5q + 5 at prime powers, including a 61-bit prime.
         for q in (3, 4, 8, 9, 2 ** 61 - 1):
@@ -130,7 +144,7 @@ class TestNLambda:
         assert code == 0
         obj = json.loads(out)
         assert obj["partition"] == "3,1"
-        assert QPolynomial.from_json(obj) == n_lambda(Partition.parse("3,1"))
+        assert QPolynomial(obj["coeffs"]) == n_lambda(Partition.parse("3,1"))
 
     def test_parse_error_is_exit_1(self, capsys):
         code, _, err = run(capsys, "nlambda", "abc")

