@@ -16,9 +16,10 @@ Conjugating by the cycles moves the cross-block pair onto every pair of
 coordinates of the two blocks, whose commutators give every transvection
 e_rs(p^max(0, k_r - k_s)), so the set generates all of Aut(M) (see
 aut_generators).
-One call of orbits(module) gives the element and pair orbits from one
-list of generator permutations, one element closure and one
-valuation-profile table; pairs are closed on the element permutations of
+One call of orbits(module) tallies what verify compares, one (ideal, size)
+per element orbit and the pair orbits by size and by their two ideals, from
+one list of generator permutations, one element closure and one
+valuation-profile table.  Pairs are closed on the element permutations of
 the generators (see permgroups), and no pair permutation is built.
 """
 
@@ -185,13 +186,6 @@ def endo_permutation(module: ExplicitModule, matrix: np.ndarray,
     return images @ weights
 
 
-@dataclass
-class OrbitDescriptor:
-    size: int
-    ideal: OrderIdeal
-    second_ideal: OrderIdeal = None  # pairs only
-
-
 def _group_perms(module: ExplicitModule) -> List[np.ndarray]:
     elements = module.elements()
     return [endo_permutation(module, g, elements) for g in aut_generators(module)]
@@ -221,26 +215,26 @@ def _element_ideals(module: ExplicitModule, elements: np.ndarray) -> Callable[[i
     return ideal
 
 
-def orbits(module: ExplicitModule) -> tuple[List[OrbitDescriptor], List[OrbitDescriptor]]:
-    """(element orbits, pair orbits) of the module, pairs under the diagonal
-    action, each annotated with the invariant ideal(s) of its smallest
-    index."""
+def orbits(module: ExplicitModule) -> tuple[List[tuple[OrderIdeal, int]], Counter, Counter]:
+    """The orbit tallies of the module, pairs under the diagonal action: one
+    (ideal, size) per element orbit, and the pair orbits counted by size and
+    by the ideals of their smallest pair (r, c)."""
     if module.size ** 2 > PAIR_BUDGET:
         raise BudgetExceeded(f"pair space {module.size ** 2} exceeds budget {PAIR_BUDGET}")
     perms = _group_perms(module)
     labels = closure_labels(perms, module.size)
     ideal = _element_ideals(module, module.elements())
-    # Labels are orbit minima: the distinct labels are the representatives.
-    counts = np.bincount(labels)
-    reps = counts.nonzero()[0].tolist()
-    elements = [OrbitDescriptor(int(counts[r]), ideal(r)) for r in reps]
-    # The pair orbit of (r, c) is r's orbit times c's orbit under Stab(r).
-    F, pairs = pair_labels(perms, labels), []
-    for r in reps:
-        second = np.bincount(F[r])
-        pairs += [OrbitDescriptor(int(counts[r] * second[c]), ideal(r), ideal(c))
-                  for c in second.nonzero()[0].tolist()]
-    return elements, pairs
+    counts, F = np.bincount(labels), pair_labels(perms, labels)
+    elements, pair_sizes, pair_ideals = [], Counter(), Counter()
+    # Labels are orbit minima, so the distinct labels are the representatives,
+    # and the pair orbit of (r, c) is r's orbit times c's orbit under Stab(r).
+    for r in counts.nonzero()[0].tolist():
+        size, I, second = int(counts[r]), ideal(r), np.bincount(F[r])
+        elements.append((I, size))
+        cs = second.nonzero()[0]
+        pair_sizes.update((size * second[cs]).tolist())
+        pair_ideals.update((I, ideal(c)) for c in cs.tolist())
+    return elements, pair_sizes, pair_ideals
 
 
 def _check(name, expected, actual):
@@ -253,13 +247,12 @@ def verify(lam: Partition, p: int) -> dict:
     q = p.  Returns a JSON-ready report with one entry per check."""
     module = ExplicitModule.from_partition(lam, p)
     ideals = lattice(lam).ideals
-    element_orbits, pair_orbits = orbits(module)
+    element_orbits, pair_sizes, pair_ideals = orbits(module)
     checks = [_check("element orbit count vs ideal count",
                      len(ideals), len(element_orbits))]
-    sizes_by_ideal = {o.ideal: o.size for o in element_orbits}
     expected_sizes = {I: orbit_size(lam, I)(p) for I in ideals}
     checks.append(_check("element orbit sizes vs orbit size formula",
-                         _render_map(expected_sizes), _render_map(sizes_by_ideal)))
+                         _render_map(expected_sizes), _render_map(dict(element_orbits))))
     grid = refined_censuses(lam)
     totals = {(I, L): sum(census.values(), ZERO)
               for I, row in zip(ideals, grid) for L, census in zip(ideals, row)}
@@ -273,7 +266,7 @@ def verify(lam: Partition, p: int) -> dict:
     capped = n_lambda(lam)
     if uncapped != capped:  # the grid against the cell batch, past the cap too
         raise OrbitPairsError(f"n_lambda({lam}) = {capped}, but uncapped {uncapped}")
-    checks.append(_check("pair orbit count vs n_lambda", int(uncapped(p)), len(pair_orbits)))
+    checks.append(_check("pair orbit count vs n_lambda", int(uncapped(p)), pair_sizes.total()))
 
     # The census of I is additive over the second orbits L.
     expected_multiset = Counter()
@@ -281,14 +274,12 @@ def verify(lam: Partition, p: int) -> dict:
         for census in row:
             for a, cnt in census.items():
                 expected_multiset[int(a(p)) * expected_sizes[I]] += int(cnt(p))
-    actual_multiset = Counter(o.size for o in pair_orbits)
     checks.append(_check("pair orbit size multiset vs census",
-                         _render_map(expected_multiset), _render_map(actual_multiset)))
+                         _render_map(expected_multiset), _render_map(pair_sizes)))
 
-    actual_refined = Counter((o.ideal, o.second_ideal) for o in pair_orbits)
     expected_refined = {key: c for key, total in totals.items() if (c := int(total(p)))}
     checks.append(_check("refined pair counts per orbit pair",
-                         _render_map(expected_refined), _render_map(actual_refined)))
+                         _render_map(expected_refined), _render_map(pair_ideals)))
 
     return {"partition": str(lam), "p": p, "mode": "quick", "checks": checks,
             "pass": all(c["pass"] for c in checks)}

@@ -227,10 +227,6 @@ def orbit_census(lam: Partition, I: OrderIdeal) -> Dict[QPolynomial, QPolynomial
     return _grid(lam, [I])[0][0]
 
 
-def _total(census: Dict[QPolynomial, QPolynomial]) -> QPolynomial:
-    return sum(census.values(), ZERO)
-
-
 def refined_matrix(lam: Partition) -> Dict[tuple[OrderIdeal, OrderIdeal], QPolynomial]:
     """Totals for every ordered pair of element orbits, from one grid in
     which each first ideal I reads only the columns of the L at or after it
@@ -239,8 +235,8 @@ def refined_matrix(lam: Partition) -> Dict[tuple[OrderIdeal, OrderIdeal], QPolyn
     orbits over orbit(I) x orbit(L) one to one onto those over orbit(L) x
     orbit(I)."""
     ideals = lattice(lam).ideals
-    upper = _grid(lam, ideals, range(len(ideals)))
-    totals = {(i, j): _total(census) for i, row in enumerate(upper)
-              for j, census in enumerate(row, i)}
-    return {(I, L): totals[min(i, j), max(i, j)]
+    # Row i of the triangle holds the totals of the columns j = i, i + 1, ...
+    upper = [[sum(census.values(), ZERO) for census in row]
+             for row in _grid(lam, ideals, range(len(ideals)))]
+    return {(I, L): upper[i][j - i] if i <= j else upper[j][i - j]
             for i, I in enumerate(ideals) for j, L in enumerate(ideals)}

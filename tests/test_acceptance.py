@@ -159,7 +159,7 @@ def test_criterion_09_oracle_equivalence():
         endos = p ** sum(min(a, b) for a in lam.expand() for b in lam.expand())
         if endos <= 2 ** 12:
             m = ExplicitModule.from_partition(lam, p)
-            quick = sorted(o.size for o in orbits(m)[1])
+            quick = sorted(orbits(m)[1].elements())
             full = pair_orbit_sizes(invertible_endomorphisms(m), m.size)
             agree_checked += 1
             if quick != full:

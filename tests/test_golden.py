@@ -11,7 +11,7 @@ import json
 import pytest
 from make_golden import PATH, SECTIONS
 
-from orbitpairs.oracle import ExplicitModule, _group_perms
+from orbitpairs.oracle import ExplicitModule, _group_perms, verify
 from orbitpairs.orbits import n_lambdas
 from orbitpairs.permgroups import closure_labels, pair_labels
 from orbitpairs.posets import lattice, partitions_of
@@ -97,6 +97,25 @@ def test_orbit_census_past_the_corpus():
                 for a, cnt in orbit_census(lam, I).items():
                     h.update(f"{lam};{I};{list(a.coeffs)};{list(cnt.coeffs)}\n".encode())
     assert h.hexdigest() == CENSUS_DIGEST
+
+
+# The verify grid: p = 2 up to |lambda| = 10, 3 up to 6, 5 up to 4, 7 up to
+# 3 and 11 and 13 up to 2, each from the empty shape (196 jobs).
+VERIFY_GRID = [(2, 10), (3, 6), (5, 4), (7, 3), (11, 2), (13, 2)]
+
+# sha256 of json.dumps({"lambda@p": report}, sort_keys=True) over the verify
+# grid, made by this recipe from the oracle that built one object per pair
+# orbit.
+VERIFY_DIGEST = "4b72b31fb244bc74236d051a0db4cae08b100c08c820f0b3641311730227042b"
+
+
+def test_verify_reports_bit_for_bit():
+    # The corpus holds verify reports to |lambda| = 5, 3 and 2 at p = 2, 3, 5.
+    reports = {f"{lam}@{p}": verify(lam, p) for p, top in VERIFY_GRID
+               for lam in (lam for m in range(top + 1) for lam in partitions_of(m))}
+    assert len(reports) == 196
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_DIGEST
 
 
 # sha256 of "lambda@p;" followed by the little-endian int32 bytes of

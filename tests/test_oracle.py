@@ -485,14 +485,14 @@ class TestCertificate:
 class TestOrbits:
     def test_single_coordinate(self):
         m = ExplicitModule.from_partition(Partition.parse("1"), 3)
-        got = sorted(o.size for o in orbits(m)[0])
+        got = sorted(size for _, size in orbits(m)[0])
         assert got == [1, 2]
 
     def test_element_orbit_sizes_match_formula(self):
         for text, p in [("2,1", 2), ("3,1", 2), ("2,2,1", 2), ("2,1", 3)]:
             lam = Partition.parse(text)
             m = ExplicitModule.from_partition(lam, p)
-            by_ideal = {o.ideal: o.size for o in orbits(m)[0]}
+            by_ideal = dict(orbits(m)[0])
             assert set(by_ideal) == set(lattice(lam).ideals)
             for I, size in by_ideal.items():
                 assert size == orbit_size(lam, I)(p)
@@ -508,10 +508,10 @@ class TestOrbits:
 
     def test_pair_orbit_count(self):
         m = ExplicitModule.from_partition(Partition.parse("2"), 2)
-        pairs = orbits(m)[1]
+        pair_sizes = orbits(m)[1]
         # Published count at q=2 for the shape (2): q^2+2q+2 evaluates to 10.
-        assert len(pairs) == 10
-        assert sum(o.size for o in pairs) == m.size ** 2
+        assert pair_sizes.total() == 10
+        assert sum(pair_sizes.elements()) == m.size ** 2
 
     def test_pair_orbits_at_budget(self):
         # |M|^2 = PAIR_BUDGET, closed under 3 generators: the block's unit
@@ -520,15 +520,15 @@ class TestOrbits:
         m = ExplicitModule.from_partition(lam, 2)
         assert m.size ** 2 == PAIR_BUDGET
         assert len(aut_generators(m)) == generator_count(m) == 3
-        pairs = orbits(m)[1]
-        assert len(pairs) == int(n_lambda(lam)(2))
-        assert sum(o.size for o in pairs) == PAIR_BUDGET
+        pair_sizes = orbits(m)[1]
+        assert pair_sizes.total() == int(n_lambda(lam)(2))
+        assert sum(pair_sizes.elements()) == PAIR_BUDGET
 
     def test_quick_and_full_endos_agree(self):
         for p, top in [(2, 4), (3, 3), (5, 2)]:
             for lam in (lam for m in range(1, top + 1) for lam in partitions_of(m)):
                 m = ExplicitModule.from_partition(lam, p)
-                quick = sorted(o.size for o in orbits(m)[1])
+                quick = sorted(orbits(m)[1].elements())
                 full = pair_orbit_sizes(invertible_endomorphisms(m), m.size)
                 assert quick == full, (str(lam), p)
 
@@ -714,9 +714,20 @@ class TestVerify:
         # The zero module: one element and one pair.
         report = verify(Partition(), p)
         assert report["pass"] and len(report["checks"]) == 5
-        elements, pairs = orbits(ExplicitModule.from_partition(Partition(), p))
-        assert [o.size for o in elements] == [o.size for o in pairs] == [1]
-        assert elements[0].ideal == pairs[0].second_ideal == OrderIdeal.from_generators([])
+        elements, pair_sizes, pair_ideals = orbits(ExplicitModule.from_partition(Partition(), p))
+        empty = OrderIdeal.from_generators([])
+        assert elements == [(empty, 1)] and pair_sizes == {1: 1}
+        assert pair_ideals == {(empty, empty): 1}
+
+    def test_count_check_counts_orbits(self, monkeypatch):
+        # With every element read as the empty ideal, the four element orbits
+        # still count as four: the check counts orbits, not distinct ideals.
+        empty = OrderIdeal.from_generators([])
+        monkeypatch.setattr(oracle, "_element_ideals", lambda module, elements: lambda i: empty)
+        checks = {c["name"]: c for c in verify(Partition.parse("2,1"), 3)["checks"]}
+        count = checks["element orbit count vs ideal count"]
+        assert count["expected"] == count["actual"] == 4 and count["pass"]
+        assert not checks["element orbit sizes vs orbit size formula"]["pass"]
 
     def test_odd_characteristic(self):
         assert verify(Partition.parse("2,1"), 3)["pass"]

@@ -523,6 +523,9 @@ class TestCensusGroups:
         # Every orbit size far too light: some cell's Laurent key has an
         # exponent below its factors' sum.
         patch_ideal_arrays(monkeypatch, lambda a: a._replace(w=a.w - 10))
+        # The batch refuses a key below q**-|lambda| where _cells builds it,
+        # before any grouping indexes rows by its power.
+        monkeypatch.setattr(orbits, "_group_sums", lambda *args: pytest.fail("grouped"))
         for engine in ENGINES:
             with pytest.raises(DegreeMismatch, match="negative power"):
                 engine(Partition.parse("2,1"))
